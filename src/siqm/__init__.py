@@ -16,7 +16,7 @@ from .grid import (Grid, WaveFunctionGrid, UnitsConvention, UNITS,
                    inner, InvalidRangeError, TooFewPointsError,
                    GridMismatchError, BoundaryDecayWarning)
 from .series import (SeriesCoefficients, SelfSimilarW, series_coefficients,
-                     radius_estimate, eval_W_selfsimilar, HorizonExceededError)
+                     radius_estimate, HorizonExceededError)
 from .families import (ParameterRule, PotentialFamily, ParameterChain,
                        parameter_chain, eval_W, remainder, ground_state,
                        shape_invariance_residual, harmonic_family,

@@ -11,6 +11,7 @@ values are immutable after construction and every operation is a pure
 function, so concurrent read-only use is safe.
 """
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -147,6 +148,20 @@ def _one_sided_weights(offsets: np.ndarray, deriv: int) -> np.ndarray:
     return np.linalg.solve(v, rhs)
 
 
+@functools.lru_cache(maxsize=None)
+def _boundary_d1_weights(order: int) -> tuple:
+    """Read-only one-sided first-derivative weights (left, right) for each boundary row."""
+    npts = order + 1
+    rows = []
+    for i in range(len(_CENTERED_D1[order])):
+        pair = (_one_sided_weights(np.arange(npts) - i, 1),
+                _one_sided_weights(np.arange(-npts + 1, 1) + i, 1))
+        for w in pair:
+            w.flags.writeable = False
+        rows.append(pair)
+    return tuple(rows)
+
+
 def first_derivative(values: np.ndarray, spacing: float, order: int = 4) -> np.ndarray:
     """d/dx by a centered stencil; boundary rows use one-sided stencils of the same order."""
     if order not in _CENTERED_D1:
@@ -159,11 +174,9 @@ def first_derivative(values: np.ndarray, spacing: float, order: int = 4) -> np.n
         out[hw:-hw] += c * (f[hw + j:len(f) - hw + j] - f[hw - j:-hw - j])
     # one-sided rows of matching order near each boundary
     npts = order + 1
-    for i in range(hw):
-        w = _one_sided_weights(np.arange(npts) - i, 1)
-        out[i] = w @ f[:npts]
-        w = _one_sided_weights(np.arange(-npts + 1, 1) + i, 1)
-        out[len(f) - 1 - i] = w @ f[-npts:]
+    for i, (left, right) in enumerate(_boundary_d1_weights(order)):
+        out[i] = left @ f[:npts]
+        out[len(f) - 1 - i] = right @ f[-npts:]
     return out / spacing
 
 

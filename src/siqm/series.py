@@ -26,9 +26,17 @@ territory, so an explicit outward march is well posed. The far field
 saturates at W_inf = sqrt(R / (1 - q)) with a slow power-law tail ~ 1/x^2.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
+
+
+# 6-point Lagrange stencil: offsets j of the stencil, and for each j the
+# other offsets m in ascending order with the denominators j - m
+_STENCIL = np.arange(-2, 4)
+_STENCIL_M = np.array([[m for m in _STENCIL if m != j] for j in _STENCIL])
+_STENCIL_DEN = (_STENCIL[:, None] - _STENCIL_M).astype(float)
 
 
 class HorizonExceededError(RuntimeError):
@@ -99,9 +107,17 @@ class SelfSimilarW:
 
     Builds a uniform table of (x, W, W') on demand, marching outward with a
     classical 4th-order Runge-Kutta step. Inner values needed at the
-    contracted argument sqrt(q) x come from the series where it converges
-    and from 4-point Lagrange interpolation of the table beyond. W is odd,
-    so only x >= 0 is tabulated.
+    contracted arguments sqrt(q) x and sqrt(q) (x + h/2) come from the
+    series where it converges and from 6-point Lagrange interpolation of
+    the table beyond. W is odd, so only x >= 0 is tabulated.
+
+    The march runs in blocks. A block starts at the current table length L
+    and takes every following step whose interpolation stencils lie inside
+    those L points, so the delayed terms q W(u)^2 and q W'(u) of all its
+    stages are evaluated at once; only the Riccati update W' = -W^2 + ...
+    runs step by step. A step whose stencil would reach past the table is
+    a block of its own and reads the table clamped at its end, as it stands
+    at that point of the step.
     """
 
     def __init__(self, coeffs: SeriesCoefficients, step: float = 0.005):
@@ -116,9 +132,10 @@ class SelfSimilarW:
             self._w_cap = 10.0 * max(1.0, np.sqrt(abs(self.R) / (1.0 - self.q)))
         else:
             self._w_cap = np.inf
-        self._xs = None
-        self._W = None
-        self._Wp = None
+        # rows x, W, W' of a preallocated table; the first _n columns are built
+        self._table = np.empty((3, 0))
+        self._xs, self._W, self._Wp = self._table
+        self._n = 0
 
     @property
     def w_infinity(self) -> float:
@@ -147,36 +164,44 @@ class SelfSimilarW:
             xp = xp * x2
         return out
 
-    def _interp(self, table, u: float) -> float:
-        # 6-point Lagrange on the uniform table; the high order keeps the
-        # pointwise interpolation noise near machine level, which matters
-        # because downstream ladder recursions amplify any grid-scale noise
+    def _lagrange(self, u: np.ndarray, n: int, tables: np.ndarray) -> np.ndarray:
+        """6-point Lagrange interpolation at u of the first n points of each table row.
+
+        The high order keeps the pointwise interpolation noise near machine
+        level, which matters because downstream ladder recursions amplify
+        any grid-scale noise. A stencil that would reach past point n is
+        clamped to the last six points.
+        """
         h = self.step
-        i = int(u / h)
-        i = max(2, min(i, len(table) - 4))
+        i = np.maximum(np.minimum((u / h).astype(np.intp), n - 4), 2)
         t = u / h - i
+        f = (t[:, None, None] - _STENCIL_M) / _STENCIL_DEN
+        weights = f[..., 0] * f[..., 1] * f[..., 2] * f[..., 3] * f[..., 4]
+        terms = weights * tables[..., :n][..., i[:, None] + _STENCIL]
+        # summed left to right from 0.0 like the scalar form, so tables stay bitwise stable
         acc = 0.0
-        for j in range(-2, 4):
-            lj = 1.0
-            for m in range(-2, 4):
-                if m != j:
-                    lj *= (t - m) / (j - m)
-            acc += lj * table[i + j]
+        for j in range(len(_STENCIL)):
+            acc = acc + terms[..., j]
         return acc
 
-    def _inner_w(self, u: float) -> float:
-        if u <= self.x_break:
-            return float(self._series_w(u))
-        return self._interp(self._W, u)
+    def _delayed(self, u: np.ndarray, n: int):
+        """q W(u)^2 and q W'(u) for the table as it stands at n points."""
+        inner = np.empty((2, len(u)))
+        ser = u <= self.x_break
+        if ser.any():
+            inner[0, ser] = self._series_w(u[ser])
+            inner[1, ser] = self._series_wp(u[ser])
+        if not ser.all():
+            inner[:, ~ser] = self._lagrange(u[~ser], n, self._table[1:])
+        # float_power rounds like Python's scalar ** 2; numpy's ** can differ in the last bit
+        return self.q * np.float_power(inner[0], 2.0), self.q * inner[1]
 
-    def _inner_wp(self, u: float) -> float:
-        if u <= self.x_break:
-            return float(self._series_wp(u))
-        return self._interp(self._Wp, u)
-
-    def _rhs(self, x: float, w: float) -> float:
-        u = self._sqrtq * x
-        return -w * w + self.q * self._inner_w(u) ** 2 - self.q * self._inner_wp(u) + self.R
+    def _reserve(self, size: int):
+        if size > self._table.shape[1]:
+            table = np.empty((3, max(size, 2 * self._table.shape[1])))
+            table[:, :self._n] = self._table[:, :self._n]
+            self._table = table
+            self._xs, self._W, self._Wp = table
 
     def ensure(self, x_max: float):
         """Extend the table so that |x| <= x_max is evaluable."""
@@ -184,50 +209,81 @@ class SelfSimilarW:
             return  # W = c0 x globally, no table needed
         h = self.step
         series_end = min(self.x_break, x_max + 4 * h)
-        if self._xs is None or (self._xs[-1] < self.x_break and self._xs[-1] < series_end - h):
+        n = self._n
+        if n == 0 or (self._xs[n - 1] < self.x_break and self._xs[n - 1] < series_end - h):
             # table still entirely inside the series region: (re)fill it
-            n0 = int(series_end / h) + 1
-            xs = np.arange(n0) * h
-            self._xs = list(xs)
-            self._W = list(self._series_w(xs))
-            self._Wp = list(self._series_wp(xs))
-        x = self._xs[-1]
-        w = self._W[-1]
+            n = int(series_end / h) + 1
+            xs = np.arange(n) * h
+            self._n = 0
+            self._reserve(n)
+            self._table[:, :n] = xs, self._series_w(xs), self._series_wp(xs)
+            self._n = n
+        sq, R, cap = self._sqrtq, self.R, self._w_cap
+
+        def past_table(u):
+            # a stencil at u would reach past the n points built so far
+            return u > self.x_break and int(u / h) > n - 4
+
+        x = float(self._xs[n - 1])
+        w = float(self._W[n - 1])
         while x < x_max:
             # the contracted argument must stay inside the built table
-            if self._sqrtq * (x + h) > x and x > 0:
+            if sq * (x + h) > x and x > 0:
                 raise HorizonExceededError(
                     "step too large for the contracted argument near the series edge")
-            k1 = self._rhs(x, w)
-            k2 = self._rhs(x + h / 2, w + h * k1 / 2)
-            k3 = self._rhs(x + h / 2, w + h * k2 / 2)
-            k4 = self._rhs(x + h, w + h * k3)
-            w = w + h * (k1 + 2 * k2 + 2 * k3 + k4) / 6
-            x = x + h
-            if not np.isfinite(w) or abs(w) > self._w_cap:
-                raise HorizonExceededError(f"continuation diverged near x = {x:.3f}")
-            self._xs.append(x)
-            self._W.append(w)
-            self._Wp.append(self._rhs(x, w))
-
-    def _eval_tabulated(self, u: np.ndarray, table) -> np.ndarray:
-        arr = np.asarray(table)
-        out = np.empty_like(u)
-        for i, ui in enumerate(u):
-            out[i] = self._interp(arr, ui)
-        return out
+            # the block: steps whose stencils all end inside the first n points;
+            # a first step that reads past them runs alone, on the clamped table
+            xs = [x, x + h]
+            clamped = past_table(sq * xs[1])
+            while not clamped and xs[-1] < x_max:
+                u = sq * (xs[-1] + h)
+                if u > xs[-1] or past_table(u):
+                    break
+                xs.append(xs[-1] + h)
+            steps = len(xs) - 1
+            xb = np.array(xs)
+            a, b = self._delayed(np.concatenate((sq * xb, sq * (xb[:-1] + h / 2))), n)
+            a0, ah = a[:steps + 1].tolist(), a[steps + 1:].tolist()
+            b0, bh = b[:steps + 1].tolist(), b[steps + 1:].tolist()
+            self._reserve(n + steps)
+            new_w, new_wp = [], []
+            try:
+                for s in range(steps):
+                    k1 = -w * w + a0[s] - b0[s] + R
+                    v = w + h * k1 / 2
+                    k2 = -v * v + ah[s] - bh[s] + R
+                    v = w + h * k2 / 2
+                    k3 = -v * v + ah[s] - bh[s] + R
+                    v = w + h * k3
+                    k4 = -v * v + a0[s + 1] - b0[s + 1] + R
+                    w = w + h * (k1 + 2 * k2 + 2 * k3 + k4) / 6
+                    x = xs[s + 1]
+                    if not math.isfinite(w) or abs(w) > cap:
+                        raise HorizonExceededError(f"continuation diverged near x = {x:.3f}")
+                    new_w.append(w)
+                    new_wp.append(-w * w + a0[s + 1] - b0[s + 1] + R)
+            finally:
+                m = len(new_w)
+                self._table[:, n:n + m] = xs[1:m + 1], new_w, new_wp
+                self._n = n = n + m
+            if clamped:
+                # W' at the new point sees W with that point already appended
+                u = sq * xb[1:]
+                if u[0] > self.x_break:
+                    a1 = self.q * np.float_power(self._lagrange(u, n, self._W)[0], 2.0)
+                    self._Wp[n - 1] = -w * w + a1 - b0[1] + R
 
     def w(self, x) -> np.ndarray:
         """W(x), vectorized; odd extension for negative arguments."""
         x = np.atleast_1d(np.asarray(x, dtype=float))
         if self.q == 1.0:
-            return self.c0_line(x)
+            return self.coeffs.c0 * x
         a = np.abs(x)
         self.ensure(float(np.max(a)) + 2 * self.step)
         out = np.empty_like(a)
         ser = a <= self.x_break
         out[ser] = self._series_w(a[ser])
-        out[~ser] = self._eval_tabulated(a[~ser], self._W)
+        out[~ser] = self._lagrange(a[~ser], self._n, self._W)
         return np.sign(x) * out
 
     def wp(self, x) -> np.ndarray:
@@ -240,11 +296,8 @@ class SelfSimilarW:
         out = np.empty_like(a)
         ser = a <= self.x_break
         out[ser] = self._series_wp(a[ser])
-        out[~ser] = self._eval_tabulated(a[~ser], self._Wp)
+        out[~ser] = self._lagrange(a[~ser], self._n, self._Wp)
         return out
-
-    def c0_line(self, x: np.ndarray) -> np.ndarray:
-        return self.coeffs.c0 * x
 
     def defining_residual(self, x) -> np.ndarray:
         """|W^2 + W' - q W(sqrt(q)x)^2 + q W'(sqrt(q)x) - R| pointwise.
@@ -264,20 +317,3 @@ class SelfSimilarW:
                - self.q * self.w(u) ** 2 + self.q * wpu_fd - self.R)
         return np.abs(res)
 
-
-def eval_W_selfsimilar(coeffs: SeriesCoefficients, x: float) -> float:
-    """W(x) for the series solution, continued past the convergence radius."""
-    engine = _engine_for(coeffs)
-    return float(engine.w(x)[0])
-
-
-_engines: dict = {}
-
-
-def _engine_for(coeffs: SeriesCoefficients) -> SelfSimilarW:
-    key = (coeffs.q, coeffs.c0, len(coeffs.coeffs))
-    eng = _engines.get(key)
-    if eng is None or eng.coeffs is not coeffs:
-        eng = SelfSimilarW(coeffs)
-        _engines[key] = eng
-    return eng

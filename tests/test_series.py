@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from siqm import SelfSimilarW, eval_W_selfsimilar, radius_estimate, series_coefficients
+from siqm import SelfSimilarW, radius_estimate, series_coefficients
 from siqm.series import ratio_sequence
 
 # Taylor series of tanh x (exact rationals), the q = 0 one-soliton limit
@@ -67,13 +67,14 @@ def test_ratio_sequence_tail_monotone():
 def test_eval_odd_at_origin():
     for q in (0.0, 0.3, 0.7, 1.0):
         sc = series_coefficients(q, 1.0, 40)
-        assert eval_W_selfsimilar(sc, 0.0) == 0.0
+        assert float(SelfSimilarW(sc).w(0.0)[0]) == 0.0
 
 
 def test_eval_q0_is_tanh():
     sc = series_coefficients(0.0, 1.0, 60)
-    assert eval_W_selfsimilar(sc, 3.0) == pytest.approx(np.tanh(3.0), abs=1e-6)
-    assert eval_W_selfsimilar(sc, -3.0) == pytest.approx(-np.tanh(3.0), abs=1e-6)
+    eng = SelfSimilarW(sc)
+    assert float(eng.w(3.0)[0]) == pytest.approx(np.tanh(3.0), abs=1e-6)
+    assert float(eng.w(-3.0)[0]) == pytest.approx(-np.tanh(3.0), abs=1e-6)
 
 
 def test_oddness_exact():
@@ -144,3 +145,84 @@ def test_negative_remainder_branch_diverges():
     eng = SelfSimilarW(series_coefficients(0.5, -1.0, 40))
     with pytest.raises(HorizonExceededError):
         eng.ensure(10.0)
+
+
+def _lagrange6(table, u, h):
+    # 6-point Lagrange on the uniform table, clamped to its last six points
+    i = max(2, min(int(u / h), len(table) - 4))
+    t = u / h - i
+    acc = 0.0
+    for j in range(-2, 4):
+        lj = 1.0
+        for m in range(-2, 4):
+            if m != j:
+                lj *= (t - m) / (j - m)
+        acc += lj * table[i + j]
+    return acc
+
+
+def _reference_march(eng, x_max):
+    """The pantograph march one scalar RK4 step at a time, as lists.
+
+    Each right-hand side reads the table as it stands at that moment, so a
+    stencil past the end is clamped to the points built so far. Returns the
+    table (x, W, W') and the number of such clamped reads.
+    """
+    q, R, h, sq = eng.q, eng.R, eng.step, np.sqrt(eng.q)
+    xs = np.arange(int(min(eng.x_break, x_max + 4 * h) / h) + 1) * h
+    X, W, Wp = list(xs), list(eng._series_w(xs)), list(eng._series_wp(xs))
+    clamped = 0
+
+    def rhs(x, w):
+        nonlocal clamped
+        u = sq * x
+        if u <= eng.x_break:
+            iw, iwp = float(eng._series_w(u)), float(eng._series_wp(u))
+        else:
+            clamped += int(u / h) > len(Wp) - 4
+            iw, iwp = _lagrange6(W, u, h), _lagrange6(Wp, u, h)
+        return -w * w + q * iw ** 2 - q * iwp + R
+
+    x, w = X[-1], W[-1]
+    while x < x_max:
+        k1 = rhs(x, w)
+        k2 = rhs(x + h / 2, w + h * k1 / 2)
+        k3 = rhs(x + h / 2, w + h * k2 / 2)
+        k4 = rhs(x + h, w + h * k3)
+        w = w + h * (k1 + 2 * k2 + 2 * k3 + k4) / 6
+        x = x + h
+        X.append(x)
+        W.append(w)
+        Wp.append(rhs(x, w))
+    return np.array([X, W, Wp]), clamped
+
+
+@pytest.mark.parametrize("q, step", [(0.3, 0.005), (0.7, 0.005), (0.95, 0.005),
+                                     (0.99, 0.005), (0.99, 0.02)])
+def test_blocked_march_matches_scalar_reference(q, step):
+    eng = SelfSimilarW(series_coefficients(q, 1.0, 60), step=step)
+    ref, clamped = _reference_march(eng, 12.0)
+    eng.ensure(12.0)
+    assert np.array_equal(eng._table[:, :eng._n], ref)
+    if step == 0.02:
+        assert clamped > 0  # the end-of-table clamp is exercised
+    x = np.linspace(-11.9, 11.9, 477)
+    a = np.abs(x)
+    ser = a <= eng.x_break
+    w_ref = np.array([float(eng._series_w(u)) if s else _lagrange6(ref[1], u, step)
+                      for u, s in zip(a, ser)])
+    wp_ref = np.array([float(eng._series_wp(u)) if s else _lagrange6(ref[2], u, step)
+                       for u, s in zip(a, ser)])
+    assert np.array_equal(eng.w(x), np.sign(x) * w_ref)
+    assert np.array_equal(eng.wp(x), wp_ref)
+    assert eng._n == ref.shape[1]  # evaluation inside the table did not extend it
+
+
+@pytest.mark.parametrize("q", [0.3, 0.7, 0.95, 0.99])
+def test_grown_table_equals_fresh_table(q):
+    sc = series_coefficients(q, 1.0, 60)
+    grown, fresh = SelfSimilarW(sc), SelfSimilarW(sc)
+    for x_max in (5.0, 12.0, 40.0):
+        grown.ensure(x_max)
+    fresh.ensure(40.0)
+    assert np.array_equal(grown._table[:, :grown._n], fresh._table[:, :fresh._n])

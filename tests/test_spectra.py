@@ -5,23 +5,25 @@ import warnings
 import numpy as np
 import pytest
 
-from siqm import (LevelNotBoundError, build_eigenstate, build_grid,
-                  eigen_residual, eigenstate_with_prenorm, energy_levels,
-                  fd_diagonalize, harmonic_family, inner, morse_family,
-                  normalization_factor, selfsimilar_family)
+from siqm import (BoundaryDecayWarning, LevelNotBoundError, build_eigenstate,
+                  build_grid, eigen_residual, eigenstate_with_prenorm,
+                  energy_levels, fd_diagonalize, harmonic_family, inner,
+                  morse_family, normalization_factor, selfsimilar_family)
 
 Q5 = selfsimilar_family(q=0.5, c=1.0, a1=1.0)
 
 
 @pytest.fixture(scope="module")
 def wide_grid():
-    return build_grid(-60, 60, 12001)
+    # h = 0.01 on a box whose walls the oracle's decay check accepts for all
+    # 7 states (on [-60, 60] it flags state 6)
+    return build_grid(-120, 120, 24001)
 
 
 @pytest.fixture(scope="module")
 def q5_oracle(wide_grid):
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
+        warnings.simplefilter("error", BoundaryDecayWarning)
         return fd_diagonalize(Q5, wide_grid, 7)
 
 
