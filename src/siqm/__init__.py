@@ -11,26 +11,24 @@ time evolution.
 
 __version__ = "0.1.0"
 
-from .grid import (Grid, WaveFunctionGrid, UnitsConvention, UNITS,
-                   build_grid, apply_ladder, dilate, build_hamiltonian_matrix,
-                   inner, InvalidRangeError, TooFewPointsError,
+from .grid import (Grid, WaveFunctionGrid, build_grid, apply_ladder, dilate,
+                   build_hamiltonian_matrix, inner, InvalidRangeError, TooFewPointsError,
                    GridMismatchError, BoundaryDecayWarning)
 from .series import (SeriesCoefficients, SelfSimilarW, series_coefficients,
                      radius_estimate, HorizonExceededError)
-from .families import (ParameterRule, PotentialFamily, ParameterChain,
-                       parameter_chain, eval_W, remainder, ground_state,
+from .families import (ParameterRule, PotentialFamily, Harmonic, Morse,
+                       SelfSimilar, FAMILIES, eval_W, remainder, ground_state,
                        shape_invariance_residual, harmonic_family,
                        morse_family, selfsimilar_family, family_from_config,
-                       suggested_grid, NonNormalizableError)
+                       suggested_grid, NonNormalizableError, OutOfDomainError)
 from .spectra import (SpectrumTable, energy_levels, normalization_factor,
-                      build_eigenstate, eigenstate_with_prenorm,
+                      lowering_weights, build_eigenstate, eigenstate_with_prenorm,
                       fd_diagonalize, eigen_residual,
                       LevelNotBoundError, UnderResolvedGridError)
-from .lattice import (LatticeState, LatticeOperator, LatticeContext,
-                      lattice_apply, make_operator, packet_state,
+from .lattice import (LatticeState, LatticeContext, packet_state,
                       commutator_residual, dilation_identity_residual,
-                      adjoint_pair_residual, RELATIONS, UnknownRelationError,
-                      WindowTooSmallError)
+                      adjoint_pair_residual, applicable_relations, RELATIONS,
+                      UnknownRelationError, WindowTooSmallError)
 from .ladder_matrices import LadderMatrices, matrix_identities, SingularSpectrumError
 from .coherent import (CoherentState, q_pochhammer, coherent_recursive,
                        coherent_closed_scaling, coherent_property_residuals,

@@ -31,14 +31,15 @@ from . import __version__
 from .coherent import (coherent_closed_scaling, coherent_property_residuals,
                        coherent_recursive)
 from .dynamics import DriveProfile, evolve_forced
-from .families import family_from_config, suggested_grid
-from .grid import Grid
+from .families import (DEFAULT_FAMILY, FAMILIES, family_from_config,
+                       shape_invariance_residual, suggested_grid)
+from .grid import Grid, build_grid
 from .ladder_matrices import LadderMatrices, matrix_identities
-from .lattice import (RELATIONS, SCALING_ONLY, commutator_residual,
+from .lattice import (applicable_relations, commutator_residual,
                       dilation_identity_residual)
-from .series import radius_estimate, series_coefficients
-from .spectra import energy_levels, eigenstate_with_prenorm, fd_diagonalize
-from .families import shape_invariance_residual
+from .series import SelfSimilarW, radius_estimate, series_coefficients
+from .spectra import (energy_levels, eigenstate_with_prenorm, fd_diagonalize,
+                      normalization_factor)
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -52,6 +53,10 @@ ORACLE_TOL = 1e-3
 
 VERIFY_SUITES = ("shape-invariance", "lattice-algebra", "q-oscillator",
                  "dilation", "matrix-identities")
+
+# every parameter key some registered family declares
+FAMILY_KEYS = {key for cls in FAMILIES.values() for key in cls.config_keys}
+GRID_KEYS = ("grid_min", "grid_max", "grid_points")
 
 
 class CliError(Exception):
@@ -87,7 +92,7 @@ def _build_parser() -> _Parser:
     sub = p.add_subparsers(dest="command", required=True)
 
     def add_family_flags(sp):
-        sp.add_argument("--family", choices=("harmonic", "morse", "selfsimilar"))
+        sp.add_argument("--family", choices=tuple(FAMILIES))
         sp.add_argument("--q", type=float)
         sp.add_argument("--c", type=float)
         sp.add_argument("--a1", type=float)
@@ -122,8 +127,8 @@ def _build_parser() -> _Parser:
     add_family_flags(sp)
     add_grid_flags(sp)
     sp.add_argument("--suite", choices=VERIFY_SUITES)
-    sp.add_argument("--order", type=int, help="series truncation for the "
-                    "selfsimilar superpotential (low values break the W table)")
+    sp.add_argument("--order", type=int, help="series truncation of the "
+                    "scaling-family superpotential (low values break the W table)")
     sp.add_argument("--levels", type=int, default=20)
     sp.add_argument("--report", type=Path)
     sp.add_argument("--out", type=Path)
@@ -159,7 +164,7 @@ def _load_config(path: Path) -> dict:
                        f"column {exc.colno}: {exc.msg}")
     allowed = {"family", "q", "c", "a1", "c0", "order", "levels",
                "grid_min", "grid_max", "grid_points", "z_re", "z_im",
-               "drive", "t_max", "dt", "phase_sign", "suite", "delta"}
+               "drive", "t_max", "dt", "phase_sign", "suite"}
     for key in cfg:
         if key not in allowed:
             raise CliError(f"unknown config key {key!r}")
@@ -180,33 +185,31 @@ def _merge_config(args: argparse.Namespace) -> dict:
 
 
 def _family_from(params: dict):
-    cfg = {"family": params.get("family", "selfsimilar")}
-    for key in ("q", "c", "a1"):
-        if params.get(key) is not None:
-            cfg[key] = params[key]
-    fam = family_from_config(cfg)
-    if params.get("order") is not None and fam.name == "selfsimilar":
-        fam.series_order = int(params["order"])
-    return fam
+    """The family of --family (or the default) from the keys it declares.
+
+    A family key given for a family that does not declare it is rejected.
+    """
+    cfg = {key: params[key] for key in FAMILY_KEYS if params.get(key) is not None}
+    cfg["family"] = params.get("family", DEFAULT_FAMILY)
+    return family_from_config(cfg)
 
 
-def _grid_from(params: dict, fam) -> Grid:
-    gmin = params.get("grid_min")
-    gmax = params.get("grid_max")
-    gpts = params.get("grid_points")
-    if gmin is None and gmax is None and gpts is None:
-        return suggested_grid(fam)
-    if None in (gmin, gmax, gpts):
+def _grid_from(params: dict) -> Grid | None:
+    """The grid of the three grid flags, or None when none of them is given."""
+    values = [params.get(key) for key in GRID_KEYS]
+    if all(v is None for v in values):
+        return None
+    if None in values:
         raise CliError("provide all of --grid-min, --grid-max, --grid-points "
                        "or none of them")
-    return Grid(gmin, gmax, gpts)
+    return build_grid(*values)
 
 
 def _cmd_spectrum(params: dict, outputs: list) -> tuple[dict, int]:
     fam = _family_from(params)
     n_max = int(params.get("levels", 6))
     table = energy_levels(fam, n_max)
-    grid = _grid_from(params, fam)
+    grid = _grid_from(params) or suggested_grid(fam)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         e_fd, _ = fd_diagonalize(fam, grid, n_max + 1)
@@ -229,17 +232,15 @@ def _cmd_coeffs(params: dict, outputs: list) -> tuple[dict, int]:
     q = float(params["q"])
     c0 = float(params.get("c0", 1.0))
     K = int(params.get("order", 40))
+    grid = _grid_from(params)
     sc = series_coefficients(q, c0, K)
     rows = [(k, sc.coeffs[k]) for k in range(K + 1)]
     out = params.get("out")
     if out:
         _write_csv(Path(out), ["k", "c_k"], rows)
         outputs.append(str(out))
-        if params.get("grid_points") is not None:
+        if grid is not None:
             # companion x, W(x) table on the requested grid
-            from .series import SelfSimilarW
-            grid = Grid(float(params["grid_min"]), float(params["grid_max"]),
-                        int(params["grid_points"]))
             eng = SelfSimilarW(sc)
             wvals = eng.w(grid.x)
             table = Path(out).with_name(Path(out).stem + ".table.csv")
@@ -253,13 +254,12 @@ def _cmd_coeffs(params: dict, outputs: list) -> tuple[dict, int]:
 def _cmd_eigenstates(params: dict, outputs: list) -> tuple[dict, int]:
     fam = _family_from(params)
     n_max = int(params.get("levels", 3))
-    grid = _grid_from(params, fam)
+    grid = _grid_from(params) or suggested_grid(fam)
     table = energy_levels(fam, n_max)
     states, prenorm_errs = [], []
     for n in range(n_max + 1):
         psi, prenorm = eigenstate_with_prenorm(fam, n, grid)
         states.append(psi)
-        from .spectra import normalization_factor
         expected = normalization_factor(table, n)
         prenorm_errs.append(abs(prenorm - expected) / max(expected, 1e-300))
     header = ["x"]
@@ -290,12 +290,7 @@ def _verify_shape(fam, grid) -> dict:
 
 def _verify_lattice(fam, grid) -> dict:
     report = {}
-    skip = SCALING_ONLY if fam.rule.kind != "scaling" else set()
-    if fam.rule.kind == "scaling" and fam.q == 1.0:
-        skip = {"so21-commutator", "j3-ladder-up", "j3-ladder-down"}
-    for rel in RELATIONS:
-        if rel in skip:
-            continue
+    for rel in applicable_relations(fam):
         res = commutator_residual(rel, fam, grid=grid, window=12)
         report[rel] = {"residual": res, "tolerance": LATTICE_TOL,
                        "pass": res <= LATTICE_TOL}
@@ -335,9 +330,7 @@ def _cmd_verify(params: dict, outputs: list) -> tuple[dict, int]:
     if suite == "matrix-identities":
         report = _verify_matrix(fam, int(params.get("levels", 20)))
     else:
-        grid = _grid_from(params, fam) if any(
-            params.get(k) is not None for k in ("grid_min", "grid_max", "grid_points")) \
-            else Grid(-15.0, 15.0, 3001)
+        grid = _grid_from(params) or Grid(-15.0, 15.0, 3001)
         runner = {"shape-invariance": _verify_shape,
                   "lattice-algebra": _verify_lattice,
                   "q-oscillator": _verify_qosc,
@@ -363,7 +356,7 @@ def _cmd_coherent(params: dict, outputs: list) -> tuple[dict, int]:
     results = {"eigen_residual": eig_res, "eigen_tolerance": 1e-10,
                "derivative_residual": der_res, "derivative_tolerance": 1e-6,
                "partial_norm": state.partial_norm()}
-    if fam.rule.kind == "scaling" and 0 < fam.q < 1:
+    if fam.q is not None and fam.q < 1.0:
         closed = coherent_closed_scaling(fam.q, fam.c * fam.a1, z, N)
         agree = float(np.max(np.abs(closed.coefficients - state.coefficients)
                              / np.abs(state.coefficients)))

@@ -30,7 +30,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .ladder_matrices import LadderMatrices
-from .spectra import SpectrumTable, energy_levels, normalization_factor
+from .spectra import (SpectrumTable, energy_levels, lowering_weights,
+                      normalization_factor)
 
 
 class DegenerateLevelsError(ValueError):
@@ -122,9 +123,7 @@ def coherent_property_residuals(state: CoherentState,
     N = state.N
     if ladder.dimension < N:
         raise ValueError("ladder truncation smaller than the state")
-    beta = np.array([normalization_factor(state.levels, n)
-                     / normalization_factor(state.levels, n - 1)
-                     for n in range(1, N)])
+    beta = lowering_weights(state.levels, N)
     h = state.coefficients
     scale = np.linalg.norm(h[:N - 1])
 

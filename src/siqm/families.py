@@ -6,26 +6,29 @@ appearing in the factorization identity
 
     A(a1) A_dag(a1) = A_dag(a2) A(a2) + R(a1).
 
-Three families are registered. The scaling-class family is the subject of
-the package; harmonic and Morse are translation-class fixtures with known
-closed-form spectra that anchor the ladder machinery against independent
-analytics:
+Every family-specific decision lives in one subclass of PotentialFamily:
+W(x; a), R(a), the parameter rule, the parameter domain, the closed-form
+levels, the box hint and the config keys. Three families are registered.
+The scaling-class family is the subject of the package; harmonic and Morse
+are translation-class fixtures with known closed-form spectra that anchor
+the ladder machinery against independent analytics:
 
     harmonic     W(x; lam) = lam * x,    a2 = a1,      R = 2 lam
     morse        W(x; A) = A - exp(-x),  a2 = a1 - 1,  R(a) = a^2 - (a-1)^2
     selfsimilar  W from the power series solver, a2 = q a1, R(a) = c a
+
+A new family is one more subclass; listing it in FAMILIES exposes it to
+family_from_config and the CLI.
 """
 
+from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
 from .grid import Grid, WaveFunctionGrid, apply_ladder, cumulative_integral
 from .series import SelfSimilarW, series_coefficients
-
-HARMONIC = "harmonic"
-MORSE = "morse"
-SELFSIMILAR = "selfsimilar"
 
 
 class NonNormalizableError(ValueError):
@@ -63,142 +66,200 @@ class ParameterRule:
         return a1 + (index - 1) * self.shift_delta
 
 
-@dataclass(frozen=True)
-class ParameterChain:
-    values: np.ndarray
-
-
 @dataclass
-class PotentialFamily:
-    """A named superpotential family with its parameter rule and remainder."""
+class PotentialFamily(ABC):
+    """A superpotential family: W(x; a), its parameter rule and remainder R(a).
 
-    name: str
+    A subclass sets `name`, `rule` and `box` and defines W, R and
+    closed_levels; it may narrow the parameter domain (in_domain) and extend
+    the config keys.
+    """
+
+    name: ClassVar[str]
+    rule: ClassVar[ParameterRule]
+    box: ClassVar[tuple[float, float]]    # suggested_grid's domain [lo, hi]
+    # config key -> (constructor field, type); family_from_config rejects others
+    config_keys: ClassVar[dict] = {"a1": ("a1", float)}
+    # Parameters of the scaling family, where they are fields. Every family
+    # has them, so callers read them without asking which family they hold.
+    q = None                              # scaling factor; None for a translation
+    c = 0.0                               # remainder constant R(a) = c a
+    series_order = 60                     # series truncation of W
+
     a1: float
-    rule: ParameterRule
-    c: float = 0.0                   # remainder constant, scaling case
-    series_order: int = 60
-    _engine: SelfSimilarW | None = field(default=None, repr=False, compare=False)
 
-    def __post_init__(self):
-        if self.name not in (HARMONIC, MORSE, SELFSIMILAR):
-            raise ValueError(f"unknown family {self.name!r}")
-        if self.name == SELFSIMILAR:
-            if self.rule.kind != "scaling":
-                raise ValueError("selfsimilar family requires a scaling rule")
-            if self.a1 <= 0:
-                raise OutOfDomainError("scaling family needs a1 > 0")
+    @abstractmethod
+    def W(self, x: np.ndarray, a: float) -> np.ndarray:
+        """W(x; a) at the points x."""
 
-    @property
-    def q(self) -> float:
-        if self.rule.kind != "scaling":
-            raise ValueError("q is defined for scaling rules only")
-        return self.rule.factor_q
+    @abstractmethod
+    def R(self, a: float) -> float:
+        """Remainder R(a) of the factorization identity."""
+
+    @abstractmethod
+    def closed_levels(self, n_max: int) -> np.ndarray:
+        """Closed-form E_0 ... E_{n_max}, the reference for the remainder sums."""
+
+    def in_domain(self, a: float) -> bool:
+        """Whether a is a parameter with a bound ground state (a > 0 by default)."""
+        return a > 0
 
     def chain_value(self, index: int) -> float:
         return self.rule.value(self.a1, index)
 
+    def to_config(self) -> dict:
+        return {"family": self.name,
+                **{key: getattr(self, attr) for key, (attr, _) in self.config_keys.items()}}
+
+    @classmethod
+    def from_config(cls, cfg: dict) -> "PotentialFamily":
+        unknown = sorted(set(cfg) - set(cls.config_keys) - {"family"})
+        if unknown:
+            raise ValueError(f"family {cls.name!r} takes no {', '.join(unknown)} "
+                             f"(its keys: {', '.join(cls.config_keys)})")
+        return cls(**{attr: kind(cfg[key]) for key, (attr, kind)
+                      in cls.config_keys.items() if key in cfg})
+
+
+@dataclass
+class Harmonic(PotentialFamily):
+    """W = lam*x with the identity parameter map and constant remainder 2*lam."""
+
+    name = "harmonic"
+    rule = ParameterRule("translation", shift_delta=0.0)
+    box = (-10.0, 10.0)
+
+    a1: float = 1.0
+
+    def W(self, x, a):
+        return a * x
+
+    def R(self, a):
+        return 2.0 * a
+
+    def closed_levels(self, n_max):
+        return 2.0 * self.a1 * np.arange(n_max + 1)
+
+
+@dataclass
+class Morse(PotentialFamily):
+    """W = A - exp(-x) in the alpha = B = 1 convention; a -> a - 1 per step.
+
+    The box is asymmetric because the exponential wall on the left would
+    otherwise dominate the matrix norm and erode eigenvalue accuracy.
+    """
+
+    name = "morse"
+    rule = ParameterRule("translation", shift_delta=-1.0)
+    box = (-5.0, 32.0)
+
+    a1: float = 2.5
+
+    def W(self, x, a):
+        return a - np.exp(-x)
+
+    def R(self, a):
+        return a * a - (a - 1.0) ** 2
+
+    def closed_levels(self, n_max):
+        return self.a1 ** 2 - (self.a1 - np.arange(n_max + 1)) ** 2
+
+
+@dataclass
+class SelfSimilar(PotentialFamily):
+    """W from the power-series solver, a -> q a, R(a) = c a.
+
+    The potential has a 1/x^2 confinement tail, so its near-threshold levels
+    need a wide box.
+    """
+
+    name = "selfsimilar"
+    box = (-40.0, 40.0)
+    config_keys = {"a1": ("a1", float), "q": ("q", float), "c": ("c", float),
+                   "order": ("series_order", int)}
+
+    q: float = 0.5
+    c: float = 1.0
+    a1: float = 1.0
+    series_order: int = 60
+    _engine: SelfSimilarW | None = field(default=None, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.rule = ParameterRule("scaling", factor_q=self.q)
+        if not self.in_domain(self.a1):
+            raise OutOfDomainError("scaling family needs a1 > 0")
+
     def engine(self) -> SelfSimilarW:
-        """Lazily built series/continuation evaluator (selfsimilar only)."""
-        if self.name != SELFSIMILAR:
-            raise ValueError("series engine exists for the selfsimilar family only")
+        """Lazily built series/continuation evaluator of W(x; a1)."""
         if self._engine is None:
             c0 = self.c * self.a1 / (1.0 + self.q)
             coeffs = series_coefficients(self.q, c0, self.series_order)
             self._engine = SelfSimilarW(coeffs)
         return self._engine
 
-    def to_config(self) -> dict:
-        cfg = {"family": self.name, "a1": self.a1}
-        if self.rule.kind == "scaling":
-            cfg["q"] = self.rule.factor_q
-            cfg["c"] = self.c
-        else:
-            cfg["delta"] = self.rule.shift_delta
-        return cfg
+    def W(self, x, a):
+        # scaling law: W(x; a) = s * W(s x; a1) with s = sqrt(a / a1)
+        if not self.in_domain(a):
+            raise OutOfDomainError(f"scaling family needs a > 0, got {a}")
+        s = np.sqrt(a / self.a1)
+        return s * self.engine().w(s * x)
+
+    def R(self, a):
+        return self.c * a
+
+    def closed_levels(self, n_max):
+        n = np.arange(n_max + 1)
+        if self.q == 1.0:
+            return self.c * self.a1 * n.astype(float)
+        # -expm1(n log q) = 1 - q^n without cancellation as q -> 1
+        return self.c * self.a1 * (-np.expm1(n * np.log(self.q))) / (1 - self.q)
+
+
+FAMILIES = {cls.name: cls for cls in (Harmonic, Morse, SelfSimilar)}
+DEFAULT_FAMILY = SelfSimilar.name
 
 
 def harmonic_family(lam: float = 1.0) -> PotentialFamily:
-    """W = lam*x with the identity parameter map and constant remainder 2*lam."""
-    return PotentialFamily(HARMONIC, a1=lam,
-                           rule=ParameterRule("translation", shift_delta=0.0))
+    return Harmonic(a1=lam)
 
 
 def morse_family(A: float = 2.5) -> PotentialFamily:
-    """W = A - exp(-x) in the alpha = B = 1 convention; a -> a - 1 per step."""
-    return PotentialFamily(MORSE, a1=A,
-                           rule=ParameterRule("translation", shift_delta=-1.0))
+    return Morse(a1=A)
 
 
 def selfsimilar_family(q: float = 0.5, c: float = 1.0, a1: float = 1.0,
                        series_order: int = 60) -> PotentialFamily:
-    return PotentialFamily(SELFSIMILAR, a1=a1,
-                           rule=ParameterRule("scaling", factor_q=q),
-                           c=c, series_order=series_order)
+    return SelfSimilar(q=q, c=c, a1=a1, series_order=series_order)
 
 
 def family_from_config(cfg: dict) -> PotentialFamily:
+    """The registered family cfg["family"], built from its declared keys only."""
     name = cfg.get("family")
-    if name == HARMONIC:
-        return harmonic_family(lam=float(cfg.get("a1", 1.0)))
-    if name == MORSE:
-        return morse_family(A=float(cfg.get("a1", 2.5)))
-    if name == SELFSIMILAR:
-        return selfsimilar_family(q=float(cfg.get("q", 0.5)),
-                                  c=float(cfg.get("c", 1.0)),
-                                  a1=float(cfg.get("a1", 1.0)))
-    raise ValueError(f"unknown family {name!r}")
-
-
-def parameter_chain(family: PotentialFamily, n: int) -> ParameterChain:
-    """Chain a_1 ... a_n under the family's rule."""
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
-    idx = np.arange(1, n + 1)
-    if family.rule.kind == "scaling":
-        values = family.a1 * family.rule.factor_q ** (idx - 1)
-    else:
-        values = family.a1 + (idx - 1) * family.rule.shift_delta
-    return ParameterChain(values=values)
+    if name not in FAMILIES:
+        raise ValueError(f"unknown family {name!r}")
+    return FAMILIES[name].from_config(cfg)
 
 
 def eval_W(family: PotentialFamily, a: float, grid: Grid) -> np.ndarray:
     """Sample W(x; a) on the grid."""
-    x = grid.x
-    if family.name == HARMONIC:
-        return a * x
-    if family.name == MORSE:
-        return a - np.exp(-x)
-    # scaling law: W(x; a) = s * W(s x; a1) with s = sqrt(a / a1)
-    if a <= 0:
-        raise OutOfDomainError(f"scaling family needs a > 0, got {a}")
-    s = np.sqrt(a / family.a1)
-    return s * family.engine().w(s * x)
+    return family.W(grid.x, a)
 
 
 def remainder(family: PotentialFamily, a: float) -> float:
     """Remainder R(a) of the factorization identity."""
-    if family.name == HARMONIC:
-        return 2.0 * a
-    if family.name == MORSE:
-        d = family.rule.shift_delta
-        return a * a - (a + d) ** 2
-    return family.c * a
+    return family.R(a)
 
 
 def suggested_grid(family: PotentialFamily, spacing: float = 0.01) -> Grid:
-    """A domain wide enough for bound states up to n = 6 at default parameters.
+    """The family's box hint sampled at the given spacing.
 
-    The Morse domain is asymmetric because the exponential wall on the left
-    would otherwise dominate the matrix norm and erode eigenvalue accuracy.
-    The scaling-class potential has a 1/x^2 confinement tail, so its
-    near-threshold levels need a wide box.
+    The box is a fixed default and is not sized for the requested levels:
+    at q = 0.5, c = a1 = 1 the scaling box [-40, 40] holds levels up to
+    n = 5, while level 6 keeps weight 4.7e-4 at its edge and the raising
+    recursion warns (BoundaryDecayWarning). ROADMAP open item 4 sizes the
+    box from the physics instead.
     """
-    if family.name == MORSE:
-        lo, hi = -5.0, 32.0
-    elif family.name == HARMONIC:
-        lo, hi = -10.0, 10.0
-    else:
-        lo, hi = -40.0, 40.0
+    lo, hi = family.box
     n = int(round((hi - lo) / spacing)) + 1
     return Grid(lo, hi, n)
 

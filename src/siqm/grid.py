@@ -36,16 +36,6 @@ class BoundaryDecayWarning(UserWarning):
     """A wavefunction is not negligible at the grid boundary."""
 
 
-@dataclass(frozen=True)
-class UnitsConvention:
-    """Fixed unit system: hbar = 1 and 2m = 1, hence hbar/sqrt(2m) = 1."""
-
-    hbar: float = 1.0
-    two_m: float = 1.0
-
-
-UNITS = UnitsConvention()
-
 MIN_POINTS = 16
 
 

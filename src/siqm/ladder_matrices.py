@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .spectra import SpectrumTable, energy_levels, normalization_factor
+from .spectra import SpectrumTable, energy_levels, lowering_weights
 
 
 class SingularSpectrumError(ValueError):
@@ -80,11 +80,7 @@ class LadderMatrices:
 
     def lowering_chain(self) -> np.ndarray:
         """Lowering matrix with the construction weights N_n / N_{n-1}."""
-        N = self.dimension
-        beta = np.array([normalization_factor(self.levels, n)
-                         / normalization_factor(self.levels, n - 1)
-                         for n in range(1, N)])
-        return np.diag(beta, 1)
+        return np.diag(lowering_weights(self.levels, self.dimension), 1)
 
 
 def matrix_identities(levels: SpectrumTable, N: int) -> dict:

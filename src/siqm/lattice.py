@@ -29,7 +29,7 @@ from math import comb
 
 import numpy as np
 
-from .families import PotentialFamily, SELFSIMILAR, eval_W, remainder
+from .families import PotentialFamily, eval_W, remainder
 from .grid import Grid, WaveFunctionGrid, apply_ladder, dilate
 
 
@@ -60,9 +60,6 @@ class LatticeState:
     @property
     def window(self) -> int:
         return self.components.shape[0]
-
-    def copy_with(self, comps: np.ndarray) -> "LatticeState":
-        return LatticeState(self.grid, self.family, comps)
 
     def interior_norm(self, x_fraction: float = 0.9) -> float:
         sl = self.grid.interior_slice(x_fraction)
@@ -144,6 +141,24 @@ class LatticeContext:
         vals = np.array([f(self.param(k + offset)) for k in range(comps.shape[0])])
         return comps * vals[:, None]
 
+    def rem(self, comps: np.ndarray, offset: int) -> np.ndarray:
+        """Level k multiplied by R(a_{k+offset})."""
+        return self.diag(comps, lambda a: remainder(self.family, a), offset)
+
+    def rem_difference(self, depth: int, comps: np.ndarray) -> np.ndarray:
+        """Level k multiplied by the depth-th forward difference of R at a_k."""
+        out = np.zeros_like(comps)
+        for k in range(comps.shape[0]):
+            acc = sum((-1) ** (depth - j) * comb(depth, j)
+                      * remainder(self.family, self.param(k + j))
+                      for j in range(depth + 1))
+            out[k] = acc * comps[k]
+        return out
+
+    def scaled_rem(self, depth: int, comps: np.ndarray) -> np.ndarray:
+        """Level k multiplied by (q - 1)^depth R(a_{k+1})."""
+        return (self.family.q - 1.0) ** depth * self.rem(comps, 1)
+
     def k_plus(self, comps):
         return np.sqrt(self.family.q) * self.b_plus(comps)
 
@@ -167,164 +182,62 @@ class LatticeContext:
         return self.diag(comps, lambda a: a, 0)
 
 
-@dataclass(frozen=True)
-class LatticeOperator:
-    """Named composite action on lattice states."""
-
-    name: str
-    action: callable
-
-    def __call__(self, state: LatticeState) -> LatticeState:
-        return state.copy_with(self.action(state.components))
+def _bracket(X, Y):
+    """The commutator [X, Y] as an action: c -> X(Y(c)) - Y(X(c))."""
+    return lambda c: X(Y(c)) - Y(X(c))
 
 
-def lattice_apply(op: LatticeOperator, state: LatticeState) -> LatticeState:
-    """Apply a lattice operator; content shifted past the window is dropped."""
-    return op(state)
+def _tower(P, f, n: int):
+    """(LHS, RHS) of [P, X_n] = X_{n+1}, where X_m(c) = f(m, P^m c)."""
+    def X(m, c):
+        for _ in range(m):
+            c = P(c)
+        return f(m, c)
+    return (lambda c: P(X(n, c)) - X(n, P(c))), (lambda c: X(n + 1, c))
 
 
-def make_operator(ctx: LatticeContext, name: str) -> LatticeOperator:
-    table = {
-        "B+": ctx.b_plus, "B-": ctx.b_minus,
-        "K+": ctx.k_plus, "K-": ctx.k_minus,
-        "S+": ctx.s_plus, "S-": ctx.s_minus,
-        "T": ctx.t_shift, "T+": ctx.t_shift_dag,
-        "J3": ctx.j3,
-    }
-    if name not in table:
-        raise UnknownRelationError(name)
-    return LatticeOperator(name, table[name])
+# The families a relation is defined for: (test, description).
+_EVERY = (lambda fam: True, "every family")
+_SCALING = (lambda fam: fam.q is not None, "scaling families")
+# J3 = -log(a) / log(q) is singular at q = 1 (p = log q = 0)
+_SCALING_Q_LT_1 = (lambda fam: fam.q is not None and fam.q < 1.0,
+                   "scaling families with q < 1")
+
+# Relation id -> (families it holds for, builder ctx -> (LHS, RHS) actions).
+_RELATIONS = {
+    "ladder-commutator": (_EVERY, lambda x: (
+        _bracket(x.b_minus, x.b_plus), lambda c: x.rem(c, 0))),
+    "remainder-bracket": (_EVERY, lambda x: (
+        _bracket(x.b_plus, lambda c: x.rem(c, 0)),
+        lambda c: x.rem(x.b_plus(c), 1) - x.rem(x.b_plus(c), 0))),
+    "remainder-bracket-2": (_EVERY, lambda x: _tower(x.b_plus, x.rem_difference, 1)),
+    "remainder-bracket-3": (_EVERY, lambda x: _tower(x.b_plus, x.rem_difference, 2)),
+    "scaled-commutator": (_SCALING, lambda x: (
+        _bracket(x.k_minus, x.k_plus), lambda c: x.rem(c, 1))),
+    "scaled-remainder-bracket": (_SCALING, lambda x: _tower(x.k_plus, x.scaled_rem, 0)),
+    "scaled-tower-1": (_SCALING, lambda x: _tower(x.k_plus, x.scaled_rem, 1)),
+    "scaled-tower-2": (_SCALING, lambda x: _tower(x.k_plus, x.scaled_rem, 2)),
+    "scaled-tower-3": (_SCALING, lambda x: _tower(x.k_plus, x.scaled_rem, 3)),
+    "q-oscillator": (_SCALING, lambda x: (
+        lambda c: x.s_minus(x.s_plus(c)) - x.family.q * x.s_plus(x.s_minus(c)),
+        lambda c: c)),
+    "so21-commutator": (_SCALING_Q_LT_1, lambda x: (
+        _bracket(x.b_minus, x.b_plus), lambda c: x.family.c * x.exp_minus_p_j3(c))),
+    "j3-ladder-up": (_SCALING_Q_LT_1, lambda x: (_bracket(x.j3, x.b_plus), x.b_plus)),
+    "j3-ladder-down": (_SCALING_Q_LT_1, lambda x: (
+        _bracket(x.j3, x.b_minus), lambda c: -x.b_minus(c))),
+    "shift-rule-raise": (_EVERY, lambda x: (
+        lambda c: x.rem(x.b_plus(c), 1), lambda c: x.b_plus(x.rem(c, 0)))),
+    "shift-rule-lower": (_EVERY, lambda x: (
+        lambda c: x.rem(x.b_minus(c), 1), lambda c: x.b_minus(x.rem(c, 2)))),
+}
+
+RELATIONS = list(_RELATIONS)
 
 
-def _difference_diag(ctx: LatticeContext, depth: int):
-    """The depth-th forward difference of R along the chain, as a diag function."""
-    def apply(comps):
-        out = np.zeros_like(comps)
-        for k in range(comps.shape[0]):
-            acc = sum((-1) ** (depth - j) * comb(depth, j)
-                      * remainder(ctx.family, ctx.param(k + j))
-                      for j in range(depth + 1))
-            out[k] = acc * comps[k]
-        return out
-    return apply
-
-
-def _relation_pair(ctx: LatticeContext, relation_id: str):
-    """LHS and RHS actions for each verified commutation relation."""
-    fam = ctx.family
-    R = lambda a: remainder(fam, a)
-    Bp, Bm = ctx.b_plus, ctx.b_minus
-    Kp, Km = ctx.k_plus, ctx.k_minus
-
-    def diag_R(comps, offset):
-        return ctx.diag(comps, R, offset)
-
-    if relation_id == "ladder-commutator":
-        return (lambda c: Bm(Bp(c)) - Bp(Bm(c)),
-                lambda c: diag_R(c, 0))
-
-    if relation_id == "remainder-bracket":
-        return (lambda c: Bp(diag_R(c, 0)) - diag_R(Bp(c), 0),
-                lambda c: diag_R(Bp(c), 1) - diag_R(Bp(c), 0))
-
-    if relation_id in ("remainder-bracket-2", "remainder-bracket-3"):
-        depth = 2 if relation_id.endswith("2") else 3
-        d_prev = _difference_diag(ctx, depth - 1)
-        d_next = _difference_diag(ctx, depth)
-
-        def x_op(c, d=d_prev, n=depth - 1):
-            out = c
-            for _ in range(n):
-                out = Bp(out)
-            return d(out)
-
-        def lhs(c):
-            return Bp(x_op(c)) - x_op(Bp(c))
-
-        def rhs(c):
-            out = c
-            for _ in range(depth):
-                out = Bp(out)
-            return d_next(out)
-
-        return lhs, rhs
-
-    if relation_id == "scaled-commutator":
-        return (lambda c: Km(Kp(c)) - Kp(Km(c)),
-                lambda c: diag_R(c, 1))
-
-    if relation_id == "scaled-remainder-bracket":
-        q = fam.q
-        return (lambda c: Kp(diag_R(c, 1)) - diag_R(Kp(c), 1),
-                lambda c: (q - 1.0) * diag_R(Kp(c), 1))
-
-    if relation_id.startswith("scaled-tower-"):
-        n = int(relation_id.rsplit("-", 1)[1])
-        if not 1 <= n <= 3:
-            raise UnknownRelationError(relation_id)
-        q = fam.q
-
-        def x_op(c):
-            out = c
-            for _ in range(n):
-                out = Kp(out)
-            return (q - 1.0) ** n * diag_R(out, 1)
-
-        def lhs(c):
-            return Kp(x_op(c)) - x_op(Kp(c))
-
-        def rhs(c):
-            out = c
-            for _ in range(n + 1):
-                out = Kp(out)
-            return (q - 1.0) ** (n + 1) * diag_R(out, 1)
-
-        return lhs, rhs
-
-    if relation_id == "q-oscillator":
-        q = fam.q
-        Sp, Sm = ctx.s_plus, ctx.s_minus
-        return (lambda c: Sm(Sp(c)) - q * Sp(Sm(c)),
-                lambda c: c)
-
-    if relation_id == "so21-commutator":
-        cconst = fam.c
-        p = np.log(fam.q)
-        return (lambda c: Bm(Bp(c)) - Bp(Bm(c)),
-                lambda c: cconst * ctx.exp_minus_p_j3(c))
-
-    if relation_id == "j3-ladder-up":
-        J3 = ctx.j3
-        return (lambda c: J3(Bp(c)) - Bp(J3(c)),
-                lambda c: Bp(c))
-
-    if relation_id == "j3-ladder-down":
-        J3 = ctx.j3
-        return (lambda c: J3(Bm(c)) - Bm(J3(c)),
-                lambda c: -Bm(c))
-
-    if relation_id == "shift-rule-raise":
-        return (lambda c: diag_R(Bp(c), 1),
-                lambda c: Bp(diag_R(c, 0)))
-
-    if relation_id == "shift-rule-lower":
-        return (lambda c: diag_R(Bm(c), 1),
-                lambda c: Bm(diag_R(c, 2)))
-
-    raise UnknownRelationError(relation_id)
-
-
-SCALING_ONLY = {"scaled-commutator", "scaled-remainder-bracket",
-                "scaled-tower-1", "scaled-tower-2", "scaled-tower-3",
-                "q-oscillator", "so21-commutator",
-                "j3-ladder-up", "j3-ladder-down"}
-
-RELATIONS = ["ladder-commutator", "remainder-bracket", "remainder-bracket-2",
-             "remainder-bracket-3", "scaled-commutator",
-             "scaled-remainder-bracket", "scaled-tower-1", "scaled-tower-2",
-             "scaled-tower-3", "q-oscillator", "so21-commutator",
-             "j3-ladder-up", "j3-ladder-down", "shift-rule-raise",
-             "shift-rule-lower"]
+def applicable_relations(family: PotentialFamily) -> list[str]:
+    """The relation ids defined for the family, in RELATIONS order."""
+    return [rel for rel, ((holds, _), _) in _RELATIONS.items() if holds(family)]
 
 
 def commutator_residual(relation_id: str, family: PotentialFamily,
@@ -334,16 +247,15 @@ def commutator_residual(relation_id: str, family: PotentialFamily,
     """Worst relative residual of one commutation relation over test states.
 
     The residual is ||(LHS - RHS) psi|| / ||psi|| restricted to interior
-    levels and the interior 90% of the grid. Scaling-only relations demand a
-    scaling family with q < 1 (except the q-oscillator relation, which also
-    holds at q = 1 where it degenerates to the boson commutator).
+    levels and the interior 90% of the grid. Relations outside the family's
+    scope (see applicable_relations) are rejected: the scaled ones need a
+    scaling family, and the J3 ones also q < 1.
     """
-    if relation_id in SCALING_ONLY and family.rule.kind != "scaling":
-        raise UnknownRelationError(
-            f"{relation_id} is defined for scaling families only")
-    if relation_id in ("so21-commutator", "j3-ladder-up", "j3-ladder-down") \
-            and family.rule.kind == "scaling" and family.q == 1.0:
-        raise UnknownRelationError(f"{relation_id} is singular at q = 1 (p = log q = 0)")
+    if relation_id not in _RELATIONS:
+        raise UnknownRelationError(relation_id)
+    (holds, scope), build = _RELATIONS[relation_id]
+    if not holds(family):
+        raise UnknownRelationError(f"{relation_id} is defined for {scope} only")
     if test_states is None:
         if grid is None:
             raise ValueError("need a grid when test states are not supplied")
@@ -354,7 +266,7 @@ def commutator_residual(relation_id: str, family: PotentialFamily,
         ]
     ctx = LatticeContext(family, test_states[0].grid, test_states[0].window,
                          order=order)
-    lhs, rhs = _relation_pair(ctx, relation_id)
+    lhs, rhs = build(ctx)
     worst = 0.0
     for state in test_states:
         diff = lhs(state.components) - rhs(state.components)
@@ -377,6 +289,8 @@ def adjoint_pair_residual(family: PotentialFamily, grid: Grid, window: int,
     downs = {"B": ctx.b_minus, "K": ctx.k_minus, "S": ctx.s_minus}
     if pair not in ups:
         raise ValueError(f"pair must be one of {sorted(ups)}")
+    if pair != "B" and family.q is None:
+        raise ValueError(f"the {pair} pair needs a scaling family")
     phi = packet_state(family, grid, window, x0=-0.5, sigma=1.1)
     psi = packet_state(family, grid, window, x0=0.4, sigma=0.9, momentum=0.5)
     h = grid.spacing
@@ -399,7 +313,7 @@ def dilation_identity_residual(family: PotentialFamily, grid: Grid,
     then C C_dag - q C_dag C = R. The two forms are algebraically the same
     identity, so their residuals should agree to interpolation accuracy.
     """
-    if family.name != SELFSIMILAR and not (family.rule.kind == "scaling"):
+    if family.q is None:
         raise ValueError("dilation identities require a scaling family")
     q = family.q
     sq = np.sqrt(q)

@@ -54,9 +54,10 @@ class SpectrumTable:
 def energy_levels(family: PotentialFamily, n_max: int) -> SpectrumTable:
     """Partial remainder sums along the chain; E_0 = 0.
 
-    A non-positive remainder increment signals the top of a finite tower
-    (Morse has only a_1 bound levels) and is rejected. The scaling case is
-    additionally checked against its closed form to 1e-12.
+    Level n is bound when R(a_k) > 0 for every k <= n and a_{n+1} lies in
+    the family's domain; a request above the top bound level (Morse has
+    only the levels n < a_1) is rejected. The sums are checked against the
+    family's closed form to 1e-12.
     """
     if n_max < 0:
         raise ValueError(f"need n_max >= 0, got {n_max}")
@@ -65,17 +66,14 @@ def energy_levels(family: PotentialFamily, n_max: int) -> SpectrumTable:
         if r <= 0:
             raise LevelNotBoundError(
                 f"remainder R(a_{k}) = {r:g} is not positive: level {k} is not bound")
+    a_next = family.chain_value(n_max + 1)
+    if not family.in_domain(a_next):
+        raise LevelNotBoundError(f"a_{n_max + 1} = {a_next:g} is outside the "
+                                 f"family's domain: level {n_max} is not bound")
     levels = np.concatenate([[0.0], np.cumsum(incs)]) if n_max else np.zeros(1)
-    if family.rule.kind == "scaling":
-        q = family.q
-        n = np.arange(n_max + 1)
-        if q == 1.0:
-            closed = family.c * family.a1 * n.astype(float)
-        else:
-            # -expm1(n log q) = 1 - q^n without cancellation as q -> 1
-            closed = family.c * family.a1 * (-np.expm1(n * np.log(q))) / (1 - q)
-        if not np.allclose(levels, closed, rtol=0, atol=1e-12 * max(1.0, closed[-1])):
-            raise AssertionError("partial sums disagree with the closed form")
+    closed = family.closed_levels(n_max)
+    if not np.allclose(levels, closed, rtol=0, atol=1e-12 * max(1.0, closed[-1])):
+        raise AssertionError("partial sums disagree with the closed form")
     return SpectrumTable(levels=levels, family=family, n_max=n_max)
 
 
@@ -87,6 +85,12 @@ def normalization_factor(levels: SpectrumTable, n: int) -> float:
         return 1.0
     E = levels.levels
     return float(np.sqrt(np.prod(E[n] - E[:n])))
+
+
+def lowering_weights(levels: SpectrumTable, N: int) -> np.ndarray:
+    """N_n / N_{n-1} for n = 1 .. N-1: the lowering weights of chain-built states."""
+    return np.array([normalization_factor(levels, n) / normalization_factor(levels, n - 1)
+                     for n in range(1, N)])
 
 
 def build_eigenstate(family: PotentialFamily, n: int, grid: Grid,
@@ -148,11 +152,9 @@ def eigenstate_with_prenorm(family: PotentialFamily, n: int, grid: Grid,
     """
     if n < 0:
         raise ValueError("need n >= 0")
+    e_top = energy_levels(family, n).levels[-1]  # raises if level n is not bound
     seed_param = family.chain_value(n + 1)
-    if family.name == "morse" and seed_param <= 0:
-        raise LevelNotBoundError(f"morse level {n} not bound (a_{n + 1} <= 0)")
     if filter_cutoff is None:
-        e_top = energy_levels(family, n).levels[-1] if n > 0 else 0.0
         r1 = remainder(family, family.a1)
         filter_cutoff = max(12.0, 6.0 * np.sqrt(e_top + abs(r1)))
     h = grid.spacing

@@ -76,8 +76,41 @@ def test_malformed_config_exits_1(tmp_path, capsys):
 
 def test_unknown_config_key_exits_1(tmp_path):
     cfg = tmp_path / "bad.json"
-    cfg.write_text('{"family":"selfsimilar","qq":0.5}')
-    assert run_command(["spectrum", "--config", str(cfg)]) == 1
+    for text in ('{"family":"selfsimilar","qq":0.5}',
+                 '{"family":"morse","a1":2.5,"delta":-1.0}',
+                 '{"family":"harmonic","q":0.5}'):
+        cfg.write_text(text)
+        assert run_command(["spectrum", "--config", str(cfg)]) == 1
+
+
+def test_flag_the_family_does_not_take_exits_1(tmp_path, capsys):
+    rep = tmp_path / "rep.json"
+    for flags in (["--order", "5"], ["--q", "0.5"], ["--c", "2"]):
+        code = run_command(["verify", "--suite", "shape-invariance",
+                            "--family", "harmonic", *flags, "--report", str(rep)])
+        assert code == 1
+        assert flags[0][2:] in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+def test_morse_level_above_the_tower_exits_1(tmp_path, capsys):
+    # a_4 = -0.2 is outside the domain, so level 3 of A = 2.8 is not bound
+    out = tmp_path / "spec.csv"
+    code = run_command(["spectrum", "--family", "morse", "--a1", "2.8",
+                        "--levels", "3", "--out", str(out)])
+    assert code == 1
+    assert "not bound" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+def test_coeffs_partial_grid_flags_exit_1(tmp_path, capsys):
+    out = tmp_path / "c.csv"
+    code = run_command(["coeffs", "--q", "0.5", "--grid-points", "100",
+                        "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert all(flag in err for flag in ("--grid-min", "--grid-max", "--grid-points"))
+    assert not list(tmp_path.iterdir())
 
 
 def test_unknown_flag_exits_1():

@@ -5,35 +5,62 @@ import json
 import numpy as np
 import pytest
 
-from siqm import (NonNormalizableError, build_grid, eval_W, family_from_config,
-                  fd_diagonalize, ground_state, harmonic_family, morse_family,
-                  parameter_chain, remainder, selfsimilar_family,
+from siqm import (NonNormalizableError, PotentialFamily, build_grid, eval_W,
+                  family_from_config, fd_diagonalize, ground_state,
+                  harmonic_family, morse_family, remainder, selfsimilar_family,
                   shape_invariance_residual)
 from siqm.families import ParameterRule
 
 
+def chain(fam, n):
+    """a_1 ... a_n under the family's rule."""
+    return np.array([fam.chain_value(k) for k in range(1, n + 1)])
+
+
+class PoschlTeller(PotentialFamily):
+    """W = A tanh x, a -> a - 1, R(a) = a^2 - (a-1)^2, E_n = A^2 - (A-n)^2.
+
+    Defined here, outside the package, to show that a family is one class.
+    """
+
+    name = "poschl-teller"
+    rule = ParameterRule("translation", shift_delta=-1.0)
+    box = (-20.0, 20.0)
+
+    def W(self, x, a):
+        return a * np.tanh(x)
+
+    def R(self, a):
+        return a * a - (a - 1.0) ** 2
+
+    def closed_levels(self, n_max):
+        return self.a1 ** 2 - (self.a1 - np.arange(n_max + 1)) ** 2
+
+
+PT_GRID = build_grid(-20, 20, 4001)
+
+
 def test_parameter_chain_scaling():
     fam = selfsimilar_family(q=0.5, c=1.0, a1=1.0)
-    chain = parameter_chain(fam, 4)
-    assert np.array_equal(chain.values, [1.0, 0.5, 0.25, 0.125])
+    assert np.array_equal(chain(fam, 4), [1.0, 0.5, 0.25, 0.125])
 
 
 def test_parameter_chain_single():
     fam = selfsimilar_family(q=0.7, a1=2.0)
-    assert parameter_chain(fam, 1).values.tolist() == [2.0]
+    assert chain(fam, 1).tolist() == [2.0]
 
 
 def test_parameter_chain_translation():
     fam = morse_family(A=2.5)
-    assert np.array_equal(parameter_chain(fam, 3).values, [2.5, 1.5, 0.5])
+    assert np.array_equal(chain(fam, 3), [2.5, 1.5, 0.5])
 
 
 def test_chain_matches_repeated_rule_application():
     fam = selfsimilar_family(q=0.731, a1=1.37)
-    chain = parameter_chain(fam, 12).values
+    chain_values = chain(fam, 12)
     a = fam.a1
     for k in range(12):
-        assert chain[k] == pytest.approx(a, rel=4e-16)
+        assert chain_values[k] == pytest.approx(a, rel=4e-16)
         a = fam.rule.factor_q * a
 
 
@@ -75,7 +102,7 @@ def test_remainders():
 
 def test_remainder_positive_decreasing_for_scaling():
     fam = selfsimilar_family(q=0.5, c=1.0, a1=1.0)
-    rs = [remainder(fam, a) for a in parameter_chain(fam, 8).values]
+    rs = [remainder(fam, a) for a in chain(fam, 8)]
     assert all(r > 0 for r in rs)
     assert np.all(np.diff(rs) < 0)
 
@@ -118,7 +145,8 @@ def test_annihilation_gate_for_every_family():
     from siqm import apply_ladder
     cases = [(harmonic_family(1.0), build_grid(-10, 10, 2001)),
              (morse_family(2.5), build_grid(-5, 32, 3701)),
-             (selfsimilar_family(0.5, 1.0, 1.0), build_grid(-15, 15, 3001))]
+             (selfsimilar_family(0.5, 1.0, 1.0), build_grid(-15, 15, 3001)),
+             (PoschlTeller(3.0), PT_GRID)]
     for fam, g in cases:
         psi = ground_state(fam, fam.a1, g)
         out = apply_ladder(eval_W(fam, fam.a1, g), psi, "lower")
@@ -134,16 +162,39 @@ def test_shape_invariance_residuals():
     assert shape_invariance_residual(morse_family(2.5), gm) <= 1e-6
     gs = build_grid(-15, 15, 3001)
     assert shape_invariance_residual(selfsimilar_family(0.5, 1.0, 1.0), gs) <= 1e-6
+    assert shape_invariance_residual(PoschlTeller(3.0), PT_GRID) <= 1e-6
 
 
 def test_config_round_trip():
-    fam = selfsimilar_family(q=0.5, c=1.0, a1=1.0)
-    cfg = json.loads(json.dumps(fam.to_config()))
-    back = family_from_config(cfg)
-    assert back.name == fam.name
-    assert back.q == fam.q
-    assert back.c == fam.c
-    assert back.a1 == fam.a1
+    for fam in (selfsimilar_family(q=0.5, c=1.0, a1=1.0), harmonic_family(1.3),
+                morse_family(3.5)):
+        cfg = json.loads(json.dumps(fam.to_config()))
+        back = family_from_config(cfg)
+        assert back.name == fam.name
+        assert back.q == fam.q
+        assert back.c == fam.c
+        assert back.a1 == fam.a1
+        assert back == fam
+
+
+def test_undeclared_config_keys_rejected():
+    assert set(morse_family().to_config()) == {"family", "a1"}
+    with pytest.raises(ValueError, match="delta"):
+        family_from_config({"family": "morse", "a1": 2.5, "delta": -1.0})
+    with pytest.raises(ValueError, match="order"):
+        family_from_config({"family": "harmonic", "order": 5})
+
+
+def test_poschl_teller_ladder_levels():
+    # partial remainder sums against E_n = A^2 - (A-n)^2, then the oracle
+    from siqm import LevelNotBoundError, energy_levels
+    fam = PoschlTeller(3.0)
+    levels = energy_levels(fam, 2).levels
+    assert np.array_equal(levels, [0.0, 5.0, 8.0])
+    with pytest.raises(LevelNotBoundError):
+        energy_levels(fam, 3)      # a_4 = 0 leaves the domain a > 0
+    e, _ = fd_diagonalize(fam, PT_GRID, 3)
+    assert np.max(np.abs(e - levels)) <= 1e-6
 
 
 def test_unknown_family_rejected():

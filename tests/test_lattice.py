@@ -7,8 +7,8 @@ import pytest
 
 from siqm import (RELATIONS, UnknownRelationError, WindowTooSmallError,
                   adjoint_pair_residual, build_grid, commutator_residual,
-                  dilation_identity_residual, harmonic_family, lattice_apply,
-                  make_operator, packet_state, selfsimilar_family)
+                  dilation_identity_residual, harmonic_family, packet_state,
+                  selfsimilar_family)
 from siqm.lattice import LatticeContext, LatticeState
 
 Q5 = selfsimilar_family(q=0.5, c=1.0, a1=1.0)
@@ -61,10 +61,9 @@ def test_scaling_only_relations_guarded():
 
 def test_shift_then_unshift_is_identity_on_interior():
     state = packet_state(Q5, GRID, 8)
-    t = make_operator(LatticeContext(Q5, GRID, 8), "T")
-    td = make_operator(LatticeContext(Q5, GRID, 8), "T+")
-    out = lattice_apply(td, lattice_apply(t, state))
-    assert np.array_equal(out.components[1:-1], state.components[1:-1])
+    ctx = LatticeContext(Q5, GRID, 8)
+    out = ctx.t_shift_dag(ctx.t_shift(state.components))
+    assert np.array_equal(out[1:-1], state.components[1:-1])
 
 
 def test_shift_rule_equality():
@@ -108,6 +107,8 @@ def test_edge_monotonicity_across_windows():
 def test_adjoint_pairs():
     for pair in ("B", "K", "S"):
         assert adjoint_pair_residual(Q5, GRID, 10, pair) <= 1e-8
+    with pytest.raises(ValueError):
+        adjoint_pair_residual(harmonic_family(1.0), GRID, 10, "K")
 
 
 def test_window_too_small():

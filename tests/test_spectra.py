@@ -55,6 +55,10 @@ def test_energy_levels_monotone_below_limit():
 def test_morse_tower_terminates():
     with pytest.raises(LevelNotBoundError):
         energy_levels(morse_family(2.5), 3)
+    # R(a_3) = 0.6 > 0, but a_4 = -0.2 lies outside the domain a > 0
+    assert np.allclose(energy_levels(morse_family(2.8), 2).levels, [0.0, 4.6, 7.2])
+    with pytest.raises(LevelNotBoundError):
+        energy_levels(morse_family(2.8), 3)
 
 
 def test_normalization_factors():
@@ -133,8 +137,9 @@ def test_orthonormality(q5_ladder_states):
 
 
 def test_morse_level_not_bound(wide_grid):
-    with pytest.raises(LevelNotBoundError):
-        build_eigenstate(morse_family(2.5), 3, build_grid(-5, 32, 3701))
+    for A in (2.5, 2.8):
+        with pytest.raises(LevelNotBoundError):
+            build_eigenstate(morse_family(A), 3, build_grid(-5, 32, 3701))
 
 
 def test_under_resolved_grid_rejected():
