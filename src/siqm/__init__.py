@@ -12,19 +12,18 @@ time evolution.
 __version__ = "0.1.0"
 
 from .grid import (Grid, WaveFunctionGrid, build_grid, apply_ladder, dilate,
-                   build_hamiltonian_matrix, inner, InvalidRangeError, TooFewPointsError,
+                   inner, InvalidRangeError, TooFewPointsError,
                    GridMismatchError, BoundaryDecayWarning)
 from .series import (SeriesCoefficients, SelfSimilarW, series_coefficients,
                      radius_estimate, HorizonExceededError)
 from .families import (ParameterRule, PotentialFamily, Harmonic, Morse,
-                       SelfSimilar, FAMILIES, eval_W, remainder, ground_state,
+                       SelfSimilar, FAMILIES, eval_W, ground_state,
                        shape_invariance_residual, harmonic_family,
                        morse_family, selfsimilar_family, family_from_config,
                        suggested_grid, NonNormalizableError, OutOfDomainError)
 from .spectra import (SpectrumTable, energy_levels, normalization_factor,
-                      lowering_weights, build_eigenstate, eigenstate_with_prenorm,
-                      fd_diagonalize, eigen_residual,
-                      LevelNotBoundError, UnderResolvedGridError)
+                      lowering_weights, eigenstate_with_prenorm,
+                      fd_diagonalize, eigen_residual, LevelNotBoundError)
 from .lattice import (LatticeState, LatticeContext, packet_state,
                       commutator_residual, dilation_identity_residual,
                       adjoint_pair_residual, applicable_relations, RELATIONS,
@@ -34,5 +33,4 @@ from .coherent import (CoherentState, q_pochhammer, coherent_recursive,
                        coherent_closed_scaling, coherent_property_residuals,
                        DegenerateLevelsError)
 from .dynamics import (DriveProfile, ForcedEvolution, evolve_forced,
-                       convergence_certificate, TruncationOverflowError,
-                       StepInstabilityError)
+                       TruncationOverflowError, StepInstabilityError)

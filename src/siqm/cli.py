@@ -34,7 +34,7 @@ from .dynamics import DriveProfile, evolve_forced
 from .families import (DEFAULT_FAMILY, FAMILIES, family_from_config,
                        shape_invariance_residual, suggested_grid)
 from .grid import Grid, build_grid
-from .ladder_matrices import LadderMatrices, matrix_identities
+from .ladder_matrices import MATRIX_TOL, LadderMatrices, matrix_identities
 from .lattice import (applicable_relations, commutator_residual,
                       dilation_identity_residual)
 from .series import SelfSimilarW, radius_estimate, series_coefficients
@@ -47,9 +47,12 @@ EXIT_NUMERICAL = 2
 
 LATTICE_TOL = 1e-6
 DILATION_TOL = 1e-5
-MATRIX_TOL = 1e-12
 SHAPE_TOL = 1e-6
 ORACLE_TOL = 1e-3
+PRENORM_TOL = 1e-3
+COHERENT_EIGEN_TOL = 1e-10
+COHERENT_DERIVATIVE_TOL = 1e-6
+NORM_DRIFT_TOL = 1e-8
 
 VERIFY_SUITES = ("shape-invariance", "lattice-algebra", "q-oscillator",
                  "dilation", "matrix-identities")
@@ -277,8 +280,8 @@ def _cmd_eigenstates(params: dict, outputs: list) -> tuple[dict, int]:
         _write_csv(Path(out), header, rows)
         outputs.append(str(out))
     worst = max(prenorm_errs)
-    ok = worst <= 1e-3
-    results = {"max_prenorm_rel_err": worst, "tolerance": 1e-3, "pass": ok}
+    ok = worst <= PRENORM_TOL
+    results = {"max_prenorm_rel_err": worst, "tolerance": PRENORM_TOL, "pass": ok}
     return results, EXIT_OK if ok else EXIT_NUMERICAL
 
 
@@ -288,19 +291,13 @@ def _verify_shape(fam, grid) -> dict:
                                  "pass": res <= SHAPE_TOL}}
 
 
-def _verify_lattice(fam, grid) -> dict:
+def _verify_relations(fam, grid, relations) -> dict:
     report = {}
-    for rel in applicable_relations(fam):
+    for rel in relations:
         res = commutator_residual(rel, fam, grid=grid, window=12)
         report[rel] = {"residual": res, "tolerance": LATTICE_TOL,
                        "pass": res <= LATTICE_TOL}
     return report
-
-
-def _verify_qosc(fam, grid) -> dict:
-    res = commutator_residual("q-oscillator", fam, grid=grid, window=12)
-    return {"q-oscillator": {"residual": res, "tolerance": LATTICE_TOL,
-                             "pass": res <= LATTICE_TOL}}
 
 
 def _verify_dilation(fam, grid) -> dict:
@@ -331,11 +328,14 @@ def _cmd_verify(params: dict, outputs: list) -> tuple[dict, int]:
         report = _verify_matrix(fam, int(params.get("levels", 20)))
     else:
         grid = _grid_from(params) or Grid(-15.0, 15.0, 3001)
-        runner = {"shape-invariance": _verify_shape,
-                  "lattice-algebra": _verify_lattice,
-                  "q-oscillator": _verify_qosc,
-                  "dilation": _verify_dilation}[suite]
-        report = runner(fam, grid)
+        if suite == "lattice-algebra":
+            report = _verify_relations(fam, grid, applicable_relations(fam))
+        elif suite == "q-oscillator":
+            report = _verify_relations(fam, grid, ["q-oscillator"])
+        elif suite == "shape-invariance":
+            report = _verify_shape(fam, grid)
+        else:
+            report = _verify_dilation(fam, grid)
     rep_path = params.get("report")
     if rep_path:
         Path(rep_path).write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
@@ -353,8 +353,9 @@ def _cmd_coherent(params: dict, outputs: list) -> tuple[dict, int]:
     state = coherent_recursive(table, z, N)
     ladder = LadderMatrices(table, N)
     eig_res, der_res = coherent_property_residuals(state, ladder)
-    results = {"eigen_residual": eig_res, "eigen_tolerance": 1e-10,
-               "derivative_residual": der_res, "derivative_tolerance": 1e-6,
+    results = {"eigen_residual": eig_res, "eigen_tolerance": COHERENT_EIGEN_TOL,
+               "derivative_residual": der_res,
+               "derivative_tolerance": COHERENT_DERIVATIVE_TOL,
                "partial_norm": state.partial_norm()}
     if fam.q is not None and fam.q < 1.0:
         closed = coherent_closed_scaling(fam.q, fam.c * fam.a1, z, N)
@@ -367,7 +368,7 @@ def _cmd_coherent(params: dict, outputs: list) -> tuple[dict, int]:
     if out:
         _write_csv(Path(out), ["n", "re_h_n", "im_h_n"], rows)
         outputs.append(str(out))
-    ok = eig_res <= 1e-10 and der_res <= 1e-6
+    ok = eig_res <= COHERENT_EIGEN_TOL and der_res <= COHERENT_DERIVATIVE_TOL
     results["pass"] = ok
     return results, EXIT_OK if ok else EXIT_NUMERICAL
 
@@ -403,7 +404,7 @@ def _cmd_evolve(params: dict, outputs: list) -> tuple[dict, int]:
                "best_fit_z": [z_fit.real, z_fit.imag],
                "best_fit_coherent_overlap": coh_overlap,
                "sign_convention": ev.sign_convention}
-    ok = ev.norm_drift <= 1e-8
+    ok = ev.norm_drift <= NORM_DRIFT_TOL
     results["pass"] = ok
     return results, EXIT_OK if ok else EXIT_NUMERICAL
 
@@ -414,8 +415,10 @@ _COMMANDS = {"spectrum": _cmd_spectrum, "coeffs": _cmd_coeffs,
 
 _TOLERANCES = {"lattice": LATTICE_TOL, "dilation": DILATION_TOL,
                "matrix": MATRIX_TOL, "shape_invariance": SHAPE_TOL,
-               "oracle": ORACLE_TOL, "coherent_eigen": 1e-10,
-               "coherent_derivative": 1e-6, "norm_drift": 1e-8}
+               "oracle": ORACLE_TOL, "prenorm": PRENORM_TOL,
+               "coherent_eigen": COHERENT_EIGEN_TOL,
+               "coherent_derivative": COHERENT_DERIVATIVE_TOL,
+               "norm_drift": NORM_DRIFT_TOL}
 
 
 def _manifest_path(params: dict, command: str) -> Path:

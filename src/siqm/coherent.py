@@ -56,15 +56,13 @@ class CoherentState:
     N: int
     coefficients: np.ndarray = field(repr=False)
     levels: SpectrumTable | None = None
-    normalized: bool = False
 
-    def partial_norm(self, upto: int | None = None) -> float:
-        c = self.coefficients[:upto]
-        return float(np.linalg.norm(c))
+    def partial_norm(self) -> float:
+        return float(np.linalg.norm(self.coefficients))
 
     def normalized_copy(self) -> "CoherentState":
         c = self.coefficients / self.partial_norm()
-        return CoherentState(self.z, self.N, c, self.levels, normalized=True)
+        return CoherentState(self.z, self.N, c, self.levels)
 
 
 def coherent_recursive(levels: SpectrumTable, z: complex, N: int) -> CoherentState:

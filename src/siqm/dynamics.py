@@ -42,6 +42,10 @@ class StepInstabilityError(ValueError):
     """Time step too large for the spectral radius of the Hamiltonian."""
 
 
+# Largest top-level population a run may reach before the truncation is unsound.
+TOP_BUDGET = 1e-6
+
+
 @dataclass(frozen=True)
 class DriveProfile:
     """Drive f(t): constant f0, or a Gaussian pulse f0 exp(-(t-t0)^2/(2 sigma^2))."""
@@ -122,12 +126,11 @@ class ForcedEvolution:
 
 
 def evolve_forced(levels: SpectrumTable, drive: DriveProfile, t_max: float,
-                  dt: float, sign_convention: str = "conjugate",
-                  top_budget: float = 1e-6) -> ForcedEvolution:
+                  dt: float, sign_convention: str = "conjugate") -> ForcedEvolution:
     """Integrate the driven evolution and compare with the closed form.
 
     The truncation is taken from the spectrum table; the run aborts if the
-    top-level population ever exceeds `top_budget`. The stability budget
+    top-level population ever exceeds TOP_BUDGET. The stability budget
     dt * max(E_n) <= 0.1 is enforced up front.
     """
     if sign_convention not in ("paper", "conjugate"):
@@ -168,10 +171,10 @@ def evolve_forced(levels: SpectrumTable, drive: DriveProfile, t_max: float,
         psi = psi + dt * (k1 + 2 * k2 + 2 * k3 + k4) / 6
         traj[i + 1] = psi
         norms[i + 1] = np.linalg.norm(psi)
-        if abs(psi[-1]) ** 2 > top_budget:
+        if abs(psi[-1]) ** 2 > TOP_BUDGET:
             raise TruncationOverflowError(
                 f"top-level population {abs(psi[-1])**2:.2e} exceeds the budget "
-                f"{top_budget:.0e} at t = {t_grid[i + 1]:.3f}")
+                f"{TOP_BUDGET:.0e} at t = {t_grid[i + 1]:.3f}")
     for i, t in enumerate(t_grid):
         u_i = expm(-1j * drive.integral(t) * coupling)
         closed[i] = np.exp(-1j * E * t) * (u_i @ e0)
@@ -181,14 +184,3 @@ def evolve_forced(levels: SpectrumTable, drive: DriveProfile, t_max: float,
                            t_grid=t_grid, dt=dt, trajectory=traj,
                            closed_trajectory=closed, norms=norms,
                            overlaps=overlaps)
-
-
-def convergence_certificate(levels: SpectrumTable, drive: DriveProfile,
-                            t_max: float, dt: float,
-                            sign_convention: str = "conjugate") -> float:
-    """Overlap change of the final direct state under dt -> dt/2."""
-    a = evolve_forced(levels, drive, t_max, dt, sign_convention)
-    b = evolve_forced(levels, drive, t_max, dt / 2, sign_convention)
-    fa = a.trajectory[-1] / np.linalg.norm(a.trajectory[-1])
-    fb = b.trajectory[-1] / np.linalg.norm(b.trajectory[-1])
-    return float(abs(1.0 - abs(np.vdot(fa, fb))))

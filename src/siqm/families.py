@@ -245,11 +245,6 @@ def eval_W(family: PotentialFamily, a: float, grid: Grid) -> np.ndarray:
     return family.W(grid.x, a)
 
 
-def remainder(family: PotentialFamily, a: float) -> float:
-    """Remainder R(a) of the factorization identity."""
-    return family.R(a)
-
-
 def suggested_grid(family: PotentialFamily, spacing: float = 0.01) -> Grid:
     """The family's box hint sampled at the given spacing.
 
@@ -298,27 +293,23 @@ def default_test_functions(grid: Grid) -> list[WaveFunctionGrid]:
     return packets
 
 
-def shape_invariance_residual(family: PotentialFamily, grid: Grid,
-                              test_fns: list[WaveFunctionGrid] | None = None,
-                              order: int = 4) -> float:
+def shape_invariance_residual(family: PotentialFamily, grid: Grid) -> float:
     """Worst relative residual of A(a1)A_dag(a1) - A_dag(a2)A(a2) - R(a1).
 
-    Measured on the interior 90% of the grid over the supplied (or default)
-    test functions. This is the admission gate for a family: spectra and
-    algebra checks are only meaningful below the 1e-6 level.
+    Measured on the interior 90% of the grid over default_test_functions.
+    This is the admission gate for a family: spectra and algebra checks are
+    only meaningful below the 1e-6 level.
     """
-    if test_fns is None:
-        test_fns = default_test_functions(grid)
     a1 = family.a1
     a2 = family.chain_value(2)
     W1 = eval_W(family, a1, grid)
     W2 = eval_W(family, a2, grid)
-    R = remainder(family, a1)
+    R = family.R(a1)
     sl = grid.interior_slice()
     worst = 0.0
-    for f in test_fns:
-        lhs = apply_ladder(W1, apply_ladder(W1, f, "raise", order), "lower", order)
-        rhs = apply_ladder(W2, apply_ladder(W2, f, "lower", order), "raise", order)
+    for f in default_test_functions(grid):
+        lhs = apply_ladder(W1, apply_ladder(W1, f, "raise"), "lower")
+        rhs = apply_ladder(W2, apply_ladder(W2, f, "lower"), "raise")
         diff = lhs.amplitudes - rhs.amplitudes - R * f.amplitudes
         denom = np.linalg.norm(f.amplitudes[sl])
         worst = max(worst, float(np.linalg.norm(diff[sl]) / denom))

@@ -5,14 +5,12 @@ operators are simply A = W(x) + d/dx and its formal adjoint
 A_dag = W(x) - d/dx, and the factorized Hamiltonian (measured from the
 ground-state energy) is H = A_dag A = -d2/dx2 + W^2 - W'.
 
-Derivatives use centered stencils of configurable order (2, 4 or 6; default
-4) with one-sided stencils of matching order on the boundary rows. All
-values are immutable after construction and every operation is a pure
-function, so concurrent read-only use is safe.
+Derivatives use 4th-order centered stencils, with 4th-order one-sided
+stencils on the two boundary rows at each end. All values are immutable
+after construction and every operation is a pure function, so concurrent
+read-only use is safe.
 """
 
-import functools
-import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -63,9 +61,9 @@ class Grid:
     def x(self) -> np.ndarray:
         return np.linspace(self.x_min, self.x_max, self.n_points)
 
-    def interior_slice(self, fraction: float = 0.9) -> slice:
-        """Index slice covering the central `fraction` of the domain."""
-        margin = int(round(self.n_points * (1.0 - fraction) / 2))
+    def interior_slice(self) -> slice:
+        """Index slice covering the central 90% of the domain."""
+        margin = int(round(self.n_points * (1.0 - 0.9) / 2))
         return slice(margin, self.n_points - margin)
 
 
@@ -114,69 +112,49 @@ def inner(phi: WaveFunctionGrid, psi: WaveFunctionGrid) -> complex:
     return complex(np.sum(w * np.conj(phi.amplitudes) * psi.amplitudes))
 
 
-# Centered first-derivative stencils (antisymmetric halves) per order.
-_CENTERED_D1 = {
-    2: np.array([0.5]),
-    4: np.array([2 / 3, -1 / 12]),
-    6: np.array([3 / 4, -3 / 20, 1 / 60]),
-}
-
-# Centered second-derivative stencils: (diagonal, off-diagonals) per order.
-_CENTERED_D2 = {
-    2: (-2.0, np.array([1.0])),
-    4: (-5 / 2, np.array([4 / 3, -1 / 12])),
-    6: (-49 / 18, np.array([3 / 2, -3 / 20, 1 / 90])),
-}
+# 4th-order centered stencils: the antisymmetric half of d/dx, and the
+# diagonal and off-diagonals of d2/dx2.
+_D1_HALF = np.array([2 / 3, -1 / 12])
+_D2_DIAG, _D2_OFFS = -5 / 2, np.array([4 / 3, -1 / 12])
 
 
-def _one_sided_weights(offsets: np.ndarray, deriv: int) -> np.ndarray:
-    """FD weights on integer offsets for the given derivative, by moment matching."""
+def _one_sided_weights(offsets: np.ndarray) -> np.ndarray:
+    """Read-only d/dx weights on integer offsets, by moment matching."""
     n = len(offsets)
     v = np.vander(offsets.astype(float), n, increasing=True).T
     rhs = np.zeros(n)
-    rhs[deriv] = float(math.factorial(deriv))
-    return np.linalg.solve(v, rhs)
+    rhs[1] = 1.0
+    w = np.linalg.solve(v, rhs)
+    w.flags.writeable = False
+    return w
 
 
-@functools.lru_cache(maxsize=None)
-def _boundary_d1_weights(order: int) -> tuple:
-    """Read-only one-sided first-derivative weights (left, right) for each boundary row."""
-    npts = order + 1
-    rows = []
-    for i in range(len(_CENTERED_D1[order])):
-        pair = (_one_sided_weights(np.arange(npts) - i, 1),
-                _one_sided_weights(np.arange(-npts + 1, 1) + i, 1))
-        for w in pair:
-            w.flags.writeable = False
-        rows.append(pair)
-    return tuple(rows)
+# One-sided 5-point weights (left, right) for the boundary rows 0 and 1.
+_D1_POINTS = 5
+_D1_BOUNDARY = tuple((_one_sided_weights(np.arange(_D1_POINTS) - i),
+                      _one_sided_weights(np.arange(-_D1_POINTS + 1, 1) + i))
+                     for i in range(len(_D1_HALF)))
 
 
-def first_derivative(values: np.ndarray, spacing: float, order: int = 4) -> np.ndarray:
-    """d/dx by a centered stencil; boundary rows use one-sided stencils of the same order."""
-    if order not in _CENTERED_D1:
-        raise ValueError(f"stencil order must be one of {sorted(_CENTERED_D1)}")
+def first_derivative(values: np.ndarray, spacing: float) -> np.ndarray:
+    """d/dx by the centered stencil; boundary rows use one-sided stencils of the same order."""
     f = np.asarray(values)
     out = np.zeros_like(f)
-    half = _CENTERED_D1[order]
-    hw = len(half)
-    for j, c in enumerate(half, start=1):
+    hw = len(_D1_HALF)
+    for j, c in enumerate(_D1_HALF, start=1):
         out[hw:-hw] += c * (f[hw + j:len(f) - hw + j] - f[hw - j:-hw - j])
-    # one-sided rows of matching order near each boundary
-    npts = order + 1
-    for i, (left, right) in enumerate(_boundary_d1_weights(order)):
-        out[i] = left @ f[:npts]
-        out[len(f) - 1 - i] = right @ f[-npts:]
+    for i, (left, right) in enumerate(_D1_BOUNDARY):
+        out[i] = left @ f[:_D1_POINTS]
+        out[len(f) - 1 - i] = right @ f[-_D1_POINTS:]
     return out / spacing
 
 
-def apply_ladder(W_values: np.ndarray, psi: WaveFunctionGrid, mode: str,
-                 order: int = 4) -> WaveFunctionGrid:
+def apply_ladder(W_values: np.ndarray, psi: WaveFunctionGrid, mode: str) -> WaveFunctionGrid:
     """Apply A = W + d/dx (mode 'lower') or A_dag = W - d/dx (mode 'raise')."""
     W = np.asarray(W_values, dtype=float)
     if W.shape != (psi.grid.n_points,):
         raise GridMismatchError("W sampled on a different grid than psi")
-    dpsi = first_derivative(psi.amplitudes, psi.grid.spacing, order=order)
+    dpsi = first_derivative(psi.amplitudes, psi.grid.spacing)
     if mode == "lower":
         amps = W * psi.amplitudes + dpsi
     elif mode == "raise":
@@ -186,16 +164,15 @@ def apply_ladder(W_values: np.ndarray, psi: WaveFunctionGrid, mode: str,
     return WaveFunctionGrid(psi.grid, amps)
 
 
-def dilate(psi: WaveFunctionGrid, s: float, order: int = 3,
-           unitary: bool = True) -> WaveFunctionGrid:
+def dilate(psi: WaveFunctionGrid, s: float, unitary: bool = True) -> WaveFunctionGrid:
     """Rescale the argument: (D_s psi)(x) = sqrt(s) * psi(s*x).
 
     With unitary=True the sqrt(s) amplitude factor preserves the L2 norm.
     unitary=False drops the factor, giving the plain substitution
-    psi(x) -> psi(s*x). Resampling uses spline interpolation of the given
-    order (default cubic); points s*x outside the grid are filled with
-    zeros, which is only sound when psi has decayed there, so a warning is
-    issued if the boundary amplitude is not negligible.
+    psi(x) -> psi(s*x). Resampling uses cubic spline interpolation; points
+    s*x outside the grid are filled with zeros, which is only sound when
+    psi has decayed there, so a warning is issued if the boundary amplitude
+    is not negligible.
     """
     if s <= 0:
         raise ValueError(f"scale factor must be positive, got {s}")
@@ -209,8 +186,8 @@ def dilate(psi: WaveFunctionGrid, s: float, order: int = 3,
                       "dilation will zero-fill out-of-domain samples",
                       BoundaryDecayWarning, stacklevel=2)
     target = s * x
-    re = make_interp_spline(x, psi.amplitudes.real, k=order)
-    im = make_interp_spline(x, psi.amplitudes.imag, k=order)
+    re = make_interp_spline(x, psi.amplitudes.real, k=3)
+    im = make_interp_spline(x, psi.amplitudes.imag, k=3)
     inside = (target >= psi.grid.x_min) & (target <= psi.grid.x_max)
     amps = np.zeros(psi.grid.n_points, dtype=complex)
     amps[inside] = re(target[inside]) + 1j * im(target[inside])
@@ -219,7 +196,7 @@ def dilate(psi: WaveFunctionGrid, s: float, order: int = 3,
     return WaveFunctionGrid(psi.grid, amps)
 
 
-def second_derivative_bands(grid: Grid, order: int = 4) -> np.ndarray:
+def second_derivative_bands(grid: Grid) -> np.ndarray:
     """Banded form (lower storage) of -d2/dx2 with Dirichlet walls.
 
     Row 0 is the diagonal, row j the j-th subdiagonal. Truncating the
@@ -227,37 +204,23 @@ def second_derivative_bands(grid: Grid, order: int = 4) -> np.ndarray:
     all targeted states decay before the boundary so the lost accuracy
     there is immaterial.
     """
-    if order not in _CENTERED_D2:
-        raise ValueError(f"stencil order must be one of {sorted(_CENTERED_D2)}")
-    diag, offs = _CENTERED_D2[order]
     h2 = grid.spacing ** 2
-    bands = np.zeros((len(offs) + 1, grid.n_points))
-    bands[0] = -diag / h2
-    for j, c in enumerate(offs, start=1):
+    bands = np.zeros((len(_D2_OFFS) + 1, grid.n_points))
+    bands[0] = -_D2_DIAG / h2
+    for j, c in enumerate(_D2_OFFS, start=1):
         bands[j, :grid.n_points - j] = -c / h2
     return bands
 
 
-def hamiltonian_bands(W_values: np.ndarray, grid: Grid, order: int = 4) -> np.ndarray:
+def hamiltonian_bands(W_values: np.ndarray, grid: Grid) -> np.ndarray:
     """Banded symmetric matrix of H = -d2/dx2 + W^2 - W' (W' by the FD stencil)."""
     W = np.asarray(W_values, dtype=float)
     if W.shape != (grid.n_points,):
         raise GridMismatchError("W sampled on a different grid")
-    Wp = first_derivative(W, grid.spacing, order=order)
-    bands = second_derivative_bands(grid, order=order)
+    Wp = first_derivative(W, grid.spacing)
+    bands = second_derivative_bands(grid)
     bands[0] += W * W - Wp
     return bands
-
-
-def build_hamiltonian_matrix(W_values: np.ndarray, grid: Grid, order: int = 4) -> np.ndarray:
-    """Dense symmetric matrix of the factorized Hamiltonian -d2/dx2 + W^2 - W'."""
-    bands = hamiltonian_bands(W_values, grid, order=order)
-    n = grid.n_points
-    M = np.diag(bands[0])
-    for j in range(1, bands.shape[0]):
-        off = np.diag(bands[j, :n - j], -j)
-        M += off + off.T
-    return M
 
 
 def cumulative_integral(values: np.ndarray, spacing: float) -> np.ndarray:

@@ -9,20 +9,13 @@ Q Q_dag = 1 while Q_dag Q = 1 - |0><0|.
 
 Products are evaluated with two levels of internal padding so that the
 reported N x N blocks are free of truncation-edge artifacts.
-
-A second lowering action is provided for coherent-state checks: on states
-built by the parameter-shifted recursion, the lowering operator carries the
-parameter-map weight, giving matrix elements N_n / N_{n-1} (the ratio of
-ladder normalization factors, sqrt(q^(n-1) E_n) in the scaling case)
-instead of sqrt(E_n). The two coincide for a translation chain with
-constant remainder.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .spectra import SpectrumTable, energy_levels, lowering_weights
+from .spectra import SpectrumTable, energy_levels
 
 
 class SingularSpectrumError(ValueError):
@@ -30,6 +23,8 @@ class SingularSpectrumError(ValueError):
 
 
 _PAD = 2
+# Tolerance of every identity in matrix_identities.
+MATRIX_TOL = 1e-12
 
 
 @dataclass
@@ -67,20 +62,9 @@ class LadderMatrices:
         E = self._E[:M]
         bp = np.diag(np.sqrt(E[1:]), -1)
         bm = bp.conj().T
-        h = np.diag(E)
         hinv = np.diag(np.concatenate([[0.0], 1.0 / E[1:]]))
         hinv_sqrt = np.sqrt(hinv)
-        return bp, bm, h, hinv, hinv_sqrt
-
-    def q_matrices(self) -> tuple[np.ndarray, np.ndarray]:
-        """Q = B- H^{-1/2} and Q_dag = H^{-1/2} B+ on the N x N block."""
-        bp, bm, _, _, hs = self._padded()
-        N = self.dimension
-        return (bm @ hs)[:N, :N], (hs @ bp)[:N, :N]
-
-    def lowering_chain(self) -> np.ndarray:
-        """Lowering matrix with the construction weights N_n / N_{n-1}."""
-        return np.diag(lowering_weights(self.levels, self.dimension), 1)
+        return bp, bm, hinv, hinv_sqrt
 
 
 def matrix_identities(levels: SpectrumTable, N: int) -> dict:
@@ -92,14 +76,13 @@ def matrix_identities(levels: SpectrumTable, N: int) -> dict:
     components 0 .. N-2, and unit norms of (Q_dag)^n |0>.
     """
     lm = LadderMatrices(levels, N)
-    bp, bm, h, hinv, hs = lm._padded()
+    bp, bm, hinv, hs = lm._padded()
     eye = np.eye(N + _PAD)
-    tol = 1e-12
     report = {}
 
     def entry(dev):
         dev = float(dev)
-        return {"deviation": dev, "tolerance": tol, "pass": dev <= tol}
+        return {"deviation": dev, "tolerance": MATRIX_TOL, "pass": dev <= MATRIX_TOL}
 
     q = bm @ hs
     qd = hs @ bp

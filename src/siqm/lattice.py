@@ -29,7 +29,7 @@ from math import comb
 
 import numpy as np
 
-from .families import PotentialFamily, eval_W, remainder
+from .families import PotentialFamily, eval_W
 from .grid import Grid, WaveFunctionGrid, apply_ladder, dilate
 
 
@@ -46,7 +46,6 @@ class LatticeState:
     """K stacked x-wavefunctions; level k carries chain parameter a_{k+1}."""
 
     grid: Grid
-    family: PotentialFamily
     components: np.ndarray = field(repr=False)  # (K, n_points) complex
 
     def __post_init__(self):
@@ -61,14 +60,12 @@ class LatticeState:
     def window(self) -> int:
         return self.components.shape[0]
 
-    def interior_norm(self, x_fraction: float = 0.9) -> float:
-        sl = self.grid.interior_slice(x_fraction)
-        core = self.components[1:-1, sl]
+    def interior_norm(self) -> float:
+        core = self.components[1:-1, self.grid.interior_slice()]
         return float(np.linalg.norm(core))
 
 
-def packet_state(family: PotentialFamily, grid: Grid, window: int,
-                 levels: tuple[int, ...] | None = None,
+def packet_state(grid: Grid, window: int, levels: tuple[int, ...] | None = None,
                  x0: float = 0.0, sigma: float = 1.0,
                  momentum: float = 0.0) -> LatticeState:
     """Gaussian packet placed in the given levels (default: the two middle ones)."""
@@ -81,18 +78,16 @@ def packet_state(family: PotentialFamily, grid: Grid, window: int,
     for lev in levels:
         comps[lev] = amps
     comps /= np.linalg.norm(comps)
-    return LatticeState(grid, family, comps)
+    return LatticeState(grid, comps)
 
 
 class LatticeContext:
     """Precomputed per-level superpotentials and primitive operator actions."""
 
-    def __init__(self, family: PotentialFamily, grid: Grid, window: int,
-                 order: int = 4):
+    def __init__(self, family: PotentialFamily, grid: Grid, window: int):
         self.family = family
         self.grid = grid
         self.window = window
-        self.order = order
         # chain parameters a_i for i = (1-reach) .. (window+reach); stored in a
         # dict keyed by 1-based chain index so level/offset lookups stay literal
         self._params = {i: family.chain_value(i) for i in range(-4, window + 6)}
@@ -115,7 +110,7 @@ class LatticeContext:
         K = comps.shape[0]
         for k in range(K - 1):
             psi = WaveFunctionGrid(self.grid, comps[k + 1])
-            out[k] = apply_ladder(self.W(k + 1), psi, "raise", self.order).amplitudes
+            out[k] = apply_ladder(self.W(k + 1), psi, "raise").amplitudes
         return out
 
     def b_minus(self, comps: np.ndarray) -> np.ndarray:
@@ -123,7 +118,7 @@ class LatticeContext:
         K = comps.shape[0]
         for k in range(1, K):
             psi = WaveFunctionGrid(self.grid, comps[k - 1])
-            out[k] = apply_ladder(self.W(k), psi, "lower", self.order).amplitudes
+            out[k] = apply_ladder(self.W(k), psi, "lower").amplitudes
         return out
 
     def t_shift(self, comps: np.ndarray) -> np.ndarray:
@@ -143,14 +138,14 @@ class LatticeContext:
 
     def rem(self, comps: np.ndarray, offset: int) -> np.ndarray:
         """Level k multiplied by R(a_{k+offset})."""
-        return self.diag(comps, lambda a: remainder(self.family, a), offset)
+        return self.diag(comps, self.family.R, offset)
 
     def rem_difference(self, depth: int, comps: np.ndarray) -> np.ndarray:
         """Level k multiplied by the depth-th forward difference of R at a_k."""
         out = np.zeros_like(comps)
         for k in range(comps.shape[0]):
             acc = sum((-1) ** (depth - j) * comb(depth, j)
-                      * remainder(self.family, self.param(k + j))
+                      * self.family.R(self.param(k + j))
                       for j in range(depth + 1))
             out[k] = acc * comps[k]
         return out
@@ -166,11 +161,11 @@ class LatticeContext:
         return np.sqrt(self.family.q) * self.b_minus(comps)
 
     def s_plus(self, comps):
-        rinv = lambda a: 1.0 / np.sqrt(remainder(self.family, a))
+        rinv = lambda a: 1.0 / np.sqrt(self.family.R(a))
         return self.k_plus(self.diag(comps, rinv, 1))
 
     def s_minus(self, comps):
-        rinv = lambda a: 1.0 / np.sqrt(remainder(self.family, a))
+        rinv = lambda a: 1.0 / np.sqrt(self.family.R(a))
         return self.diag(self.k_minus(comps), rinv, 1)
 
     def j3(self, comps):
@@ -240,11 +235,9 @@ def applicable_relations(family: PotentialFamily) -> list[str]:
     return [rel for rel, ((holds, _), _) in _RELATIONS.items() if holds(family)]
 
 
-def commutator_residual(relation_id: str, family: PotentialFamily,
-                        test_states: list[LatticeState] | None = None,
-                        grid: Grid | None = None, window: int = 12,
-                        order: int = 4) -> float:
-    """Worst relative residual of one commutation relation over test states.
+def commutator_residual(relation_id: str, family: PotentialFamily, grid: Grid,
+                        window: int = 12) -> float:
+    """Worst relative residual of one commutation relation over three packets.
 
     The residual is ||(LHS - RHS) psi|| / ||psi|| restricted to interior
     levels and the interior 90% of the grid. Relations outside the family's
@@ -256,43 +249,39 @@ def commutator_residual(relation_id: str, family: PotentialFamily,
     (holds, scope), build = _RELATIONS[relation_id]
     if not holds(family):
         raise UnknownRelationError(f"{relation_id} is defined for {scope} only")
-    if test_states is None:
-        if grid is None:
-            raise ValueError("need a grid when test states are not supplied")
-        test_states = [
-            packet_state(family, grid, window, x0=0.0, sigma=1.0),
-            packet_state(family, grid, window, x0=-1.0, sigma=1.3),
-            packet_state(family, grid, window, x0=0.8, sigma=0.9, momentum=0.6),
-        ]
-    ctx = LatticeContext(family, test_states[0].grid, test_states[0].window,
-                         order=order)
+    test_states = [
+        packet_state(grid, window, x0=0.0, sigma=1.0),
+        packet_state(grid, window, x0=-1.0, sigma=1.3),
+        packet_state(grid, window, x0=0.8, sigma=0.9, momentum=0.6),
+    ]
+    ctx = LatticeContext(family, grid, window)
     lhs, rhs = build(ctx)
     worst = 0.0
     for state in test_states:
         diff = lhs(state.components) - rhs(state.components)
-        num = LatticeState(state.grid, family, diff).interior_norm()
+        num = LatticeState(grid, diff).interior_norm()
         den = state.interior_norm()
         worst = max(worst, num / den)
     return worst
 
 
 def adjoint_pair_residual(family: PotentialFamily, grid: Grid, window: int,
-                          pair: str = "B", order: int = 4) -> float:
+                          pair: str = "B") -> float:
     """|<phi, Op+ psi> - <Op- phi, psi>| over packet states, normalized.
 
     For the dilation-built pair C, C_dag the pairing carries the Jacobian
     factor sqrt(q) of the non-unitary argument scaling; that factor is
     included here so the identity is exact (see dilation_identity_residual).
     """
-    ctx = LatticeContext(family, grid, window, order=order)
+    ctx = LatticeContext(family, grid, window)
     ups = {"B": ctx.b_plus, "K": ctx.k_plus, "S": ctx.s_plus}
     downs = {"B": ctx.b_minus, "K": ctx.k_minus, "S": ctx.s_minus}
     if pair not in ups:
         raise ValueError(f"pair must be one of {sorted(ups)}")
     if pair != "B" and family.q is None:
         raise ValueError(f"the {pair} pair needs a scaling family")
-    phi = packet_state(family, grid, window, x0=-0.5, sigma=1.1)
-    psi = packet_state(family, grid, window, x0=0.4, sigma=0.9, momentum=0.5)
+    phi = packet_state(grid, window, x0=-0.5, sigma=1.1)
+    psi = packet_state(grid, window, x0=0.4, sigma=0.9, momentum=0.5)
     h = grid.spacing
     lhs = h * np.vdot(phi.components, ups[pair](psi.components))
     rhs = h * np.vdot(downs[pair](phi.components), psi.components)
@@ -301,9 +290,7 @@ def adjoint_pair_residual(family: PotentialFamily, grid: Grid, window: int,
 
 
 def dilation_identity_residual(family: PotentialFamily, grid: Grid,
-                               which: str = "yy3",
-                               test_fns: list[WaveFunctionGrid] | None = None,
-                               order: int = 4) -> float:
+                               which: str = "yy3") -> float:
     """Residual of the q-deformed factorization identity in pure x-space.
 
     which = 'yy3':  A A_dag f - q * D A_dag A D^{-1} f = R f, with D the
@@ -318,26 +305,24 @@ def dilation_identity_residual(family: PotentialFamily, grid: Grid,
     q = family.q
     sq = np.sqrt(q)
     W = eval_W(family, family.a1, grid)
-    R = remainder(family, family.a1)
-    if test_fns is None:
-        test_fns = _dilation_test_functions(grid, sq)
+    R = family.R(family.a1)
     sl = grid.interior_slice()
     worst = 0.0
-    for f in test_fns:
+    for f in _dilation_test_functions(grid, sq):
         if which == "yy3":
             # A_dag(sqrt(q) x) A(sqrt(q) x) = D_sqrt(q) A_dag A D_{1/sqrt(q)}
             inner = dilate(f, 1.0 / sq, unitary=True)
-            inner = apply_ladder(W, apply_ladder(W, inner, "lower", order), "raise", order)
+            inner = apply_ladder(W, apply_ladder(W, inner, "lower"), "raise")
             conj = dilate(inner, sq, unitary=True)
-            lhs = apply_ladder(W, apply_ladder(W, f, "raise", order), "lower", order)
+            lhs = apply_ladder(W, apply_ladder(W, f, "raise"), "lower")
             diff = lhs.amplitudes - q * conj.amplitudes - R * f.amplitudes
         elif which == "yy6":
             # C C_dag f = A S S^{-1} A_dag f = A A_dag f exactly
-            cc = apply_ladder(W, apply_ladder(W, f, "raise", order), "lower", order)
+            cc = apply_ladder(W, apply_ladder(W, f, "raise"), "lower")
             sf = dilate(f, 1.0 / sq, unitary=False)
-            asf = apply_ladder(W, sf, "lower", order)
+            asf = apply_ladder(W, sf, "lower")
             # C_dag C f = S^{-1} A_dag A S f
-            cdc = dilate(apply_ladder(W, asf, "raise", order), sq, unitary=False)
+            cdc = dilate(apply_ladder(W, asf, "raise"), sq, unitary=False)
             diff = cc.amplitudes - q * cdc.amplitudes - R * f.amplitudes
         else:
             raise ValueError("which must be 'yy3' or 'yy6'")

@@ -23,16 +23,12 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import ArpackError, eigsh
 
-from .families import PotentialFamily, eval_W, ground_state, remainder
+from .families import PotentialFamily, eval_W, ground_state
 from .grid import BoundaryDecayWarning, Grid, WaveFunctionGrid, apply_ladder, hamiltonian_bands
 
 
 class LevelNotBoundError(ValueError):
     """The requested level does not exist as a bound state."""
-
-
-class UnderResolvedGridError(ValueError):
-    """The grid cannot represent the requested state accurately."""
 
 
 class EigensolverError(RuntimeError):
@@ -47,9 +43,6 @@ class SpectrumTable:
     family: PotentialFamily
     n_max: int
 
-    def energy(self, n: int) -> float:
-        return float(self.levels[n])
-
 
 def energy_levels(family: PotentialFamily, n_max: int) -> SpectrumTable:
     """Partial remainder sums along the chain; E_0 = 0.
@@ -61,7 +54,7 @@ def energy_levels(family: PotentialFamily, n_max: int) -> SpectrumTable:
     """
     if n_max < 0:
         raise ValueError(f"need n_max >= 0, got {n_max}")
-    incs = [remainder(family, family.chain_value(k)) for k in range(1, n_max + 1)]
+    incs = [family.R(family.chain_value(k)) for k in range(1, n_max + 1)]
     for k, r in enumerate(incs, start=1):
         if r <= 0:
             raise LevelNotBoundError(
@@ -93,25 +86,6 @@ def lowering_weights(levels: SpectrumTable, N: int) -> np.ndarray:
                      for n in range(1, N)])
 
 
-def build_eigenstate(family: PotentialFamily, n: int, grid: Grid,
-                     order: int = 4) -> WaveFunctionGrid:
-    """Unit-norm n-th eigenstate by the parameter-shifted raising recursion.
-
-    The pre-normalization quadrature norm must reproduce the product of
-    level differences above; a mismatch beyond 0.1% means the grid does not
-    resolve the state.
-    """
-    psi, prenorm = eigenstate_with_prenorm(family, n, grid, order=order)
-    if n > 0:
-        levels = energy_levels(family, n)
-        expected = normalization_factor(levels, n)
-        if abs(prenorm - expected) > 1e-3 * expected:
-            raise UnderResolvedGridError(
-                f"ladder norm {prenorm:.6g} vs expected {expected:.6g}: "
-                "grid too narrow or too coarse for this level")
-    return psi
-
-
 def _lowpass(psi: WaveFunctionGrid, k_cut: float) -> WaveFunctionGrid:
     """Smooth spectral filter exp(-(k/k_cut)^16) with a boundary taper.
 
@@ -137,26 +111,23 @@ def _lowpass(psi: WaveFunctionGrid, k_cut: float) -> WaveFunctionGrid:
     return WaveFunctionGrid(psi.grid, amps)
 
 
-def eigenstate_with_prenorm(family: PotentialFamily, n: int, grid: Grid,
-                            order: int = 4,
-                            filter_cutoff: float | None = None
-                            ) -> tuple[WaveFunctionGrid, float]:
+def eigenstate_with_prenorm(family: PotentialFamily, n: int,
+                            grid: Grid) -> tuple[WaveFunctionGrid, float]:
     """The raising recursion, returning (normalized state, pre-normalization norm).
 
     The recursion runs on an internally padded copy of the grid and the
     result is restricted afterwards: the inter-raise filter tapers the
     domain edges, and the sharp spectral cutoff spreads that edge
     information over a kernel-tail length, so both artifacts are kept
-    inside the discarded pad. filter_cutoff overrides the low-pass
-    wavenumber (None picks a safe multiple of the physical bandwidth).
+    inside the discarded pad. The low-pass wavenumber is a safe multiple of
+    the physical bandwidth. A pre-normalization norm far from
+    normalization_factor(n) means the grid does not resolve the state.
     """
     if n < 0:
         raise ValueError("need n >= 0")
     e_top = energy_levels(family, n).levels[-1]  # raises if level n is not bound
     seed_param = family.chain_value(n + 1)
-    if filter_cutoff is None:
-        r1 = remainder(family, family.a1)
-        filter_cutoff = max(12.0, 6.0 * np.sqrt(e_top + abs(r1)))
+    filter_cutoff = max(12.0, 6.0 * np.sqrt(e_top + abs(family.R(family.a1))))
     h = grid.spacing
     n_pad = int(np.ceil(max(12.0, 0.15 * (grid.x_max - grid.x_min)) / h)) if n > 0 else 0
     work = Grid(grid.x_min - n_pad * h, grid.x_max + n_pad * h,
@@ -164,7 +135,7 @@ def eigenstate_with_prenorm(family: PotentialFamily, n: int, grid: Grid,
     psi = ground_state(family, seed_param, work)
     for k in range(n, 0, -1):
         W = eval_W(family, family.chain_value(k), work)
-        psi = _lowpass(apply_ladder(W, psi, "raise", order=order), filter_cutoff)
+        psi = _lowpass(apply_ladder(W, psi, "raise"), filter_cutoff)
     prenorm = psi.norm()
     if n_pad:
         psi = WaveFunctionGrid(grid, psi.amplitudes[n_pad:n_pad + grid.n_points])
@@ -177,8 +148,8 @@ def eigenstate_with_prenorm(family: PotentialFamily, n: int, grid: Grid,
     return psi.normalized() if n > 0 else psi, prenorm
 
 
-def fd_diagonalize(family: PotentialFamily, grid: Grid, k: int,
-                   order: int = 4) -> tuple[np.ndarray, list[WaveFunctionGrid]]:
+def fd_diagonalize(family: PotentialFamily, grid: Grid,
+                   k: int) -> tuple[np.ndarray, list[WaveFunctionGrid]]:
     """Lowest k eigenpairs of the banded FD Hamiltonian, energies relative to E_0.
 
     Independent of the ladder machinery: the potential W^2 - W' is formed
@@ -191,7 +162,7 @@ def fd_diagonalize(family: PotentialFamily, grid: Grid, k: int,
     if k < 1:
         raise ValueError("need k >= 1")
     W = eval_W(family, family.a1, grid)
-    bands = hamiltonian_bands(W, grid, order=order)
+    bands = hamiltonian_bands(W, grid)
     n = grid.n_points
     diags, offsets = [bands[0]], [0]
     for j in range(1, bands.shape[0]):
@@ -221,11 +192,10 @@ def fd_diagonalize(family: PotentialFamily, grid: Grid, k: int,
     return energies, states
 
 
-def eigen_residual(family: PotentialFamily, psi: WaveFunctionGrid, energy: float,
-                   order: int = 4) -> float:
+def eigen_residual(family: PotentialFamily, psi: WaveFunctionGrid, energy: float) -> float:
     """Interior norm of (H - E) psi for a unit-norm candidate eigenstate."""
     W = eval_W(family, family.a1, psi.grid)
-    Ad_A = apply_ladder(W, apply_ladder(W, psi, "lower", order), "raise", order)
+    Ad_A = apply_ladder(W, apply_ladder(W, psi, "lower"), "raise")
     diff = Ad_A.amplitudes - energy * psi.amplitudes
     sl = psi.grid.interior_slice()
     h = psi.grid.spacing

@@ -167,6 +167,32 @@ def test_coherent_command(tmp_path):
     assert float(rows[3].split(",")[1]) == pytest.approx(1.1547005383792517)
 
 
+def test_eigenstates_command(tmp_path):
+    out = tmp_path / "eig.csv"
+    code = run_command(["eigenstates", "--family", "harmonic", "--levels", "3",
+                        "--out", str(out)])
+    assert code == 0
+    header = out.read_text().splitlines()[0].split(",")
+    assert header == ["x"] + [f"{part}_psi_{n}" for n in range(4)
+                              for part in ("re", "im")]
+    manifest = read_manifest(tmp_path / "eig.csv.manifest.json")
+    res = manifest["results"]
+    assert res["pass"] and res["max_prenorm_rel_err"] <= 1e-3
+    # the manifest lists the gate the command applies
+    assert manifest["tolerances"]["prenorm"] == res["tolerance"] == 1e-3
+
+
+def test_eigenstates_under_resolved_grid_exits_2(tmp_path):
+    # 49 points on [-12, 12] cannot resolve the harmonic n = 6 state
+    out = tmp_path / "eig.csv"
+    code = run_command(["eigenstates", "--family", "harmonic", "--levels", "6",
+                        "--grid-min", "-12", "--grid-max", "12",
+                        "--grid-points", "49", "--out", str(out)])
+    assert code == 2
+    res = read_manifest(tmp_path / "eig.csv.manifest.json")["results"]
+    assert not res["pass"] and res["max_prenorm_rel_err"] > 1e-3
+
+
 def test_evolve_command(tmp_path):
     out = tmp_path / "evo.csv"
     code = run_command(["evolve", "--family", "selfsimilar", "--q", "1.0",

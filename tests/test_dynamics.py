@@ -5,8 +5,8 @@ import pytest
 from scipy.integrate import quad
 
 from siqm import (DriveProfile, LadderMatrices, StepInstabilityError,
-                  TruncationOverflowError, convergence_certificate,
-                  energy_levels, evolve_forced, selfsimilar_family)
+                  TruncationOverflowError, energy_levels, evolve_forced,
+                  selfsimilar_family)
 
 Q1 = selfsimilar_family(q=1.0, c=1.0, a1=1.0)
 Q5 = selfsimilar_family(q=0.5, c=1.0, a1=1.0)
@@ -83,6 +83,15 @@ def test_truncation_overflow_guard():
     tab = energy_levels(Q1, 5)
     with pytest.raises(TruncationOverflowError):
         evolve_forced(tab, DriveProfile("const", 0.8), t_max=5.0, dt=0.002)
+
+
+def convergence_certificate(levels, drive, t_max, dt):
+    """Overlap change of the final direct state under dt -> dt/2."""
+    a = evolve_forced(levels, drive, t_max, dt)
+    b = evolve_forced(levels, drive, t_max, dt / 2)
+    fa = a.trajectory[-1] / np.linalg.norm(a.trajectory[-1])
+    fb = b.trajectory[-1] / np.linalg.norm(b.trajectory[-1])
+    return float(abs(1.0 - abs(np.vdot(fa, fb))))
 
 
 def test_integrator_convergence_certificate():

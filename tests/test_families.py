@@ -7,7 +7,7 @@ import pytest
 
 from siqm import (NonNormalizableError, PotentialFamily, build_grid, eval_W,
                   family_from_config, fd_diagonalize, ground_state,
-                  harmonic_family, morse_family, remainder, selfsimilar_family,
+                  harmonic_family, morse_family, selfsimilar_family,
                   shape_invariance_residual)
 from siqm.families import ParameterRule
 
@@ -94,15 +94,15 @@ def test_eval_w_selfsimilar_scaling_law():
 
 
 def test_remainders():
-    assert remainder(selfsimilar_family(q=0.5, c=1.0, a1=1.0), 0.25) == 0.25
-    assert remainder(harmonic_family(1.0), 1.0) == 2.0
+    assert selfsimilar_family(q=0.5, c=1.0, a1=1.0).R(0.25) == 0.25
+    assert harmonic_family(1.0).R(1.0) == 2.0
     # morse: R(a) = a^2 - (a-1)^2; value 4 at a=2.5 equals the first FD gap
-    assert remainder(morse_family(2.5), 2.5) == pytest.approx(2.5 ** 2 - 1.5 ** 2)
+    assert morse_family(2.5).R(2.5) == pytest.approx(2.5 ** 2 - 1.5 ** 2)
 
 
 def test_remainder_positive_decreasing_for_scaling():
     fam = selfsimilar_family(q=0.5, c=1.0, a1=1.0)
-    rs = [remainder(fam, a) for a in chain(fam, 8)]
+    rs = [fam.R(a) for a in chain(fam, 8)]
     assert all(r > 0 for r in rs)
     assert np.all(np.diff(rs) < 0)
 

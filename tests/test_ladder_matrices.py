@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from siqm import (LadderMatrices, SingularSpectrumError, energy_levels,
-                  matrix_identities, normalization_factor, selfsimilar_family)
+                  lowering_weights, matrix_identities, normalization_factor,
+                  selfsimilar_family)
 
 Q5 = selfsimilar_family(q=0.5, c=1.0, a1=1.0)
 
@@ -22,22 +23,14 @@ def test_qqdag_is_identity_n4():
 
 
 def test_qdagq_has_single_ground_defect():
-    lm = LadderMatrices(energy_levels(Q5, 8), 6)
-    q, qd = lm.q_matrices()
-    defect = qd @ q - np.eye(6)
-    assert defect[0, 0] == pytest.approx(-1.0, abs=1e-14)
-    defect[0, 0] = 0.0
-    assert np.max(np.abs(defect)) <= 1e-13
+    # deviation of Q_dag Q from 1 - |0><0|: the ground defect is -1 and nothing else
+    report = matrix_identities(energy_levels(Q5, 8), 6)
+    assert report["qdagq-ground-projector"]["deviation"] <= 1e-14
 
 
 def test_qdag_powers_have_unit_norm():
-    lm = LadderMatrices(energy_levels(Q5, 10), 8)
-    _, qd = lm.q_matrices()
-    vec = np.zeros(8)
-    vec[0] = 1.0
-    for _ in range(3):
-        vec = qd @ vec
-    assert np.linalg.norm(vec) == pytest.approx(1.0, abs=1e-12)
+    report = matrix_identities(energy_levels(Q5, 10), 8)
+    assert report["qdag-power-norms"]["deviation"] <= 1e-12
 
 
 def test_ladder_matrix_structure():
@@ -51,12 +44,11 @@ def test_ladder_matrix_structure():
 def test_chain_lowering_weights():
     # N_n / N_{n-1} = sqrt(q^(n-1) E_n) for the scaling spectrum
     tab = energy_levels(Q5, 10)
-    lm = LadderMatrices(tab, 8)
-    chain = lm.lowering_chain()
+    weights = lowering_weights(tab, 8)
     for n in range(1, 8):
         expected = np.sqrt(0.5 ** (n - 1) * tab.levels[n])
-        assert chain[n - 1, n] == pytest.approx(expected, rel=1e-14)
-        assert chain[n - 1, n] == pytest.approx(
+        assert weights[n - 1] == pytest.approx(expected, rel=1e-14)
+        assert weights[n - 1] == pytest.approx(
             normalization_factor(tab, n) / normalization_factor(tab, n - 1), rel=1e-14)
 
 

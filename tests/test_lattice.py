@@ -26,7 +26,7 @@ def test_all_relations_at_q_half(relation):
 def test_commutator_acts_as_remainder_at_each_level():
     # [B-, B+] multiplies level k by R(a_k) = c q^(k-1) a1; level 2 -> 0.5
     ctx = LatticeContext(Q5, GRID, 8)
-    state = packet_state(Q5, GRID, 8, levels=(2,))
+    state = packet_state(GRID, 8, levels=(2,))
     got = ctx.b_minus(ctx.b_plus(state.components)) - ctx.b_plus(ctx.b_minus(state.components))
     expected = 0.5 * state.components
     sl = GRID.interior_slice()
@@ -60,7 +60,7 @@ def test_scaling_only_relations_guarded():
 
 
 def test_shift_then_unshift_is_identity_on_interior():
-    state = packet_state(Q5, GRID, 8)
+    state = packet_state(GRID, 8)
     ctx = LatticeContext(Q5, GRID, 8)
     out = ctx.t_shift_dag(ctx.t_shift(state.components))
     assert np.array_equal(out[1:-1], state.components[1:-1])
@@ -77,7 +77,7 @@ def test_hamiltonian_block_is_shifted_factorization():
     from siqm.families import eval_W
     from siqm.grid import WaveFunctionGrid, apply_ladder
     ctx = LatticeContext(Q5, GRID, 8)
-    state = packet_state(Q5, GRID, 8, levels=(3,))
+    state = packet_state(GRID, 8, levels=(3,))
     got = ctx.b_plus(ctx.b_minus(state.components))
     W = eval_W(Q5, Q5.chain_value(4), GRID)  # level 3 carries a_4
     psi = WaveFunctionGrid(GRID, state.components[3])
@@ -88,7 +88,7 @@ def test_hamiltonian_block_is_shifted_factorization():
 
 def test_j3_is_level_diagonal_count():
     ctx = LatticeContext(Q5, GRID, 8)
-    state = packet_state(Q5, GRID, 8, levels=(2, 4))
+    state = packet_state(GRID, 8, levels=(2, 4))
     out = ctx.j3(state.components)
     assert np.allclose(out[2], -1.0 * state.components[2])
     assert np.allclose(out[4], -3.0 * state.components[4])
@@ -113,7 +113,7 @@ def test_adjoint_pairs():
 
 def test_window_too_small():
     with pytest.raises(WindowTooSmallError):
-        LatticeState(GRID, Q5, np.zeros((4, GRID.n_points), dtype=complex))
+        LatticeState(GRID, np.zeros((4, GRID.n_points), dtype=complex))
 
 
 def test_dilation_identities():

