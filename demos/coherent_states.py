@@ -12,7 +12,7 @@ super-geometrically, so there is no norm to converge to.
 
 import numpy as np
 
-from siqm import (LadderMatrices, coherent_closed_scaling,
+from siqm import (coherent_closed_scaling,
                   coherent_property_residuals, coherent_recursive,
                   energy_levels, selfsimilar_family)
 
@@ -30,9 +30,8 @@ print(f"  max relative difference (n < 21): "
 
 print()
 print("=== defining properties at z = 0.3, N = 20 ===")
-ladder = LadderMatrices(table, 21)
 state = coherent_recursive(table, 0.3, 20)
-eig, der = coherent_property_residuals(state, ladder)
+eig, der = coherent_property_residuals(state)
 print(f"  eigenvalue condition residual   {eig:.2e}")
 print(f"  derivative condition residual   {der:.2e}")
 

@@ -11,7 +11,7 @@ delayed-argument form of the defining equation outward. Run with
 
 import numpy as np
 
-from siqm import SelfSimilarW, radius_estimate, series_coefficients
+from siqm import SelfSimilarW, series_coefficients
 
 print("=== series coefficients ===")
 for q in (1.0, 0.0, 0.5):
@@ -23,7 +23,7 @@ print("tanh reference:  [1, -1/3, 2/15, -17/315, 62/2835] =",
 print()
 print("=== convergence radius grows toward the harmonic limit ===")
 for q in (0.0, 0.3, 0.5, 0.7, 0.9, 0.99):
-    rho = radius_estimate(series_coefficients(q, 1.0, 60))
+    rho = series_coefficients(q, 1.0, 60).radius_estimate
     print(f"q = {q:4}: radius ~ {rho:8.3f}" + ("  (pi/2 expected)" if q == 0 else ""))
 
 print()

@@ -15,7 +15,7 @@ from .grid import (Grid, WaveFunctionGrid, build_grid, apply_ladder, dilate,
                    inner, InvalidRangeError, TooFewPointsError,
                    GridMismatchError, BoundaryDecayWarning)
 from .series import (SeriesCoefficients, SelfSimilarW, series_coefficients,
-                     radius_estimate, HorizonExceededError)
+                     HorizonExceededError)
 from .families import (ParameterRule, PotentialFamily, Harmonic, Morse,
                        SelfSimilar, FAMILIES, eval_W, ground_state,
                        shape_invariance_residual, harmonic_family,

@@ -9,6 +9,13 @@ Subcommands map one-to-one onto the library capabilities:
     coherent     coherent-state coefficients and property residuals (CSV)
     evolve       forced time evolution trajectories (CSV)
 
+A parameter takes its value from, in rising precedence, the command's
+default (DEFAULTS), a JSON config file (--config) and the flags given.
+A config holds only its command's parameters, keyed by flag name with
+underscores (z_re, t_max, phase_sign, grid_points); any other key exits 1.
+The family flags are the config keys of the registered families: --q, --c,
+--a1 and --order (the series truncation of the scaling family).
+
 Every completed run (exit code 0 or 2) writes a manifest JSON recording the
 command, the effective parameters, tolerances in force, a result summary,
 and the output files. Exit codes: 0 success, 1 validation error, 2
@@ -18,7 +25,7 @@ sets give bitwise-identical files on one platform.
 """
 
 import argparse
-import csv
+import itertools
 import json
 import sys
 import warnings
@@ -37,7 +44,7 @@ from .grid import Grid, build_grid
 from .ladder_matrices import MATRIX_TOL, LadderMatrices, matrix_identities
 from .lattice import (applicable_relations, commutator_residual,
                       dilation_identity_residual)
-from .series import SelfSimilarW, radius_estimate, series_coefficients
+from .series import SelfSimilarW, series_coefficients
 from .spectra import (energy_levels, eigenstate_with_prenorm, fd_diagonalize,
                       normalization_factor)
 
@@ -57,9 +64,23 @@ NORM_DRIFT_TOL = 1e-8
 VERIFY_SUITES = ("shape-invariance", "lattice-algebra", "q-oscillator",
                  "dilation", "matrix-identities")
 
-# every parameter key some registered family declares
-FAMILY_KEYS = {key for cls in FAMILIES.values() for key in cls.config_keys}
+# every parameter key some registered family declares, with its type
+FAMILY_KEYS = {key: kind for cls in FAMILIES.values()
+               for key, (_, kind) in cls.config_keys.items()}
 GRID_KEYS = ("grid_min", "grid_max", "grid_points")
+# flags that name output files rather than parameters; a config cannot set them
+OUTPUT_FLAGS = ("out", "report")
+
+# the one declaration of each command's defaults; the parser sets none
+DEFAULTS = {
+    "spectrum": {"family": DEFAULT_FAMILY, "levels": 6},
+    "coeffs": {"c0": 1.0, "order": 40},
+    "eigenstates": {"family": DEFAULT_FAMILY, "levels": 3},
+    "verify": {"family": DEFAULT_FAMILY, "levels": 20},
+    "coherent": {"family": DEFAULT_FAMILY, "z_re": 1.0, "z_im": 0.0, "levels": 20},
+    "evolve": {"family": DEFAULT_FAMILY, "drive": "const:0.1", "t_max": 5.0,
+               "dt": 0.002, "phase_sign": "conjugate", "levels": 23},
+}
 
 
 class CliError(Exception):
@@ -71,87 +92,69 @@ class _Parser(argparse.ArgumentParser):
         raise CliError(message)
 
 
-def _fmt(v) -> str:
-    return repr(float(v))
+def _write_columns(path, outputs: list, header: list[str], *columns) -> None:
+    """Write one CSV row per entry of the columns, if a path is given.
 
-
-def _write_csv(path: Path, header: list[str], rows) -> None:
-    def cell(c):
-        if isinstance(c, str):
-            return c
-        if isinstance(c, (int, np.integer)):
-            return str(int(c))
-        return _fmt(c)
-
+    A column is a 1-D array or a 2-D block of columns. Values print as
+    their Python repr: ints plainly, floats as shortest round-trip strings.
+    """
+    if not path:
+        return
+    blocks = [np.asarray(col).reshape(len(col), -1) for col in columns]
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(header)
-        for row in rows:
-            w.writerow([cell(c) for c in row])
+        fh.write(",".join(header) + "\n")
+        for row in zip(*blocks):
+            values = itertools.chain.from_iterable(part.tolist() for part in row)
+            fh.write(",".join(map(repr, values)) + "\n")
+    outputs.append(str(path))
 
 
 def _build_parser() -> _Parser:
     p = _Parser(prog="siqm", description=__doc__.splitlines()[0])
     sub = p.add_subparsers(dest="command", required=True)
 
-    def add_family_flags(sp):
-        sp.add_argument("--family", choices=tuple(FAMILIES))
-        sp.add_argument("--q", type=float)
-        sp.add_argument("--c", type=float)
-        sp.add_argument("--a1", type=float)
+    def add_command(name, summary, family=True, grid=True):
+        sp = sub.add_parser(name, help=summary)
+        if family:
+            sp.add_argument("--family", choices=tuple(FAMILIES))
+            for key, kind in FAMILY_KEYS.items():
+                takers = [n for n, cls in FAMILIES.items() if key in cls.config_keys]
+                sp.add_argument(f"--{key}", type=kind, help=f"{'/'.join(takers)} parameter")
+        if grid:
+            sp.add_argument("--grid-min", type=float)
+            sp.add_argument("--grid-max", type=float)
+            sp.add_argument("--grid-points", type=int)
         sp.add_argument("--config", type=Path)
+        sp.add_argument("--out", type=Path)
+        return sp
 
-    def add_grid_flags(sp):
-        sp.add_argument("--grid-min", type=float)
-        sp.add_argument("--grid-max", type=float)
-        sp.add_argument("--grid-points", type=int)
+    sp = add_command("spectrum", "ladder levels vs diagonalization oracle")
+    sp.add_argument("--levels", type=int)
 
-    sp = sub.add_parser("spectrum", help="ladder levels vs diagonalization oracle")
-    add_family_flags(sp)
-    add_grid_flags(sp)
-    sp.add_argument("--levels", type=int, default=6)
-    sp.add_argument("--out", type=Path)
-
-    sp = sub.add_parser("coeffs", help="series coefficients of the superpotential")
+    sp = add_command("coeffs", "series coefficients of the superpotential", family=False)
     sp.add_argument("--q", type=float)
-    sp.add_argument("--c0", type=float, default=1.0)
-    sp.add_argument("--order", type=int, default=40)
-    add_grid_flags(sp)
-    sp.add_argument("--config", type=Path)
-    sp.add_argument("--out", type=Path)
+    sp.add_argument("--c0", type=float)
+    sp.add_argument("--order", type=int)
 
-    sp = sub.add_parser("eigenstates", help="ladder-built wavefunctions")
-    add_family_flags(sp)
-    add_grid_flags(sp)
-    sp.add_argument("--levels", type=int, default=3)
-    sp.add_argument("--out", type=Path)
+    sp = add_command("eigenstates", "ladder-built wavefunctions")
+    sp.add_argument("--levels", type=int)
 
-    sp = sub.add_parser("verify", help="operator-identity suites")
-    add_family_flags(sp)
-    add_grid_flags(sp)
+    sp = add_command("verify", "operator-identity suites")
     sp.add_argument("--suite", choices=VERIFY_SUITES)
-    sp.add_argument("--order", type=int, help="series truncation of the "
-                    "scaling-family superpotential (low values break the W table)")
-    sp.add_argument("--levels", type=int, default=20)
+    sp.add_argument("--levels", type=int)
     sp.add_argument("--report", type=Path)
-    sp.add_argument("--out", type=Path)
 
-    sp = sub.add_parser("coherent", help="coherent-state coefficients")
-    add_family_flags(sp)
-    sp.add_argument("--z-re", type=float, default=1.0)
-    sp.add_argument("--z-im", type=float, default=0.0)
-    sp.add_argument("--levels", type=int, default=20)
-    sp.add_argument("--out", type=Path)
+    sp = add_command("coherent", "coherent-state coefficients", grid=False)
+    sp.add_argument("--z-re", type=float)
+    sp.add_argument("--z-im", type=float)
+    sp.add_argument("--levels", type=int)
 
-    sp = sub.add_parser("evolve", help="forced-oscillator evolution")
-    add_family_flags(sp)
-    sp.add_argument("--drive", type=str, default="const:0.1")
-    sp.add_argument("--t-max", type=float, default=5.0)
-    sp.add_argument("--dt", type=float, default=0.002)
-    sp.add_argument("--phase-sign", choices=("paper", "conjugate"),
-                    default="conjugate")
-    sp.add_argument("--levels", type=int, default=23)
-    sp.add_argument("--out", type=Path)
+    sp = add_command("evolve", "forced-oscillator evolution", grid=False)
+    sp.add_argument("--drive", type=str)
+    sp.add_argument("--t-max", type=float)
+    sp.add_argument("--dt", type=float)
+    sp.add_argument("--phase-sign", choices=("paper", "conjugate"))
+    sp.add_argument("--levels", type=int)
     return p
 
 
@@ -165,36 +168,36 @@ def _load_config(path: Path) -> dict:
     except json.JSONDecodeError as exc:
         raise CliError(f"config parse error at line {exc.lineno}, "
                        f"column {exc.colno}: {exc.msg}")
-    allowed = {"family", "q", "c", "a1", "c0", "order", "levels",
-               "grid_min", "grid_max", "grid_points", "z_re", "z_im",
-               "drive", "t_max", "dt", "phase_sign", "suite"}
-    for key in cfg:
-        if key not in allowed:
-            raise CliError(f"unknown config key {key!r}")
+    if not isinstance(cfg, dict):
+        raise CliError("config must be a JSON object")
     return cfg
 
 
-def _merge_config(args: argparse.Namespace) -> dict:
-    """Config file values fill in flags the command line left unset."""
-    merged = {}
-    if getattr(args, "config", None):
-        merged.update(_load_config(args.config))
-    for key, val in vars(args).items():
-        if key in ("command", "config"):
-            continue
-        if val is not None:
-            merged[key] = val
+def _merge_params(args: argparse.Namespace) -> dict:
+    """Command defaults, then the config file, then the flags given.
+
+    A config key must name one of the command's own parameter flags; a
+    null value, like an absent flag, leaves the value below it in force.
+    """
+    flags = {key: val for key, val in vars(args).items()
+             if key not in ("command", "config")}
+    cfg = _load_config(args.config) if args.config else {}
+    for key in cfg:
+        if key not in flags or key in OUTPUT_FLAGS:
+            raise CliError(f"unknown config key {key!r} for {args.command}")
+    merged = dict(DEFAULTS[args.command])
+    for layer in (cfg, flags):
+        merged.update((key, val) for key, val in layer.items() if val is not None)
     return merged
 
 
 def _family_from(params: dict):
-    """The family of --family (or the default) from the keys it declares.
+    """The family params["family"], built from the family keys present.
 
     A family key given for a family that does not declare it is rejected.
     """
-    cfg = {key: params[key] for key in FAMILY_KEYS if params.get(key) is not None}
-    cfg["family"] = params.get("family", DEFAULT_FAMILY)
-    return family_from_config(cfg)
+    return family_from_config({key: params[key] for key in ("family", *FAMILY_KEYS)
+                               if key in params})
 
 
 def _grid_from(params: dict) -> Grid | None:
@@ -210,18 +213,15 @@ def _grid_from(params: dict) -> Grid | None:
 
 def _cmd_spectrum(params: dict, outputs: list) -> tuple[dict, int]:
     fam = _family_from(params)
-    n_max = int(params.get("levels", 6))
+    n_max = int(params["levels"])
     table = energy_levels(fam, n_max)
     grid = _grid_from(params) or suggested_grid(fam)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         e_fd, _ = fd_diagonalize(fam, grid, n_max + 1)
     errs = np.abs(table.levels - e_fd)
-    rows = [(n, table.levels[n], e_fd[n], errs[n]) for n in range(n_max + 1)]
-    out = params.get("out")
-    if out:
-        _write_csv(Path(out), ["n", "E_ladder", "E_fd", "abs_err"], rows)
-        outputs.append(str(out))
+    _write_columns(params.get("out"), outputs, ["n", "E_ladder", "E_fd", "abs_err"],
+               np.arange(n_max + 1), table.levels, e_fd, errs)
     worst = float(np.max(errs / np.maximum(1.0, table.levels)))
     ok = worst <= ORACLE_TOL
     results = {"max_rel_err": worst, "tolerance": ORACLE_TOL, "pass": ok,
@@ -230,93 +230,62 @@ def _cmd_spectrum(params: dict, outputs: list) -> tuple[dict, int]:
 
 
 def _cmd_coeffs(params: dict, outputs: list) -> tuple[dict, int]:
-    if params.get("q") is None:
+    if "q" not in params:
         raise CliError("--q is required for coeffs")
-    q = float(params["q"])
-    c0 = float(params.get("c0", 1.0))
-    K = int(params.get("order", 40))
+    K = int(params["order"])
     grid = _grid_from(params)
-    sc = series_coefficients(q, c0, K)
-    rows = [(k, sc.coeffs[k]) for k in range(K + 1)]
+    sc = series_coefficients(float(params["q"]), float(params["c0"]), K)
     out = params.get("out")
-    if out:
-        _write_csv(Path(out), ["k", "c_k"], rows)
-        outputs.append(str(out))
-        if grid is not None:
-            # companion x, W(x) table on the requested grid
-            eng = SelfSimilarW(sc)
-            wvals = eng.w(grid.x)
-            table = Path(out).with_name(Path(out).stem + ".table.csv")
-            _write_csv(table, ["x", "W"], zip(grid.x, wvals))
-            outputs.append(str(table))
-    results = {"radius_estimate": float(radius_estimate(sc)),
-               "remainder": sc.remainder}
+    _write_columns(out, outputs, ["k", "c_k"], np.arange(K + 1), sc.coeffs)
+    if out and grid is not None:
+        # companion x, W(x) table on the requested grid
+        table = Path(out).with_name(Path(out).stem + ".table.csv")
+        _write_columns(table, outputs, ["x", "W"], grid.x, SelfSimilarW(sc).w(grid.x))
+    results = {"radius_estimate": sc.radius_estimate, "remainder": sc.remainder}
     return results, EXIT_OK
 
 
 def _cmd_eigenstates(params: dict, outputs: list) -> tuple[dict, int]:
     fam = _family_from(params)
-    n_max = int(params.get("levels", 3))
+    n_max = int(params["levels"])
     grid = _grid_from(params) or suggested_grid(fam)
     table = energy_levels(fam, n_max)
     states, prenorm_errs = [], []
     for n in range(n_max + 1):
         psi, prenorm = eigenstate_with_prenorm(fam, n, grid)
-        states.append(psi)
+        states.append(psi.amplitudes)
         expected = normalization_factor(table, n)
         prenorm_errs.append(abs(prenorm - expected) / max(expected, 1e-300))
-    header = ["x"]
-    for n in range(n_max + 1):
-        header += [f"re_psi_{n}", f"im_psi_{n}"]
-    x = grid.x
-    rows = []
-    for i in range(grid.n_points):
-        row = [x[i]]
-        for st in states:
-            row += [st.amplitudes[i].real, st.amplitudes[i].imag]
-        rows.append(row)
-    out = params.get("out")
-    if out:
-        _write_csv(Path(out), header, rows)
-        outputs.append(str(out))
+    header = ["x"] + [f"{part}_psi_{n}" for n in range(n_max + 1) for part in ("re", "im")]
+    _write_columns(params.get("out"), outputs, header,
+               grid.x, np.stack(states, axis=1).view(float))
     worst = max(prenorm_errs)
     ok = worst <= PRENORM_TOL
     results = {"max_prenorm_rel_err": worst, "tolerance": PRENORM_TOL, "pass": ok}
     return results, EXIT_OK if ok else EXIT_NUMERICAL
 
 
-def _verify_shape(fam, grid) -> dict:
-    res = shape_invariance_residual(fam, grid)
-    return {"shape-invariance": {"residual": res, "tolerance": SHAPE_TOL,
-                                 "pass": res <= SHAPE_TOL}}
+def _gate(residual: float, tolerance: float) -> dict:
+    return {"residual": residual, "tolerance": tolerance, "pass": residual <= tolerance}
 
 
-def _verify_relations(fam, grid, relations) -> dict:
-    report = {}
-    for rel in relations:
-        res = commutator_residual(rel, fam, grid=grid, window=12)
-        report[rel] = {"residual": res, "tolerance": LATTICE_TOL,
-                       "pass": res <= LATTICE_TOL}
-    return report
-
-
-def _verify_dilation(fam, grid) -> dict:
-    report = {}
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        for which in ("yy3", "yy6"):
-            res = dilation_identity_residual(fam, grid, which)
-            report[f"dilation-{which}"] = {"residual": res,
-                                           "tolerance": DILATION_TOL,
-                                           "pass": res <= DILATION_TOL}
-    return report
-
-
-def _verify_matrix(fam, n_levels: int) -> dict:
-    table = energy_levels(fam, n_levels + 1)
-    rep = matrix_identities(table, n_levels)
-    return {key: {"residual": val["deviation"], "tolerance": val["tolerance"],
-                  "pass": val["pass"]} for key, val in rep.items()}
+def _verify_report(fam, suite: str, params: dict) -> dict:
+    """{check: gate} for every check of the suite."""
+    if suite == "matrix-identities":
+        n_levels = int(params["levels"])
+        rep = matrix_identities(energy_levels(fam, n_levels + 1), n_levels)
+        return {key: _gate(val["deviation"], val["tolerance"]) for key, val in rep.items()}
+    grid = _grid_from(params) or Grid(-15.0, 15.0, 3001)
+    if suite == "shape-invariance":
+        return {suite: _gate(shape_invariance_residual(fam, grid), SHAPE_TOL)}
+    if suite == "dilation":
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            return {f"dilation-{which}": _gate(dilation_identity_residual(fam, grid, which),
+                                               DILATION_TOL) for which in ("yy3", "yy6")}
+    relations = applicable_relations(fam) if suite == "lattice-algebra" else [suite]
+    return {rel: _gate(commutator_residual(rel, fam, grid=grid, window=12), LATTICE_TOL)
+            for rel in relations}
 
 
 def _cmd_verify(params: dict, outputs: list) -> tuple[dict, int]:
@@ -324,18 +293,7 @@ def _cmd_verify(params: dict, outputs: list) -> tuple[dict, int]:
     suite = params.get("suite")
     if suite not in VERIFY_SUITES:
         raise CliError(f"--suite is required (one of {', '.join(VERIFY_SUITES)})")
-    if suite == "matrix-identities":
-        report = _verify_matrix(fam, int(params.get("levels", 20)))
-    else:
-        grid = _grid_from(params) or Grid(-15.0, 15.0, 3001)
-        if suite == "lattice-algebra":
-            report = _verify_relations(fam, grid, applicable_relations(fam))
-        elif suite == "q-oscillator":
-            report = _verify_relations(fam, grid, ["q-oscillator"])
-        elif suite == "shape-invariance":
-            report = _verify_shape(fam, grid)
-        else:
-            report = _verify_dilation(fam, grid)
+    report = _verify_report(fam, suite, params)
     rep_path = params.get("report")
     if rep_path:
         Path(rep_path).write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
@@ -347,12 +305,11 @@ def _cmd_verify(params: dict, outputs: list) -> tuple[dict, int]:
 
 def _cmd_coherent(params: dict, outputs: list) -> tuple[dict, int]:
     fam = _family_from(params)
-    N = int(params.get("levels", 20))
-    z = complex(float(params.get("z_re", 1.0)), float(params.get("z_im", 0.0)))
+    N = int(params["levels"])
+    z = complex(float(params["z_re"]), float(params["z_im"]))
     table = energy_levels(fam, max(N - 1, 1))
     state = coherent_recursive(table, z, N)
-    ladder = LadderMatrices(table, N)
-    eig_res, der_res = coherent_property_residuals(state, ladder)
+    eig_res, der_res = coherent_property_residuals(state)
     results = {"eigen_residual": eig_res, "eigen_tolerance": COHERENT_EIGEN_TOL,
                "derivative_residual": der_res,
                "derivative_tolerance": COHERENT_DERIVATIVE_TOL,
@@ -362,12 +319,9 @@ def _cmd_coherent(params: dict, outputs: list) -> tuple[dict, int]:
         agree = float(np.max(np.abs(closed.coefficients - state.coefficients)
                              / np.abs(state.coefficients)))
         results["closed_vs_recursive"] = agree
-    rows = [(n, state.coefficients[n].real, state.coefficients[n].imag)
-            for n in range(N)]
-    out = params.get("out")
-    if out:
-        _write_csv(Path(out), ["n", "re_h_n", "im_h_n"], rows)
-        outputs.append(str(out))
+    h = state.coefficients
+    _write_columns(params.get("out"), outputs, ["n", "re_h_n", "im_h_n"],
+               np.arange(N), h.real, h.imag)
     ok = eig_res <= COHERENT_EIGEN_TOL and der_res <= COHERENT_DERIVATIVE_TOL
     results["pass"] = ok
     return results, EXIT_OK if ok else EXIT_NUMERICAL
@@ -375,30 +329,16 @@ def _cmd_coherent(params: dict, outputs: list) -> tuple[dict, int]:
 
 def _cmd_evolve(params: dict, outputs: list) -> tuple[dict, int]:
     fam = _family_from(params)
-    N = int(params.get("levels", 23))
-    drive = DriveProfile.parse(str(params.get("drive", "const:0.1")))
+    N = int(params["levels"])
+    drive = DriveProfile.parse(str(params["drive"]))
     table = energy_levels(fam, N)
-    ev = evolve_forced(table, drive, float(params.get("t_max", 5.0)),
-                       float(params.get("dt", 0.002)),
-                       sign_convention=str(params.get("phase_sign", "conjugate")))
-    ladder = LadderMatrices(table, N + 1)
-    z_fit, coh_overlap = ev.best_fit_coherent(table, ladder)
-    header = ["t"]
-    dim = ev.trajectory.shape[1]
-    for n in range(dim):
-        header += [f"re_c_{n}", f"im_c_{n}"]
-    header += ["norm", "overlap_closed"]
-    rows = []
-    for i, t in enumerate(ev.t_grid):
-        row = [t]
-        for n in range(dim):
-            row += [ev.trajectory[i, n].real, ev.trajectory[i, n].imag]
-        row += [ev.norms[i], ev.overlaps[i]]
-        rows.append(row)
-    out = params.get("out")
-    if out:
-        _write_csv(Path(out), header, rows)
-        outputs.append(str(out))
+    ev = evolve_forced(table, drive, float(params["t_max"]), float(params["dt"]),
+                       sign_convention=str(params["phase_sign"]))
+    z_fit, coh_overlap = ev.best_fit_coherent(table, LadderMatrices(table, N + 1))
+    header = ["t"] + [f"{part}_c_{n}" for n in range(ev.trajectory.shape[1])
+                      for part in ("re", "im")] + ["norm", "overlap_closed"]
+    _write_columns(params.get("out"), outputs, header,
+               ev.t_grid, ev.trajectory.view(float), ev.norms, ev.overlaps)
     results = {"final_overlap_closed": ev.final_overlap,
                "norm_drift": ev.norm_drift,
                "best_fit_z": [z_fit.real, z_fit.imag],
@@ -435,13 +375,10 @@ def run_command(argv: list[str]) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        params = _merge_config(args)
+        params = _merge_params(args)
         outputs: list[str] = []
         results, code = _COMMANDS[args.command](params, outputs)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except (ValueError, KeyError, OSError) as exc:
+    except (CliError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     manifest = {

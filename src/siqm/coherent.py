@@ -29,7 +29,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ladder_matrices import LadderMatrices
 from .spectra import (SpectrumTable, energy_levels, lowering_weights,
                       normalization_factor)
 
@@ -107,8 +106,7 @@ def coherent_closed_scaling(q: float, R1: float, z: complex, N: int) -> Coherent
     return CoherentState(z=complex(z), N=N, coefficients=coeff, levels=table)
 
 
-def coherent_property_residuals(state: CoherentState,
-                                ladder: LadderMatrices) -> tuple[float, float]:
+def coherent_property_residuals(state: CoherentState) -> tuple[float, float]:
     """(eigen_residual, derivative_residual) on components 0 .. N-2.
 
     eigen: ||(B_minus - z)|z>|| with the chain-weighted lowering, relative
@@ -119,8 +117,6 @@ def coherent_property_residuals(state: CoherentState,
     if state.levels is None:
         raise ValueError("state carries no spectrum table")
     N = state.N
-    if ladder.dimension < N:
-        raise ValueError("ladder truncation smaller than the state")
     beta = lowering_weights(state.levels, N)
     h = state.coefficients
     scale = np.linalg.norm(h[:N - 1])

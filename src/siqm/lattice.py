@@ -37,7 +37,7 @@ class WindowTooSmallError(ValueError):
     """The lattice window cannot contain the operator's level reach."""
 
 
-class UnknownRelationError(KeyError):
+class UnknownRelationError(ValueError):
     """Relation identifier not in the registry."""
 
 
@@ -245,7 +245,7 @@ def commutator_residual(relation_id: str, family: PotentialFamily, grid: Grid,
     scaling family, and the J3 ones also q < 1.
     """
     if relation_id not in _RELATIONS:
-        raise UnknownRelationError(relation_id)
+        raise UnknownRelationError(f"unknown relation {relation_id!r}")
     (holds, scope), build = _RELATIONS[relation_id]
     if not holds(family):
         raise UnknownRelationError(f"{relation_id} is defined for {scope} only")

@@ -27,7 +27,7 @@ saturates at W_inf = sqrt(R / (1 - q)) with a slow power-law tail ~ 1/x^2.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -50,7 +50,7 @@ class SeriesCoefficients:
     q: float
     c0: float
     coeffs: np.ndarray = field(repr=False)
-    radius_estimate: float = 0.0
+    radius_estimate: float = 0.0     # ratio-test radius; +inf for a polynomial
 
     @property
     def remainder(self) -> float:
@@ -73,26 +73,8 @@ def series_coefficients(q: float, c0: float, K: int) -> SeriesCoefficients:
     for k in range(K):
         conv = float(np.dot(c[:k + 1], c[k::-1]))
         c[k + 1] = -(1.0 - q ** (k + 2)) / ((2 * k + 3) * (1.0 + q ** (k + 2))) * conv
-    rho = _ratio_radius(c)
-    return SeriesCoefficients(q=q, c0=c0, coeffs=c, radius_estimate=rho)
-
-
-def _ratio_radius(c: np.ndarray, tail: int = 6) -> float:
-    nz = np.flatnonzero(np.abs(c) > 0)
-    if len(nz) < tail:
-        return np.inf
-    ratios = np.sqrt(np.abs(c[nz[:-1]] / c[nz[1:]]))
-    return float(np.median(ratios[-tail:]))
-
-
-def radius_estimate(coeffs: SeriesCoefficients) -> float:
-    """Ratio-test estimate of the convergence radius in x.
-
-    Returns +inf for polynomial series (q = 1). The estimate uses the
-    median of the last ratios sqrt(|c_k / c_{k+1}|); a non-monotone tail
-    is reported through a warning-free diagnostic in ratio_sequence.
-    """
-    return _ratio_radius(coeffs.coeffs)
+    sc = SeriesCoefficients(q=q, c0=c0, coeffs=c)
+    return replace(sc, radius_estimate=_ratio_radius(ratio_sequence(sc)))
 
 
 def ratio_sequence(coeffs: SeriesCoefficients) -> np.ndarray:
@@ -100,6 +82,17 @@ def ratio_sequence(coeffs: SeriesCoefficients) -> np.ndarray:
     c = coeffs.coeffs
     nz = np.flatnonzero(np.abs(c) > 0)
     return np.sqrt(np.abs(c[nz[:-1]] / c[nz[1:]]))
+
+
+def _ratio_radius(ratios: np.ndarray, tail: int = 6) -> float:
+    """Ratio-test radius in x: the median of the last `tail` ratios.
+
+    +inf when fewer than tail coefficients are nonzero (a polynomial
+    series, q = 1).
+    """
+    if len(ratios) < tail - 1:
+        return np.inf
+    return float(np.median(ratios[-tail:]))
 
 
 class SelfSimilarW:

@@ -78,7 +78,7 @@ def test_unknown_config_key_exits_1(tmp_path):
     cfg = tmp_path / "bad.json"
     for text in ('{"family":"selfsimilar","qq":0.5}',
                  '{"family":"morse","a1":2.5,"delta":-1.0}',
-                 '{"family":"harmonic","q":0.5}'):
+                 '{"family":"harmonic","q":0.5}', '3', '["q"]'):
         cfg.write_text(text)
         assert run_command(["spectrum", "--config", str(cfg)]) == 1
 
@@ -214,3 +214,89 @@ def test_rerun_is_bitwise_identical(tmp_path):
     assert run_command(args + ["--out", str(out1)]) == 0
     assert run_command(args + ["--out", str(out2)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
+
+
+def test_relation_outside_the_family_scope_exits_1_unquoted(tmp_path, capsys):
+    code = run_command(["verify", "--suite", "q-oscillator", "--family", "harmonic",
+                        "--report", str(tmp_path / "rep.json")])
+    assert code == 1
+    assert capsys.readouterr().err == \
+        "error: q-oscillator is defined for scaling families only\n"
+    assert not list(tmp_path.iterdir())
+
+
+def test_morse_coherent_uses_only_bound_levels(tmp_path):
+    # A = 2.5 binds levels 0..2 only; N = 3 coefficients need no level above them
+    for levels in (2, 3):
+        out = tmp_path / f"coh{levels}.csv"
+        assert run_command(["coherent", "--family", "morse", "--levels", str(levels),
+                            "--z-re", "0.7", "--out", str(out)]) == 0
+    rows = np.loadtxt(tmp_path / "coh3.csv", delimiter=",", skiprows=1)
+    E = 2.5 ** 2 - (2.5 - np.arange(3)) ** 2
+    expect = [0.7 ** n / np.sqrt(np.prod(E[n] - E[:n])) for n in range(3)]
+    assert rows[:, 0].tolist() == [0, 1, 2]
+    assert rows[:, 1] == pytest.approx(expect, rel=1e-14)
+    assert np.all(rows[:, 2] == 0.0)
+
+
+def test_config_sets_defaulted_parameters(tmp_path):
+    cfg = tmp_path / "coh.json"
+    cfg.write_text('{"q": 0.9, "levels": 5, "z_re": 0.5}')
+    out = tmp_path / "coh.csv"
+    assert run_command(["coherent", "--config", str(cfg), "--out", str(out)]) == 0
+    params = read_manifest(tmp_path / "coh.csv.manifest.json")["params"]
+    assert (params["levels"], params["z_re"]) == (5, 0.5)
+    rows = np.loadtxt(out, delimiter=",", skiprows=1)
+    assert rows.shape == (5, 3)
+    assert rows[1, 1] == 0.5                       # h_1 = z / sqrt(E_1), E_1 = 1
+
+    cfg = tmp_path / "evo.json"
+    cfg.write_text('{"q": 1.0, "levels": 3, "drive": "const:0.2", "t_max": 0.1}')
+    out = tmp_path / "evo.csv"
+    assert run_command(["evolve", "--config", str(cfg), "--out", str(out)]) == 0
+    params = read_manifest(tmp_path / "evo.csv.manifest.json")["params"]
+    assert (params["drive"], params["t_max"]) == ("const:0.2", 0.1)
+    lines = out.read_text().splitlines()
+    assert len(lines) == 1 + 51                    # t = 0 .. 0.1 in steps of 0.002
+    assert lines[-1].startswith("0.1")
+
+
+def test_flag_beats_config_for_a_defaulted_parameter(tmp_path):
+    cfg = tmp_path / "coh.json"
+    cfg.write_text('{"levels": 5, "z_re": 0.5}')
+    out = tmp_path / "coh.csv"
+    assert run_command(["coherent", "--config", str(cfg), "--levels", "3",
+                        "--out", str(out)]) == 0
+    params = read_manifest(tmp_path / "coh.csv.manifest.json")["params"]
+    assert (params["levels"], params["z_re"]) == (3, 0.5)
+    assert len(out.read_text().splitlines()) == 1 + 3
+
+
+def test_config_key_of_another_command_exits_1(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    for text in ('{"drive": "const:0.1"}', '{"out": "elsewhere.csv"}'):
+        cfg.write_text(text)
+        assert run_command(["spectrum", "--config", str(cfg), "--levels", "2",
+                            "--out", str(tmp_path / "spec.csv")]) == 1
+        assert "unknown config key" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+
+def test_order_flag_equals_order_config_key(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"order": 30}')
+    out1 = tmp_path / "a.csv"
+    out2 = tmp_path / "b.csv"
+    assert run_command(["spectrum", "--order", "30", "--levels", "2",
+                        "--out", str(out1)]) == 0
+    assert run_command(["spectrum", "--config", str(cfg), "--levels", "2",
+                        "--out", str(out2)]) == 0
+    assert out1.read_bytes() == out2.read_bytes()
+
+
+def test_order_flag_for_a_translation_family_exits_1(tmp_path, capsys):
+    code = run_command(["spectrum", "--family", "harmonic", "--order", "30",
+                        "--out", str(tmp_path / "spec.csv")])
+    assert code == 1
+    assert "order" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())

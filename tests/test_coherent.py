@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from siqm import (DegenerateLevelsError, LadderMatrices,
+from siqm import (DegenerateLevelsError,
                   coherent_closed_scaling, coherent_property_residuals,
                   coherent_recursive, energy_levels, harmonic_family,
                   normalization_factor, q_pochhammer, selfsimilar_family)
@@ -70,19 +70,17 @@ def test_closed_equals_recursive_random_z_sweep():
 
 def test_eigen_and_derivative_residuals():
     tab = energy_levels(Q5, 21)
-    ladder = LadderMatrices(tab, 21)
     state = coherent_recursive(tab, 0.3, 20)
-    eig, der = coherent_property_residuals(state, ladder)
+    eig, der = coherent_property_residuals(state)
     assert eig <= 1e-10
     assert der <= 1e-6
 
 
 def test_z_zero_is_ground_state():
     tab = energy_levels(Q5, 8)
-    ladder = LadderMatrices(tab, 8)
     state = coherent_recursive(tab, 0.0, 8)
     assert np.array_equal(state.coefficients[1:], np.zeros(7, dtype=complex))
-    eig, _ = coherent_property_residuals(state, ladder)
+    eig, _ = coherent_property_residuals(state)
     assert eig == 0.0
 
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from siqm import SelfSimilarW, radius_estimate, series_coefficients
+from siqm import SelfSimilarW, series_coefficients
 from siqm.series import ratio_sequence
 
 # Taylor series of tanh x (exact rationals), the q = 0 one-soliton limit
@@ -43,16 +43,16 @@ def test_remainder_identity():
 
 
 def test_radius_polynomial_is_infinite():
-    assert radius_estimate(series_coefficients(1.0, 1.0, 10)) == np.inf
+    assert series_coefficients(1.0, 1.0, 10).radius_estimate == np.inf
 
 
 def test_radius_tanh_poles():
-    rho = radius_estimate(series_coefficients(0.0, 1.0, 40))
+    rho = series_coefficients(0.0, 1.0, 40).radius_estimate
     assert rho == pytest.approx(np.pi / 2, rel=0.05)
 
 
 def test_radius_grows_toward_harmonic_limit():
-    rhos = [radius_estimate(series_coefficients(q, 1.0, 50))
+    rhos = [series_coefficients(q, 1.0, 50).radius_estimate
             for q in (0.2, 0.5, 0.8, 0.95)]
     assert all(r > 0 for r in rhos)
     assert np.all(np.diff(rhos) > 0)
