@@ -12,7 +12,9 @@ Subcommands map one-to-one onto the library capabilities:
 A parameter takes its value from, in rising precedence, the command's
 default (DEFAULTS), a JSON config file (--config) and the flags given.
 A config holds only its command's parameters, keyed by flag name with
-underscores (z_re, t_max, phase_sign, grid_points); any other key exits 1.
+underscores (z_re, t_max, phase_sign, grid_points); any other key exits 1,
+and each value is parsed as its flag's text would be. verify writes its
+report to --report; the other commands write their CSV to --out.
 The family flags are the config keys of the registered families: --q, --c,
 --a1 and --order (the series truncation of the scaling family).
 
@@ -113,7 +115,7 @@ def _build_parser() -> _Parser:
     p = _Parser(prog="siqm", description=__doc__.splitlines()[0])
     sub = p.add_subparsers(dest="command", required=True)
 
-    def add_command(name, summary, family=True, grid=True):
+    def add_command(name, summary, family=True, grid=True, out=True):
         sp = sub.add_parser(name, help=summary)
         if family:
             sp.add_argument("--family", choices=tuple(FAMILIES))
@@ -125,7 +127,8 @@ def _build_parser() -> _Parser:
             sp.add_argument("--grid-max", type=float)
             sp.add_argument("--grid-points", type=int)
         sp.add_argument("--config", type=Path)
-        sp.add_argument("--out", type=Path)
+        if out:
+            sp.add_argument("--out", type=Path)
         return sp
 
     sp = add_command("spectrum", "ladder levels vs diagonalization oracle")
@@ -139,7 +142,8 @@ def _build_parser() -> _Parser:
     sp = add_command("eigenstates", "ladder-built wavefunctions")
     sp.add_argument("--levels", type=int)
 
-    sp = add_command("verify", "operator-identity suites")
+    # verify writes its JSON report to --report and takes no --out
+    sp = add_command("verify", "operator-identity suites", out=False)
     sp.add_argument("--suite", choices=VERIFY_SUITES)
     sp.add_argument("--levels", type=int)
     sp.add_argument("--report", type=Path)
@@ -173,11 +177,13 @@ def _load_config(path: Path) -> dict:
     return cfg
 
 
-def _merge_params(args: argparse.Namespace) -> dict:
+def _merge_params(parser: _Parser, args: argparse.Namespace) -> dict:
     """Command defaults, then the config file, then the flags given.
 
-    A config key must name one of the command's own parameter flags; a
-    null value, like an absent flag, leaves the value below it in force.
+    A config key must name one of the command's own parameter flags, and
+    its value is parsed as that flag's text would be, with the flag's type
+    and choices; a null value, like an absent flag, leaves the value below
+    it in force.
     """
     flags = {key: val for key, val in vars(args).items()
              if key not in ("command", "config")}
@@ -185,6 +191,13 @@ def _merge_params(args: argparse.Namespace) -> dict:
     for key in cfg:
         if key not in flags or key in OUTPUT_FLAGS:
             raise CliError(f"unknown config key {key!r} for {args.command}")
+    cfg = {key: val for key, val in cfg.items() if val is not None}
+    try:
+        parsed = parser.parse_args([args.command, *(f"--{key.replace('_', '-')}={val}"
+                                                     for key, val in cfg.items())])
+    except CliError as exc:
+        raise CliError(f"config {args.config}: {exc}")
+    cfg = {key: getattr(parsed, key) for key in cfg}
     merged = dict(DEFAULTS[args.command])
     for layer in (cfg, flags):
         merged.update((key, val) for key, val in layer.items() if val is not None)
@@ -213,7 +226,7 @@ def _grid_from(params: dict) -> Grid | None:
 
 def _cmd_spectrum(params: dict, outputs: list) -> tuple[dict, int]:
     fam = _family_from(params)
-    n_max = int(params["levels"])
+    n_max = params["levels"]
     table = energy_levels(fam, n_max)
     grid = _grid_from(params) or suggested_grid(fam)
     with warnings.catch_warnings():
@@ -232,9 +245,9 @@ def _cmd_spectrum(params: dict, outputs: list) -> tuple[dict, int]:
 def _cmd_coeffs(params: dict, outputs: list) -> tuple[dict, int]:
     if "q" not in params:
         raise CliError("--q is required for coeffs")
-    K = int(params["order"])
+    K = params["order"]
     grid = _grid_from(params)
-    sc = series_coefficients(float(params["q"]), float(params["c0"]), K)
+    sc = series_coefficients(params["q"], params["c0"], K)
     out = params.get("out")
     _write_columns(out, outputs, ["k", "c_k"], np.arange(K + 1), sc.coeffs)
     if out and grid is not None:
@@ -247,7 +260,7 @@ def _cmd_coeffs(params: dict, outputs: list) -> tuple[dict, int]:
 
 def _cmd_eigenstates(params: dict, outputs: list) -> tuple[dict, int]:
     fam = _family_from(params)
-    n_max = int(params["levels"])
+    n_max = params["levels"]
     grid = _grid_from(params) or suggested_grid(fam)
     table = energy_levels(fam, n_max)
     states, prenorm_errs = [], []
@@ -272,7 +285,7 @@ def _gate(residual: float, tolerance: float) -> dict:
 def _verify_report(fam, suite: str, params: dict) -> dict:
     """{check: gate} for every check of the suite."""
     if suite == "matrix-identities":
-        n_levels = int(params["levels"])
+        n_levels = params["levels"]
         rep = matrix_identities(energy_levels(fam, n_levels + 1), n_levels)
         return {key: _gate(val["deviation"], val["tolerance"]) for key, val in rep.items()}
     grid = _grid_from(params) or Grid(-15.0, 15.0, 3001)
@@ -305,8 +318,8 @@ def _cmd_verify(params: dict, outputs: list) -> tuple[dict, int]:
 
 def _cmd_coherent(params: dict, outputs: list) -> tuple[dict, int]:
     fam = _family_from(params)
-    N = int(params["levels"])
-    z = complex(float(params["z_re"]), float(params["z_im"]))
+    N = params["levels"]
+    z = complex(params["z_re"], params["z_im"])
     table = energy_levels(fam, max(N - 1, 1))
     state = coherent_recursive(table, z, N)
     eig_res, der_res = coherent_property_residuals(state)
@@ -329,11 +342,11 @@ def _cmd_coherent(params: dict, outputs: list) -> tuple[dict, int]:
 
 def _cmd_evolve(params: dict, outputs: list) -> tuple[dict, int]:
     fam = _family_from(params)
-    N = int(params["levels"])
-    drive = DriveProfile.parse(str(params["drive"]))
+    N = params["levels"]
+    drive = DriveProfile.parse(params["drive"])
     table = energy_levels(fam, N)
-    ev = evolve_forced(table, drive, float(params["t_max"]), float(params["dt"]),
-                       sign_convention=str(params["phase_sign"]))
+    ev = evolve_forced(table, drive, params["t_max"], params["dt"],
+                       sign_convention=params["phase_sign"])
     z_fit, coh_overlap = ev.best_fit_coherent(table, LadderMatrices(table, N + 1))
     header = ["t"] + [f"{part}_c_{n}" for n in range(ev.trajectory.shape[1])
                       for part in ("re", "im")] + ["norm", "overlap_closed"]
@@ -375,7 +388,7 @@ def run_command(argv: list[str]) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        params = _merge_params(args)
+        params = _merge_params(parser, args)
         outputs: list[str] = []
         results, code = _COMMANDS[args.command](params, outputs)
     except (CliError, ValueError, OSError) as exc:

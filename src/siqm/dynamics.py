@@ -146,12 +146,17 @@ def evolve_forced(levels: SpectrumTable, drive: DriveProfile, t_max: float,
     n_steps = int(round(t_max / dt))
     t_grid = np.linspace(0.0, n_steps * dt, n_steps + 1)
 
-    bp, bm, h = lm.b_plus, lm.b_minus, lm.h_matrix
+    # H = diag(E), and B+ / B- shift by one level with weights sqrt(E_n)
+    sqrt_e = np.diag(lm.b_plus, -1)
     R1 = float(levels.levels[1]) if levels.n_max >= 1 else 0.0
 
     def rhs(t, y):
         ph = np.exp(1j * sign * R1 * t)
-        return -1j * (h @ y + drive(t) * (ph * (bp @ y) + np.conj(ph) * (bm @ y)))
+        bp_y = np.zeros_like(y)
+        bp_y[1:] = sqrt_e * y[:-1]
+        bm_y = np.zeros_like(y)
+        bm_y[:-1] = sqrt_e * y[1:]
+        return -1j * (E * y + drive(t) * (ph * bp_y + np.conj(ph) * bm_y))
 
     psi = np.zeros(N, dtype=complex)
     psi[0] = 1.0
@@ -161,7 +166,7 @@ def evolve_forced(levels: SpectrumTable, drive: DriveProfile, t_max: float,
     traj[0] = psi
     norms[0] = 1.0
     e0 = psi.copy()
-    coupling = bp + bm
+    coupling = lm.b_plus + lm.b_minus
     for i in range(n_steps):
         t = t_grid[i]
         k1 = rhs(t, psi)

@@ -6,7 +6,9 @@ A_dag = W(x) - d/dx, and the factorized Hamiltonian (measured from the
 ground-state energy) is H = A_dag A = -d2/dx2 + W^2 - W'.
 
 Derivatives use 4th-order centered stencils, with 4th-order one-sided
-stencils on the two boundary rows at each end. All values are immutable
+stencils on the two boundary rows at each end. Off-grid values come from
+one 6-point Lagrange interpolator, shared with the W table of the
+self-similar engine. All values are immutable
 after construction and every operation is a pure function, so concurrent
 read-only use is safe.
 """
@@ -15,7 +17,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import make_interp_spline
 
 
 class InvalidRangeError(ValueError):
@@ -164,12 +165,41 @@ def apply_ladder(W_values: np.ndarray, psi: WaveFunctionGrid, mode: str) -> Wave
     return WaveFunctionGrid(psi.grid, amps)
 
 
+# 6-point Lagrange stencil: offsets j of the stencil, and for each j the
+# other offsets m in ascending order with the denominators j - m
+_STENCIL = np.arange(-2, 4)
+_STENCIL_M = np.array([[m for m in _STENCIL if m != j] for j in _STENCIL])
+_STENCIL_DEN = (_STENCIL[:, None] - _STENCIL_M).astype(float)
+
+
+def _lagrange(pos: np.ndarray, n: int, tables: np.ndarray) -> np.ndarray:
+    """6-point Lagrange interpolation of the first n points of each table row.
+
+    pos holds fractional indices into the rows. The high order keeps the
+    pointwise interpolation noise near machine level, which matters because
+    downstream ladder recursions amplify any grid-scale noise. A stencil
+    that would reach past point n is clamped to the last six points, and
+    one before point 0 to the first six.
+    """
+    i = np.maximum(np.minimum(pos.astype(np.intp), n - 4), 2)
+    t = pos - i
+    f = (t[:, None, None] - _STENCIL_M) / _STENCIL_DEN
+    weights = f[..., 0] * f[..., 1] * f[..., 2] * f[..., 3] * f[..., 4]
+    terms = weights * tables[..., :n][..., i[:, None] + _STENCIL]
+    # summed left to right from 0.0 like the scalar form, so tables stay bitwise stable
+    acc = 0.0
+    for j in range(len(_STENCIL)):
+        acc = acc + terms[..., j]
+    return acc
+
+
 def dilate(psi: WaveFunctionGrid, s: float, unitary: bool = True) -> WaveFunctionGrid:
     """Rescale the argument: (D_s psi)(x) = sqrt(s) * psi(s*x).
 
     With unitary=True the sqrt(s) amplitude factor preserves the L2 norm.
     unitary=False drops the factor, giving the plain substitution
-    psi(x) -> psi(s*x). Resampling uses cubic spline interpolation; points
+    psi(x) -> psi(s*x). Resampling uses 6-point Lagrange interpolation of
+    the grid values (the interpolator of the self-similar W table); points
     s*x outside the grid are filled with zeros, which is only sound when
     psi has decayed there, so a warning is issued if the boundary amplitude
     is not negligible.
@@ -178,22 +208,21 @@ def dilate(psi: WaveFunctionGrid, s: float, unitary: bool = True) -> WaveFunctio
         raise ValueError(f"scale factor must be positive, got {s}")
     if s == 1.0:
         return WaveFunctionGrid(psi.grid, psi.amplitudes.copy())
-    x = psi.grid.x
+    grid = psi.grid
     amax = float(np.max(np.abs(psi.amplitudes)))
     edge = max(abs(psi.amplitudes[0]), abs(psi.amplitudes[-1]))
     if amax > 0 and edge > 1e-8 * amax:
         warnings.warn("wavefunction is not negligible at the grid boundary; "
                       "dilation will zero-fill out-of-domain samples",
                       BoundaryDecayWarning, stacklevel=2)
-    target = s * x
-    re = make_interp_spline(x, psi.amplitudes.real, k=3)
-    im = make_interp_spline(x, psi.amplitudes.imag, k=3)
-    inside = (target >= psi.grid.x_min) & (target <= psi.grid.x_max)
-    amps = np.zeros(psi.grid.n_points, dtype=complex)
-    amps[inside] = re(target[inside]) + 1j * im(target[inside])
+    target = s * grid.x
+    inside = (target >= grid.x_min) & (target <= grid.x_max)
+    amps = np.zeros(grid.n_points, dtype=complex)
+    amps[inside] = _lagrange((target[inside] - grid.x_min) / grid.spacing,
+                             grid.n_points, psi.amplitudes)
     if unitary:
         amps *= np.sqrt(s)
-    return WaveFunctionGrid(psi.grid, amps)
+    return WaveFunctionGrid(grid, amps)
 
 
 def second_derivative_bands(grid: Grid) -> np.ndarray:

@@ -31,12 +31,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-
-# 6-point Lagrange stencil: offsets j of the stencil, and for each j the
-# other offsets m in ascending order with the denominators j - m
-_STENCIL = np.arange(-2, 4)
-_STENCIL_M = np.array([[m for m in _STENCIL if m != j] for j in _STENCIL])
-_STENCIL_DEN = (_STENCIL[:, None] - _STENCIL_M).astype(float)
+from .grid import _lagrange
 
 
 class HorizonExceededError(RuntimeError):
@@ -157,26 +152,6 @@ class SelfSimilarW:
             xp = xp * x2
         return out
 
-    def _lagrange(self, u: np.ndarray, n: int, tables: np.ndarray) -> np.ndarray:
-        """6-point Lagrange interpolation at u of the first n points of each table row.
-
-        The high order keeps the pointwise interpolation noise near machine
-        level, which matters because downstream ladder recursions amplify
-        any grid-scale noise. A stencil that would reach past point n is
-        clamped to the last six points.
-        """
-        h = self.step
-        i = np.maximum(np.minimum((u / h).astype(np.intp), n - 4), 2)
-        t = u / h - i
-        f = (t[:, None, None] - _STENCIL_M) / _STENCIL_DEN
-        weights = f[..., 0] * f[..., 1] * f[..., 2] * f[..., 3] * f[..., 4]
-        terms = weights * tables[..., :n][..., i[:, None] + _STENCIL]
-        # summed left to right from 0.0 like the scalar form, so tables stay bitwise stable
-        acc = 0.0
-        for j in range(len(_STENCIL)):
-            acc = acc + terms[..., j]
-        return acc
-
     def _delayed(self, u: np.ndarray, n: int):
         """q W(u)^2 and q W'(u) for the table as it stands at n points."""
         inner = np.empty((2, len(u)))
@@ -185,7 +160,7 @@ class SelfSimilarW:
             inner[0, ser] = self._series_w(u[ser])
             inner[1, ser] = self._series_wp(u[ser])
         if not ser.all():
-            inner[:, ~ser] = self._lagrange(u[~ser], n, self._table[1:])
+            inner[:, ~ser] = _lagrange(u[~ser] / self.step, n, self._table[1:])
         # float_power rounds like Python's scalar ** 2; numpy's ** can differ in the last bit
         return self.q * np.float_power(inner[0], 2.0), self.q * inner[1]
 
@@ -263,7 +238,7 @@ class SelfSimilarW:
                 # W' at the new point sees W with that point already appended
                 u = sq * xb[1:]
                 if u[0] > self.x_break:
-                    a1 = self.q * np.float_power(self._lagrange(u, n, self._W)[0], 2.0)
+                    a1 = self.q * np.float_power(_lagrange(u / h, n, self._W)[0], 2.0)
                     self._Wp[n - 1] = -w * w + a1 - b0[1] + R
 
     def w(self, x) -> np.ndarray:
@@ -276,7 +251,7 @@ class SelfSimilarW:
         out = np.empty_like(a)
         ser = a <= self.x_break
         out[ser] = self._series_w(a[ser])
-        out[~ser] = self._lagrange(a[~ser], self._n, self._W)
+        out[~ser] = _lagrange(a[~ser] / self.step, self._n, self._W)
         return np.sign(x) * out
 
     def wp(self, x) -> np.ndarray:
@@ -289,7 +264,7 @@ class SelfSimilarW:
         out = np.empty_like(a)
         ser = a <= self.x_break
         out[ser] = self._series_wp(a[ser])
-        out[~ser] = self._lagrange(a[~ser], self._n, self._Wp)
+        out[~ser] = _lagrange(a[~ser] / self.step, self._n, self._Wp)
         return out
 
     def defining_residual(self, x) -> np.ndarray:

@@ -1,10 +1,15 @@
 """CLI surface: commands, config handling, manifests, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import siqm
 from siqm.cli import run_command
 
 
@@ -113,8 +118,12 @@ def test_coeffs_partial_grid_flags_exit_1(tmp_path, capsys):
     assert not list(tmp_path.iterdir())
 
 
-def test_unknown_flag_exits_1():
-    assert run_command(["spectrum", "--frobnicate", "3"]) == 1
+def test_unknown_flag_exits_1(tmp_path):
+    # verify writes its report to --report, so it takes no --out
+    for argv in (["spectrum", "--frobnicate", "3"],
+                 ["verify", "--suite", "shape-invariance", "--out", str(tmp_path / "x.csv")]):
+        assert run_command(argv) == 1
+    assert not list(tmp_path.iterdir())
 
 
 def test_missing_required_flag_exits_1():
@@ -300,3 +309,24 @@ def test_order_flag_for_a_translation_family_exits_1(tmp_path, capsys):
     assert code == 1
     assert "order" in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("command, text, flag", [
+    ("spectrum", '{"levels": [1]}', "--levels"),
+    ("spectrum", '{"levels": 3.7}', "--levels"),
+    ("evolve", '{"phase_sign": "sideways"}', "--phase-sign"),
+])
+def test_config_value_its_flag_would_refuse_exits_1(tmp_path, capsys, command, text, flag):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text)
+    assert run_command([command, "--config", str(cfg), "--out", str(tmp_path / "o.csv")]) == 1
+    assert flag in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+
+def test_cli_import_leaves_out_scipy_interpolate():
+    env = dict(os.environ, PYTHONPATH=str(Path(siqm.__file__).parents[1]))
+    probe = "import sys, siqm.cli; print('scipy.interpolate' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"

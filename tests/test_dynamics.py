@@ -6,7 +6,7 @@ from scipy.integrate import quad
 
 from siqm import (DriveProfile, LadderMatrices, StepInstabilityError,
                   TruncationOverflowError, energy_levels, evolve_forced,
-                  selfsimilar_family)
+                  harmonic_family, morse_family, selfsimilar_family)
 
 Q1 = selfsimilar_family(q=1.0, c=1.0, a1=1.0)
 Q5 = selfsimilar_family(q=0.5, c=1.0, a1=1.0)
@@ -98,3 +98,50 @@ def test_integrator_convergence_certificate():
     tab = energy_levels(Q1, 16)
     assert convergence_certificate(tab, DriveProfile("const", 0.1),
                                    t_max=2.0, dt=0.004) <= 1e-8
+
+
+def dense_rk4(levels, drive, t_max, dt, sign_convention):
+    """Trajectory and norms of the RK4 march with the dense N x N ladder matrices."""
+    lm = LadderMatrices(levels, levels.n_max + 1)
+    bp, bm, h = lm.b_plus, lm.b_minus, lm.h_matrix
+    sign = +1.0 if sign_convention == "paper" else -1.0
+    R1 = float(levels.levels[1])
+
+    def rhs(t, y):
+        ph = np.exp(1j * sign * R1 * t)
+        return -1j * (h @ y + drive(t) * (ph * (bp @ y) + np.conj(ph) * (bm @ y)))
+
+    n_steps = int(round(t_max / dt))
+    t_grid = np.linspace(0.0, n_steps * dt, n_steps + 1)
+    psi = np.zeros(lm.dimension, dtype=complex)
+    psi[0] = 1.0
+    traj = [psi]
+    for t in t_grid[:-1]:
+        k1 = rhs(t, psi)
+        k2 = rhs(t + dt / 2, psi + dt * k1 / 2)
+        k3 = rhs(t + dt / 2, psi + dt * k2 / 2)
+        k4 = rhs(t + dt, psi + dt * k3)
+        psi = psi + dt * (k1 + 2 * k2 + 2 * k3 + k4) / 6
+        traj.append(psi)
+    return np.array(traj), np.array([np.linalg.norm(p) for p in traj])
+
+
+@pytest.mark.parametrize("family, n, drive, sign", [
+    (Q1, 23, "const:0.1", "conjugate"),
+    (Q1, 20, "pulse:0.25,0.5,0.3", "paper"),
+    (Q5, 23, "const:0.1", "paper"),
+    (selfsimilar_family(q=0.7, c=1.0, a1=1.0), 18, "pulse:0.2,0.4,0.5", "conjugate"),
+    (harmonic_family(1.3), 12, "const:0.15", "conjugate"),
+    (morse_family(6.5), 4, "const:0.05", "paper"),
+])
+def test_vector_rhs_matches_dense_matrices_bitwise(family, n, drive, sign):
+    tab = energy_levels(family, n)
+    drive = DriveProfile.parse(drive)
+    ev = evolve_forced(tab, drive, t_max=1.0, dt=0.002, sign_convention=sign)
+    traj, norms = dense_rk4(tab, drive, 1.0, 0.002, sign)
+    closed = ev.closed_trajectory
+    overlaps = np.abs(np.einsum("ij,ij->i", traj.conj(), closed)) / \
+        (np.linalg.norm(traj, axis=1) * np.linalg.norm(closed, axis=1))
+    assert np.array_equal(ev.trajectory, traj)
+    assert np.array_equal(ev.norms, norms)
+    assert np.array_equal(ev.overlaps, overlaps)

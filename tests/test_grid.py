@@ -78,6 +78,14 @@ def test_dilate_gaussian_closed_form():
     expected = np.sqrt(2.0) * np.exp(-2.0 * g.x ** 2)
     assert np.max(np.abs(out.amplitudes - expected)) < 1e-8
     assert abs(out.norm() - psi.norm()) <= 1e-8
+    # complex, off-centre packets at the contractions and stretches of the
+    # dilation identities (s = sqrt(q) and 1/sqrt(q))
+    for s in (np.sqrt(0.3), np.sqrt(0.5), 1 / np.sqrt(0.5), 1 / np.sqrt(0.9)):
+        for x0, sigma, k in ((0.7, 1.1, 1.5), (-1.3, 0.8, -2.0)):
+            def packet(x):
+                return np.exp(-((x - x0) ** 2) / (2 * sigma ** 2) + 1j * k * x)
+            out = dilate(WaveFunctionGrid(g, packet(g.x)), s)
+            assert np.max(np.abs(out.amplitudes - np.sqrt(s) * packet(s * g.x))) < 1e-11
 
 
 @pytest.mark.parametrize("s", [0.5, 0.8, 1.3, 2.0])
