@@ -23,6 +23,7 @@ Direct integration uses a fixed-step classical Runge-Kutta scheme; norm
 drift over the run certifies effective unitarity.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -58,13 +59,18 @@ class DriveProfile:
     def __post_init__(self):
         if self.kind not in ("const", "pulse"):
             raise ValueError(f"unknown drive kind {self.kind!r}")
+        for name in ("f0", "t0", "sigma"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"drive {name} = {getattr(self, name)} is not finite")
         if self.kind == "pulse" and self.sigma <= 0:
             raise ValueError("pulse needs sigma > 0")
 
-    def __call__(self, t: float) -> float:
+    def __call__(self, t):
+        """f at a time or, elementwise, at an array of times."""
         if self.kind == "const":
-            return self.f0
-        return self.f0 * np.exp(-((t - self.t0) ** 2) / (2 * self.sigma ** 2))
+            return np.full(np.shape(t), self.f0)[()]
+        # float_power rounds like the scalar ** 2; numpy's array ** can differ in the last bit
+        return self.f0 * np.exp(-np.float_power(t - self.t0, 2.0) / (2 * self.sigma ** 2))
 
     def integral(self, t: float) -> float:
         """F(t) = int_0^t f dt', exactly."""
@@ -130,11 +136,17 @@ def evolve_forced(levels: SpectrumTable, drive: DriveProfile, t_max: float,
     """Integrate the driven evolution and compare with the closed form.
 
     The truncation is taken from the spectrum table; the run aborts if the
-    top-level population ever exceeds TOP_BUDGET. The stability budget
-    dt * max(E_n) <= 0.1 is enforced up front.
+    top-level population ever exceeds TOP_BUDGET. dt must be finite and
+    positive, t_max finite and non-negative, and the stability budget
+    dt * (E_max + 2 |f0| sqrt(E_max)) <= 0.1, a bound on dt * max|h(t)|, is
+    enforced up front.
     """
     if sign_convention not in ("paper", "conjugate"):
         raise ValueError("sign_convention must be 'paper' or 'conjugate'")
+    if not (math.isfinite(dt) and dt > 0):
+        raise ValueError(f"dt = {dt} must be finite and positive")
+    if not (math.isfinite(t_max) and t_max >= 0):
+        raise ValueError(f"t_max = {t_max} must be finite and non-negative")
     sign = +1.0 if sign_convention == "paper" else -1.0
     lm = LadderMatrices(levels, levels.n_max + 1)
     N = lm.dimension
@@ -145,18 +157,32 @@ def evolve_forced(levels: SpectrumTable, drive: DriveProfile, t_max: float,
             f"dt = {dt} exceeds the stability budget 0.1 / max|h| ~ {0.1 / emax:.2e}")
     n_steps = int(round(t_max / dt))
     t_grid = np.linspace(0.0, n_steps * dt, n_steps + 1)
-
-    # H = diag(E), and B+ / B- shift by one level with weights sqrt(E_n)
-    sqrt_e = np.diag(lm.b_plus, -1)
     R1 = float(levels.levels[1]) if levels.n_max >= 1 else 0.0
 
-    def rhs(t, y):
-        ph = np.exp(1j * sign * R1 * t)
-        bp_y = np.zeros_like(y)
-        bp_y[1:] = sqrt_e * y[:-1]
-        bm_y = np.zeros_like(y)
-        bm_y[:-1] = sqrt_e * y[1:]
-        return -1j * (E * y + drive(t) * (ph * bp_y + np.conj(ph) * bm_y))
+    # Everything that depends on time alone, evaluated once per run at the
+    # stage times t, t + dt/2 and t + dt of every step: the phase
+    # e^{i s R1 t}, its conjugate and f(t)
+    t_step = t_grid[:-1, None]
+    t_stage = np.hstack((t_step, t_step + dt / 2, t_step + dt))
+    phase = np.exp(1j * sign * R1 * t_stage)
+    phase_conj = np.conj(phase)
+    f_stage = drive(t_stage)
+
+    # H = diag(E), and B+ / B- shift by one level with weights sqrt(E_n),
+    # written into zero-bordered buffers. Real and constant operands are held
+    # as the complex arrays numpy casts them to, so the products are the same
+    # but no stage pays the cast.
+    E_c = E.astype(complex)
+    sqrt_e = np.diag(lm.b_plus, -1).astype(complex)
+    minus_i, dt_c, two, six = (np.array(v, dtype=complex) for v in (-1j, dt, 2, 6))
+    bp_y = np.zeros(N, dtype=complex)
+    bm_y = np.zeros(N, dtype=complex)
+    bp_in, bm_in = bp_y[1:], bm_y[:-1]
+
+    def rhs(y, ph, ph_conj, f):
+        np.multiply(sqrt_e, y[:-1], out=bp_in)
+        np.multiply(sqrt_e, y[1:], out=bm_in)
+        return minus_i * (E_c * y + f * (ph * bp_y + ph_conj * bm_y))
 
     psi = np.zeros(N, dtype=complex)
     psi[0] = 1.0
@@ -168,21 +194,24 @@ def evolve_forced(levels: SpectrumTable, drive: DriveProfile, t_max: float,
     e0 = psi.copy()
     coupling = lm.b_plus + lm.b_minus
     for i in range(n_steps):
-        t = t_grid[i]
-        k1 = rhs(t, psi)
-        k2 = rhs(t + dt / 2, psi + dt * k1 / 2)
-        k3 = rhs(t + dt / 2, psi + dt * k2 / 2)
-        k4 = rhs(t + dt, psi + dt * k3)
-        psi = psi + dt * (k1 + 2 * k2 + 2 * k3 + k4) / 6
+        ph, ph_conj, f = phase[i], phase_conj[i], f_stage[i]
+        k1 = rhs(psi, ph[0], ph_conj[0], f[0])
+        k2 = rhs(psi + dt_c * k1 / two, ph[1], ph_conj[1], f[1])
+        k3 = rhs(psi + dt_c * k2 / two, ph[1], ph_conj[1], f[1])
+        k4 = rhs(psi + dt_c * k3, ph[2], ph_conj[2], f[2])
+        psi = psi + dt_c * (k1 + two * k2 + two * k3 + k4) / six
         traj[i + 1] = psi
         norms[i + 1] = np.linalg.norm(psi)
         if abs(psi[-1]) ** 2 > TOP_BUDGET:
             raise TruncationOverflowError(
                 f"top-level population {abs(psi[-1])**2:.2e} exceeds the budget "
                 f"{TOP_BUDGET:.0e} at t = {t_grid[i + 1]:.3f}")
+    # closed form: exp(-i E t) for all t at once, then one expm per time point
+    np.multiply(-1j * E, t_grid[:, None], out=closed)
+    np.exp(closed, out=closed)
     for i, t in enumerate(t_grid):
         u_i = expm(-1j * drive.integral(t) * coupling)
-        closed[i] = np.exp(-1j * E * t) * (u_i @ e0)
+        closed[i] *= u_i @ e0
     overlaps = np.abs(np.einsum("ij,ij->i", traj.conj(), closed)) / \
         (np.linalg.norm(traj, axis=1) * np.linalg.norm(closed, axis=1))
     return ForcedEvolution(drive=drive, R1=R1, sign_convention=sign_convention,

@@ -216,6 +216,24 @@ def test_evolve_command(tmp_path):
     assert header[0] == "t" and "norm" in header and "overlap_closed" in header
 
 
+
+@pytest.mark.parametrize("flags, named", [
+    (["--dt", "0"], "dt = 0.0"),
+    (["--dt", "-0.002"], "dt = -0.002"),
+    (["--t-max", "-1"], "t_max = -1.0"),
+    (["--t-max", "inf"], "t_max = inf"),
+    (["--dt", "nan"], "dt = nan"),
+    (["--drive", "const:nan"], "f0 = nan"),
+    (["--drive", "pulse:0.1,-inf,1"], "t0 = -inf"),
+    (["--drive", "pulse:0.1,2,inf"], "sigma = inf"),
+])
+def test_evolve_step_or_drive_it_cannot_run_exits_1(tmp_path, capsys, flags, named):
+    code = run_command(["evolve", "--q", "1.0", "--levels", "3", *flags,
+                        "--out", str(tmp_path / "evo.csv")])
+    assert code == 1
+    assert named in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
 def test_rerun_is_bitwise_identical(tmp_path):
     args = ["coeffs", "--q", "0.5", "--c0", "1", "--order", "30"]
     out1 = tmp_path / "r1.csv"

@@ -3,13 +3,22 @@
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.linalg import expm
 
 from siqm import (DriveProfile, LadderMatrices, StepInstabilityError,
                   TruncationOverflowError, energy_levels, evolve_forced,
                   harmonic_family, morse_family, selfsimilar_family)
+from siqm.dynamics import TOP_BUDGET
 
 Q1 = selfsimilar_family(q=1.0, c=1.0, a1=1.0)
 Q5 = selfsimilar_family(q=0.5, c=1.0, a1=1.0)
+
+
+def bitwise_equal(a, b):
+    """Equal bit patterns, so -0.0 and 0.0 differ as they do in the CSV."""
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and \
+        np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
 def test_drive_parse_and_integral():
@@ -81,8 +90,40 @@ def test_step_instability_guard():
 
 def test_truncation_overflow_guard():
     tab = energy_levels(Q1, 5)
-    with pytest.raises(TruncationOverflowError):
-        evolve_forced(tab, DriveProfile("const", 0.8), t_max=5.0, dt=0.002)
+    drive = DriveProfile("const", 0.8)
+    # the guard fires at the first step whose top population exceeds the budget
+    traj, _ = dense_rk4(tab, drive, 5.0, 0.002, "conjugate")
+    first = next(i for i, psi in enumerate(traj) if abs(psi[-1]) ** 2 > TOP_BUDGET)
+    t_fire = np.linspace(0.0, 5.0, 2501)[first]
+    with pytest.raises(TruncationOverflowError, match=rf"at t = {t_fire:.3f}$"):
+        evolve_forced(tab, drive, t_max=5.0, dt=0.002)
+
+
+def test_zero_horizon_is_the_initial_state():
+    tab = energy_levels(Q5, 4)
+    ev = evolve_forced(tab, DriveProfile.parse("pulse:0.2,1.0,0.5"), t_max=0.0, dt=0.002)
+    assert ev.t_grid.tolist() == [0.0]
+    assert ev.trajectory.tolist() == [[1, 0, 0, 0, 0]]
+    assert ev.final_overlap == 1.0
+
+
+@pytest.mark.parametrize("spec", ["const:0.1", "const:-0.0", "pulse:0.25,0.5,0.3",
+                                  "pulse:-0.2,2.7,1.1"])
+def test_drive_on_stage_times_equals_scalar_calls(spec):
+    drive = DriveProfile.parse(spec)
+    t = np.linspace(0.0, 5.0, 2501)[:-1, None]
+    t_stage = np.hstack((t, t + 0.002 / 2, t + 0.002))
+    f = drive(t_stage)
+    if drive.kind == "const":
+        scalar = [[drive.f0] * 3 for _ in t]
+    else:  # the per-stage expression evolve_forced evaluated before precomputing
+        scalar = [[drive.f0 * np.exp(-((s - drive.t0) ** 2) / (2 * drive.sigma ** 2))
+                   for s in row] for row in t_stage]
+    assert bitwise_equal(f, np.array(scalar))
+    assert bitwise_equal(f, np.array([[drive(s) for s in row] for row in t_stage]))
+    phase = np.exp(1j * -1.0 * 1.3 * t_stage)
+    assert bitwise_equal(phase, np.array([[np.exp(1j * -1.0 * 1.3 * s) for s in row]
+                                          for row in t_stage]))
 
 
 def convergence_certificate(levels, drive, t_max, dt):
@@ -126,6 +167,31 @@ def dense_rk4(levels, drive, t_max, dt, sign_convention):
     return np.array(traj), np.array([np.linalg.norm(p) for p in traj])
 
 
+def closed_form(levels, drive, t_grid):
+    """exp(-i E t) exp(-i F(t) (B+ + B-)) e_0, one time point at a time."""
+    lm = LadderMatrices(levels, levels.n_max + 1)
+    E = np.diag(lm.h_matrix)
+    coupling = lm.b_plus + lm.b_minus
+    e0 = np.zeros(lm.dimension, dtype=complex)
+    e0[0] = 1.0
+    return np.array([np.exp(-1j * E * t) * (expm(-1j * drive.integral(t) * coupling) @ e0)
+                     for t in t_grid])
+
+
+def assert_matches_dense_bitwise(family, n, drive, sign, t_max):
+    tab = energy_levels(family, n)
+    drive = DriveProfile.parse(drive)
+    ev = evolve_forced(tab, drive, t_max=t_max, dt=0.002, sign_convention=sign)
+    traj, norms = dense_rk4(tab, drive, t_max, 0.002, sign)
+    closed = closed_form(tab, drive, ev.t_grid)
+    overlaps = np.abs(np.einsum("ij,ij->i", traj.conj(), closed)) / \
+        (np.linalg.norm(traj, axis=1) * np.linalg.norm(closed, axis=1))
+    assert bitwise_equal(ev.trajectory, traj)
+    assert bitwise_equal(ev.norms, norms)
+    assert bitwise_equal(ev.closed_trajectory, closed)
+    assert bitwise_equal(ev.overlaps, overlaps)
+
+
 @pytest.mark.parametrize("family, n, drive, sign", [
     (Q1, 23, "const:0.1", "conjugate"),
     (Q1, 20, "pulse:0.25,0.5,0.3", "paper"),
@@ -133,15 +199,13 @@ def dense_rk4(levels, drive, t_max, dt, sign_convention):
     (selfsimilar_family(q=0.7, c=1.0, a1=1.0), 18, "pulse:0.2,0.4,0.5", "conjugate"),
     (harmonic_family(1.3), 12, "const:0.15", "conjugate"),
     (morse_family(6.5), 4, "const:0.05", "paper"),
+    (harmonic_family(1.3), 6, "const:0", "paper"),     # the closed form holds -0.0
 ])
 def test_vector_rhs_matches_dense_matrices_bitwise(family, n, drive, sign):
-    tab = energy_levels(family, n)
-    drive = DriveProfile.parse(drive)
-    ev = evolve_forced(tab, drive, t_max=1.0, dt=0.002, sign_convention=sign)
-    traj, norms = dense_rk4(tab, drive, 1.0, 0.002, sign)
-    closed = ev.closed_trajectory
-    overlaps = np.abs(np.einsum("ij,ij->i", traj.conj(), closed)) / \
-        (np.linalg.norm(traj, axis=1) * np.linalg.norm(closed, axis=1))
-    assert np.array_equal(ev.trajectory, traj)
-    assert np.array_equal(ev.norms, norms)
-    assert np.array_equal(ev.overlaps, overlaps)
+    assert_matches_dense_bitwise(family, n, drive, sign, t_max=1.0)
+
+
+def test_full_length_pulse_run_matches_dense_matrices_bitwise():
+    # t_max = 5.0 is the CLI default, so every stage time of an evolve job is covered
+    assert_matches_dense_bitwise(selfsimilar_family(q=0.8, c=1.0, a1=1.0), 23,
+                                 "pulse:0.2,2.5,0.8", "conjugate", t_max=5.0)
