@@ -10,8 +10,7 @@ closed form is only approximate, and the final state is measurably not an
 eigenstate of the lowering operator, however the eigenvalue is fitted.
 """
 
-from siqm import (DriveProfile, LadderMatrices, energy_levels, evolve_forced,
-                  selfsimilar_family)
+from siqm import DriveProfile, energy_levels, evolve_forced, selfsimilar_family
 
 drive = DriveProfile.parse("const:0.1")
 
@@ -24,9 +23,8 @@ for sign in ("conjugate", "paper"):
 print("the conjugate convention realizes the interaction-picture cancellation;")
 print("the phases as printed leave an e^{2 i R1 t} modulation behind")
 
-ladder1 = LadderMatrices(tab1, 24)
 ev1 = evolve_forced(tab1, drive, t_max=5.0, dt=0.002)
-z1, ov1 = ev1.best_fit_coherent(tab1, ladder1)
+z1, ov1 = ev1.best_fit_coherent(tab1)
 print(f"  end state vs best-fit coherent state: overlap {ov1:.10f} "
       f"at z = {z1:.4f}")
 
@@ -34,8 +32,7 @@ print()
 print("=== q = 0.5: the deformed algebra breaks both statements ===")
 tab5 = energy_levels(selfsimilar_family(0.5, 1.0, 1.0), 23)
 ev5 = evolve_forced(tab5, drive, t_max=5.0, dt=0.002)
-ladder5 = LadderMatrices(tab5, 24)
-z5, ov5 = ev5.best_fit_coherent(tab5, ladder5)
+z5, ov5 = ev5.best_fit_coherent(tab5)
 print(f"  final overlap with the (now approximate) closed form: "
       f"{ev5.final_overlap:.6f}")
 print(f"  end state vs best-fit coherent state: overlap {ov5:.3e} "

@@ -43,7 +43,7 @@ from .dynamics import DriveProfile, evolve_forced
 from .families import (DEFAULT_FAMILY, FAMILIES, family_from_config,
                        shape_invariance_residual, suggested_grid)
 from .grid import Grid, build_grid
-from .ladder_matrices import MATRIX_TOL, LadderMatrices, matrix_identities
+from .ladder_matrices import MATRIX_TOL, matrix_identities
 from .lattice import (applicable_relations, commutator_residual,
                       dilation_identity_residual)
 from .series import SelfSimilarW, series_coefficients
@@ -347,7 +347,7 @@ def _cmd_evolve(params: dict, outputs: list) -> tuple[dict, int]:
     table = energy_levels(fam, N)
     ev = evolve_forced(table, drive, params["t_max"], params["dt"],
                        sign_convention=params["phase_sign"])
-    z_fit, coh_overlap = ev.best_fit_coherent(table, LadderMatrices(table, N + 1))
+    z_fit, coh_overlap = ev.best_fit_coherent(table)
     header = ["t"] + [f"{part}_c_{n}" for n in range(ev.trajectory.shape[1])
                       for part in ("re", "im")] + ["norm", "overlap_closed"]
     _write_columns(params.get("out"), outputs, header,

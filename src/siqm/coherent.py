@@ -54,7 +54,7 @@ class CoherentState:
     z: complex
     N: int
     coefficients: np.ndarray = field(repr=False)
-    levels: SpectrumTable | None = None
+    levels: SpectrumTable
 
     def partial_norm(self) -> float:
         return float(np.linalg.norm(self.coefficients))
@@ -65,20 +65,15 @@ class CoherentState:
 
 
 def coherent_recursive(levels: SpectrumTable, z: complex, N: int) -> CoherentState:
-    """Coefficients h_n = z^n / N_n from the level-difference products."""
+    """Coefficients h_n = z^n / N_n; the table must reach level N - 1."""
     if N < 1:
         raise ValueError("need N >= 1")
-    if levels.n_max < N - 1:
-        levels = energy_levels(levels.family, N - 1)
-    E = levels.levels
-    diffs = E[None, :N] - E[:N, None]  # diffs[j, n] = E_n - E_j
+    levels.upto(N - 1)
     for n in range(1, N):
-        if np.any(diffs[:n, n] <= 0):
+        if np.any(levels.gaps(n) <= 0):
             raise DegenerateLevelsError(f"level {n} is not above all lower levels")
-    coeff = np.empty(N, dtype=complex)
-    coeff[0] = 1.0
-    for n in range(1, N):
-        coeff[n] = z ** n / normalization_factor(levels, n)
+    coeff = np.array([1.0] + [z ** n / normalization_factor(levels, n) for n in range(1, N)],
+                     dtype=complex)
     return CoherentState(z=complex(z), N=N, coefficients=coeff, levels=levels)
 
 
@@ -114,8 +109,6 @@ def coherent_property_residuals(state: CoherentState) -> tuple[float, float]:
     to the z-derivative of |z>, obtained by a central difference with step
     1e-5, minus |z> itself.
     """
-    if state.levels is None:
-        raise ValueError("state carries no spectrum table")
     N = state.N
     beta = lowering_weights(state.levels, N)
     h = state.coefficients

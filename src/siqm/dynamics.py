@@ -31,7 +31,6 @@ from scipy.linalg import expm
 from scipy.special import erf
 
 from .coherent import coherent_recursive
-from .ladder_matrices import LadderMatrices
 from .spectra import SpectrumTable
 
 
@@ -45,6 +44,8 @@ class StepInstabilityError(ValueError):
 
 # Largest top-level population a run may reach before the truncation is unsound.
 TOP_BUDGET = 1e-6
+# Most RK4 steps a run may take: 400 default runs, ~1.3 GB of arrays at 24 levels.
+MAX_STEPS = 10**6
 
 
 @dataclass(frozen=True)
@@ -84,12 +85,14 @@ class DriveProfile:
     def parse(cls, text: str) -> "DriveProfile":
         """Parse 'const:<f0>' or 'pulse:<f0>,<t0>,<sigma>'."""
         kind, _, rest = text.partition(":")
-        if kind == "const":
-            return cls("const", f0=float(rest))
-        if kind == "pulse":
-            f0, t0, sigma = (float(v) for v in rest.split(","))
-            return cls("pulse", f0=f0, t0=t0, sigma=sigma)
-        raise ValueError(f"unknown drive spec {text!r}")
+        try:
+            values = [float(v) for v in rest.split(",")]
+        except ValueError:
+            values = []
+        if len(values) != {"const": 1, "pulse": 3}.get(kind):
+            raise ValueError(f"drive spec {text!r} is not const:<f0> "
+                             "or pulse:<f0>,<t0>,<sigma>")
+        return cls(kind, *values)
 
 
 @dataclass
@@ -97,10 +100,8 @@ class ForcedEvolution:
     """Direct and closed-form trajectories from the ground state."""
 
     drive: DriveProfile
-    R1: float
     sign_convention: str
     t_grid: np.ndarray
-    dt: float
     trajectory: np.ndarray = field(repr=False)          # (n_times, N) direct
     closed_trajectory: np.ndarray = field(repr=False)   # (n_times, N)
     norms: np.ndarray = field(repr=False)
@@ -114,16 +115,17 @@ class ForcedEvolution:
     def final_overlap(self) -> float:
         return float(self.overlaps[-1])
 
-    def best_fit_coherent(self, levels: SpectrumTable,
-                          ladder: LadderMatrices) -> tuple[complex, float]:
+    def best_fit_coherent(self, levels: SpectrumTable) -> tuple[complex, float]:
         """Moment-matched z and the final-state overlap with that |z>.
 
         z is the expectation of the plain lowering matrix in the final
         state; the comparison coherent state is truncated at the same N and
-        normalized on that window.
+        normalized on that window. The table must reach level N - 1.
         """
         psi = self.trajectory[-1]
-        z = complex(np.vdot(psi, ladder.b_minus @ psi) / np.vdot(psi, psi))
+        # B- psi: the sqrt(E) shift down by one level, as in the RK4 rhs
+        lowered = np.append(levels.raising_weights(len(psi) - 1) * psi[1:], 0)
+        z = complex(np.vdot(psi, lowered) / np.vdot(psi, psi))
         if z == 0:
             return z, float(abs(psi[0]) / np.linalg.norm(psi))
         coh = coherent_recursive(levels, z, len(psi)).normalized_copy()
@@ -135,11 +137,11 @@ def evolve_forced(levels: SpectrumTable, drive: DriveProfile, t_max: float,
                   dt: float, sign_convention: str = "conjugate") -> ForcedEvolution:
     """Integrate the driven evolution and compare with the closed form.
 
-    The truncation is taken from the spectrum table; the run aborts if the
-    top-level population ever exceeds TOP_BUDGET. dt must be finite and
-    positive, t_max finite and non-negative, and the stability budget
-    dt * (E_max + 2 |f0| sqrt(E_max)) <= 0.1, a bound on dt * max|h(t)|, is
-    enforced up front.
+    The truncation is the whole spectrum table, at least three levels; the
+    run aborts if the top-level population ever exceeds TOP_BUDGET. dt must
+    be finite and positive, t_max finite and non-negative, round(t_max / dt)
+    at most MAX_STEPS, and the stability budget dt * (E_max + 2 |f0| sqrt(E_max))
+    <= 0.1, a bound on dt * max|h(t)|, is enforced up front.
     """
     if sign_convention not in ("paper", "conjugate"):
         raise ValueError("sign_convention must be 'paper' or 'conjugate'")
@@ -148,16 +150,22 @@ def evolve_forced(levels: SpectrumTable, drive: DriveProfile, t_max: float,
     if not (math.isfinite(t_max) and t_max >= 0):
         raise ValueError(f"t_max = {t_max} must be finite and non-negative")
     sign = +1.0 if sign_convention == "paper" else -1.0
-    lm = LadderMatrices(levels, levels.n_max + 1)
-    N = lm.dimension
-    E = np.diag(lm.h_matrix)
+    N = levels.n_max + 1
+    if N < 3:
+        raise ValueError("need dimension >= 3")
+    E = levels.levels
+    weights = levels.raising_weights(N - 1)
     emax = float(np.max(E)) + 2.0 * abs(drive.f0) * float(np.sqrt(np.max(E)))
     if dt * emax > 0.1:
         raise StepInstabilityError(
             f"dt = {dt} exceeds the stability budget 0.1 / max|h| ~ {0.1 / emax:.2e}")
-    n_steps = int(round(t_max / dt))
+    steps = t_max / dt  # inf for a dt far below t_max
+    if steps > MAX_STEPS + 0.5:  # round(steps) > MAX_STEPS
+        raise ValueError(f"t_max = {t_max} at dt = {dt} takes {steps:.7g} steps, "
+                         f"more than MAX_STEPS = {MAX_STEPS}")
+    n_steps = int(round(steps))
     t_grid = np.linspace(0.0, n_steps * dt, n_steps + 1)
-    R1 = float(levels.levels[1]) if levels.n_max >= 1 else 0.0
+    R1 = float(E[1])
 
     # Everything that depends on time alone, evaluated once per run at the
     # stage times t, t + dt/2 and t + dt of every step: the phase
@@ -173,7 +181,7 @@ def evolve_forced(levels: SpectrumTable, drive: DriveProfile, t_max: float,
     # as the complex arrays numpy casts them to, so the products are the same
     # but no stage pays the cast.
     E_c = E.astype(complex)
-    sqrt_e = np.diag(lm.b_plus, -1).astype(complex)
+    sqrt_e = weights.astype(complex)
     minus_i, dt_c, two, six = (np.array(v, dtype=complex) for v in (-1j, dt, 2, 6))
     bp_y = np.zeros(N, dtype=complex)
     bm_y = np.zeros(N, dtype=complex)
@@ -192,7 +200,7 @@ def evolve_forced(levels: SpectrumTable, drive: DriveProfile, t_max: float,
     traj[0] = psi
     norms[0] = 1.0
     e0 = psi.copy()
-    coupling = lm.b_plus + lm.b_minus
+    coupling = np.diag(weights, -1) + np.diag(weights, 1)
     for i in range(n_steps):
         ph, ph_conj, f = phase[i], phase_conj[i], f_stage[i]
         k1 = rhs(psi, ph[0], ph_conj[0], f[0])
@@ -214,7 +222,6 @@ def evolve_forced(levels: SpectrumTable, drive: DriveProfile, t_max: float,
         closed[i] *= u_i @ e0
     overlaps = np.abs(np.einsum("ij,ij->i", traj.conj(), closed)) / \
         (np.linalg.norm(traj, axis=1) * np.linalg.norm(closed, axis=1))
-    return ForcedEvolution(drive=drive, R1=R1, sign_convention=sign_convention,
-                           t_grid=t_grid, dt=dt, trajectory=traj,
-                           closed_trajectory=closed, norms=norms,
+    return ForcedEvolution(drive=drive, sign_convention=sign_convention, t_grid=t_grid,
+                           trajectory=traj, closed_trajectory=closed, norms=norms,
                            overlaps=overlaps)

@@ -251,7 +251,7 @@ def suggested_grid(family: PotentialFamily, spacing: float = 0.01) -> Grid:
     The box is a fixed default and is not sized for the requested levels:
     at q = 0.5, c = a1 = 1 the scaling box [-40, 40] holds levels up to
     n = 5, while level 6 keeps weight 4.7e-4 at its edge and the raising
-    recursion warns (BoundaryDecayWarning). ROADMAP open item 4 sizes the
+    recursion warns (BoundaryDecayWarning). ROADMAP open item 3 sizes the
     box from the physics instead.
     """
     lo, hi = family.box

@@ -8,14 +8,15 @@ right inverse of B-, and Q = B- H^{-1/2}, Q_dag = H^{-1/2} B+ satisfy
 Q Q_dag = 1 while Q_dag Q = 1 - |0><0|.
 
 Products are evaluated with two levels of internal padding so that the
-reported N x N blocks are free of truncation-edge artifacts.
+reported N x N blocks are free of truncation-edge artifacts; the table must
+therefore reach level N + 1.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .spectra import SpectrumTable, energy_levels
+from .spectra import SpectrumTable
 
 
 class SingularSpectrumError(ValueError):
@@ -29,7 +30,8 @@ MATRIX_TOL = 1e-12
 
 @dataclass
 class LadderMatrices:
-    """Dense N x N ladder operators built from a spectrum table."""
+    """Dense N x N ladder operators: the leading blocks of the padded
+    (N + 2) x (N + 2) workspace that matrix_identities multiplies."""
 
     levels: SpectrumTable
     dimension: int
@@ -41,30 +43,18 @@ class LadderMatrices:
         N = self.dimension
         if N < 3:
             raise ValueError("need dimension >= 3")
-        E = self._padded_energies()
+        top = N + _PAD - 1
+        E = self.levels.upto(top)
         if np.any(E[1:] <= 0):
             raise SingularSpectrumError("levels above the ground state must be positive")
-        self._E = E
-        self.b_plus = np.diag(np.sqrt(E[1:N]), -1)
-        self.b_minus = self.b_plus.conj().T
-        self.h_matrix = np.diag(E[:N])
-
-    def _padded_energies(self) -> np.ndarray:
-        M = self.dimension + _PAD
-        if self.levels.n_max + 1 >= M:
-            return self.levels.levels[:M].astype(float)
-        return energy_levels(self.levels.family, M - 1).levels
-
-    # padded workspace operators, used so N x N blocks avoid edge effects
-
-    def _padded(self):
-        M = self.dimension + _PAD
-        E = self._E[:M]
-        bp = np.diag(np.sqrt(E[1:]), -1)
+        bp = np.diag(self.levels.raising_weights(top), -1)
         bm = bp.conj().T
         hinv = np.diag(np.concatenate([[0.0], 1.0 / E[1:]]))
-        hinv_sqrt = np.sqrt(hinv)
-        return bp, bm, hinv, hinv_sqrt
+        # (B+, B-, H^{-1}, H^{-1/2}) on the padded workspace
+        self._workspace = bp, bm, hinv, np.sqrt(hinv)
+        self.b_plus = bp[:N, :N]
+        self.b_minus = bm[:N, :N]
+        self.h_matrix = np.diag(E)[:N, :N]
 
 
 def matrix_identities(levels: SpectrumTable, N: int) -> dict:
@@ -76,7 +66,7 @@ def matrix_identities(levels: SpectrumTable, N: int) -> dict:
     components 0 .. N-2, and unit norms of (Q_dag)^n |0>.
     """
     lm = LadderMatrices(levels, N)
-    bp, bm, hinv, hs = lm._padded()
+    bp, bm, hinv, hs = lm._workspace
     eye = np.eye(N + _PAD)
     report = {}
 
@@ -88,17 +78,14 @@ def matrix_identities(levels: SpectrumTable, N: int) -> dict:
     qd = hs @ bp
     report["qqdag-identity"] = entry(np.max(np.abs((q @ qd)[:N, :N] - np.eye(N))))
 
-    proj0 = np.zeros((N, N))
-    proj0[0, 0] = 1.0
+    proj0 = np.diag(eye[0, :N])
     report["qdagq-ground-projector"] = entry(
         np.max(np.abs((qd @ q)[:N, :N] - np.eye(N) + proj0)))
 
     binv = hinv @ bp
     report["right-inverse"] = entry(np.max(np.abs((bm @ binv - eye)[:N - 1, :N - 1])))
 
-    e0 = np.zeros(N + _PAD)
-    e0[0] = 1.0
-    vec = e0
+    vec = eye[0]
     dev = 0.0
     for _ in range(min(N - 1, 6)):
         vec = qd @ vec

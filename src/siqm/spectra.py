@@ -37,11 +37,26 @@ class EigensolverError(RuntimeError):
 
 @dataclass(frozen=True)
 class SpectrumTable:
-    """Energies E_0 ... E_{n_max} measured from E_0 = 0."""
+    """Energies E_0 ... E_{n_max} measured from E_0 = 0: the one source of
+    levels, raising weights and level gaps on the energy basis."""
 
     levels: np.ndarray
-    family: PotentialFamily
     n_max: int
+
+    def upto(self, n: int) -> np.ndarray:
+        """E_0 .. E_n; a shorter table is refused, never extended."""
+        if self.n_max < n:
+            raise ValueError(f"need a spectrum table with n_max >= {n}, "
+                             f"got n_max = {self.n_max}")
+        return self.levels[:n + 1]
+
+    def raising_weights(self, n: int) -> np.ndarray:
+        """sqrt(E_1) .. sqrt(E_n): B+ |k-1> = sqrt(E_k) |k>, and B- the reverse."""
+        return np.sqrt(self.upto(n)[1:])
+
+    def gaps(self, n: int) -> np.ndarray:
+        """E_n - E_j for j = 0 .. n-1, the factors of the normalization product."""
+        return self.levels[n] - self.levels[:n]
 
 
 def energy_levels(family: PotentialFamily, n_max: int) -> SpectrumTable:
@@ -67,23 +82,20 @@ def energy_levels(family: PotentialFamily, n_max: int) -> SpectrumTable:
     closed = family.closed_levels(n_max)
     if not np.allclose(levels, closed, rtol=0, atol=1e-12 * max(1.0, closed[-1])):
         raise AssertionError("partial sums disagree with the closed form")
-    return SpectrumTable(levels=levels, family=family, n_max=n_max)
+    return SpectrumTable(levels=levels, n_max=n_max)
 
 
 def normalization_factor(levels: SpectrumTable, n: int) -> float:
     """sqrt(E_n (E_n - E_{n-1}) ... (E_n - E_1)); the empty product (n = 0) is 1."""
     if not 0 <= n <= levels.n_max:
         raise ValueError(f"n = {n} outside the table (n_max = {levels.n_max})")
-    if n == 0:
-        return 1.0
-    E = levels.levels
-    return float(np.sqrt(np.prod(E[n] - E[:n])))
+    return float(np.sqrt(np.prod(levels.gaps(n))))
 
 
 def lowering_weights(levels: SpectrumTable, N: int) -> np.ndarray:
     """N_n / N_{n-1} for n = 1 .. N-1: the lowering weights of chain-built states."""
-    return np.array([normalization_factor(levels, n) / normalization_factor(levels, n - 1)
-                     for n in range(1, N)])
+    norms = [normalization_factor(levels, n) for n in range(N)]
+    return np.array([hi / lo for lo, hi in zip(norms, norms[1:])])
 
 
 def _lowpass(psi: WaveFunctionGrid, k_cut: float) -> WaveFunctionGrid:

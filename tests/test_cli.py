@@ -11,6 +11,7 @@ import pytest
 
 import siqm
 from siqm.cli import run_command
+from siqm.dynamics import MAX_STEPS
 
 
 def read_manifest(path):
@@ -226,6 +227,14 @@ def test_evolve_command(tmp_path):
     (["--drive", "const:nan"], "f0 = nan"),
     (["--drive", "pulse:0.1,-inf,1"], "t0 = -inf"),
     (["--drive", "pulse:0.1,2,inf"], "sigma = inf"),
+    (["--dt", "1e-300"], "dt = 1e-300"),
+    (["--dt", "5e-324"], "inf steps"),     # t_max / dt overflows to inf
+    # one step over the cap; the refusal comes before any array is allocated
+    (["--t-max", "1", "--dt", repr(1.0 / (MAX_STEPS + 1))], f"{MAX_STEPS + 1} steps"),
+    (["--drive", "pulse:1,2"], "'pulse:1,2' is not const:<f0> or pulse:<f0>,<t0>,<sigma>"),
+    (["--drive", "pulse:1,2,3,4"], "'pulse:1,2,3,4' is not const:<f0> or pulse:"),
+    (["--drive", "const:"], "'const:' is not const:<f0> or pulse:"),
+    (["--drive", "const:0.1,2"], "'const:0.1,2' is not const:<f0> or pulse:"),
 ])
 def test_evolve_step_or_drive_it_cannot_run_exits_1(tmp_path, capsys, flags, named):
     code = run_command(["evolve", "--q", "1.0", "--levels", "3", *flags,
@@ -233,6 +242,14 @@ def test_evolve_step_or_drive_it_cannot_run_exits_1(tmp_path, capsys, flags, nam
     assert code == 1
     assert named in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
+
+
+def test_morse_evolve_uses_only_bound_levels(tmp_path):
+    # A = 6.5 binds levels 0..6; a dimension-7 run needs no level above them
+    out = tmp_path / "evo.csv"
+    assert run_command(["evolve", "--family", "morse", "--a1", "6.5", "--levels", "6",
+                        "--t-max", "0.1", "--out", str(out)]) == 0
+    assert len(out.read_text().splitlines()) == 52
 
 def test_rerun_is_bitwise_identical(tmp_path):
     args = ["coeffs", "--q", "0.5", "--c0", "1", "--order", "30"]

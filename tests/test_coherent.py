@@ -101,7 +101,13 @@ def test_partial_norms_grow_superfast_for_small_q():
 
 def test_degenerate_levels_rejected():
     tab = energy_levels(Q5, 8)
-    flat = type(tab)(levels=np.concatenate([tab.levels[:3], [tab.levels[2]]]),
-                     family=tab.family, n_max=3)
+    flat = type(tab)(levels=np.concatenate([tab.levels[:3], [tab.levels[2]]]), n_max=3)
     with pytest.raises(DegenerateLevelsError):
         coherent_recursive(flat, 1.0, 4)
+
+
+def test_short_table_refused_not_rebuilt():
+    tab = energy_levels(Q5, 6)
+    assert coherent_recursive(tab, 0.5, 7).N == 7
+    with pytest.raises(ValueError, match="n_max >= 7, got n_max = 6"):
+        coherent_recursive(tab, 0.5, 8)

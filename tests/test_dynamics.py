@@ -6,8 +6,8 @@ from scipy.integrate import quad
 from scipy.linalg import expm
 
 from siqm import (DriveProfile, LadderMatrices, StepInstabilityError,
-                  TruncationOverflowError, energy_levels, evolve_forced,
-                  harmonic_family, morse_family, selfsimilar_family)
+                  TruncationOverflowError, coherent_recursive, energy_levels,
+                  evolve_forced, harmonic_family, morse_family, selfsimilar_family)
 from siqm.dynamics import TOP_BUDGET
 
 Q1 = selfsimilar_family(q=1.0, c=1.0, a1=1.0)
@@ -57,16 +57,14 @@ def test_printed_phases_break_the_cancellation():
 def test_oscillator_endpoint_is_coherent():
     tab = energy_levels(Q1, 23)
     ev = evolve_forced(tab, DriveProfile("const", 0.1), t_max=5.0, dt=0.002)
-    ladder = LadderMatrices(tab, 24)
-    _, overlap = ev.best_fit_coherent(tab, ladder)
+    _, overlap = ev.best_fit_coherent(tab)
     assert overlap >= 1.0 - 1e-8
 
 
 def test_deformed_endpoint_is_not_coherent():
     tab = energy_levels(Q5, 23)
     ev = evolve_forced(tab, DriveProfile("const", 0.1), t_max=5.0, dt=0.002)
-    ladder = LadderMatrices(tab, 24)
-    z_fit, overlap = ev.best_fit_coherent(tab, ladder)
+    z_fit, overlap = ev.best_fit_coherent(tab)
     assert overlap < 0.999
     assert abs(z_fit) > 0
     assert ev.norm_drift <= 1e-8
@@ -141,10 +139,15 @@ def test_integrator_convergence_certificate():
                                    t_max=2.0, dt=0.004) <= 1e-8
 
 
+def dense_matrices(levels):
+    """Dense H, B+ and B- on the whole table, from its E and sqrt(E)."""
+    bp = np.diag(levels.raising_weights(levels.n_max), -1)
+    return np.diag(levels.levels), bp, bp.conj().T
+
+
 def dense_rk4(levels, drive, t_max, dt, sign_convention):
     """Trajectory and norms of the RK4 march with the dense N x N ladder matrices."""
-    lm = LadderMatrices(levels, levels.n_max + 1)
-    bp, bm, h = lm.b_plus, lm.b_minus, lm.h_matrix
+    h, bp, bm = dense_matrices(levels)
     sign = +1.0 if sign_convention == "paper" else -1.0
     R1 = float(levels.levels[1])
 
@@ -154,7 +157,7 @@ def dense_rk4(levels, drive, t_max, dt, sign_convention):
 
     n_steps = int(round(t_max / dt))
     t_grid = np.linspace(0.0, n_steps * dt, n_steps + 1)
-    psi = np.zeros(lm.dimension, dtype=complex)
+    psi = np.zeros(levels.n_max + 1, dtype=complex)
     psi[0] = 1.0
     traj = [psi]
     for t in t_grid[:-1]:
@@ -169,10 +172,10 @@ def dense_rk4(levels, drive, t_max, dt, sign_convention):
 
 def closed_form(levels, drive, t_grid):
     """exp(-i E t) exp(-i F(t) (B+ + B-)) e_0, one time point at a time."""
-    lm = LadderMatrices(levels, levels.n_max + 1)
-    E = np.diag(lm.h_matrix)
-    coupling = lm.b_plus + lm.b_minus
-    e0 = np.zeros(lm.dimension, dtype=complex)
+    _, bp, bm = dense_matrices(levels)
+    E = levels.levels
+    coupling = bp + bm
+    e0 = np.zeros(levels.n_max + 1, dtype=complex)
     e0[0] = 1.0
     return np.array([np.exp(-1j * E * t) * (expm(-1j * drive.integral(t) * coupling) @ e0)
                      for t in t_grid])
@@ -209,3 +212,34 @@ def test_full_length_pulse_run_matches_dense_matrices_bitwise():
     # t_max = 5.0 is the CLI default, so every stage time of an evolve job is covered
     assert_matches_dense_bitwise(selfsimilar_family(q=0.8, c=1.0, a1=1.0), 23,
                                  "pulse:0.2,2.5,0.8", "conjugate", t_max=5.0)
+
+
+@pytest.mark.parametrize("family, drive", [
+    (Q1, "const:0.1"),
+    (selfsimilar_family(q=0.8, c=1.0, a1=1.0), "pulse:0.2,0.4,0.5"),
+    (Q5, "const:0.1"),
+    (harmonic_family(1.3), "const:0.15"),
+    (harmonic_family(1.3), "const:-0.0"),   # psi stays e_0, so z is a signed zero
+])
+def test_best_fit_equals_the_dense_lowering_matrix_bitwise(family, drive):
+    n = 12
+    tab = energy_levels(family, n)
+    ev = evolve_forced(tab, DriveProfile.parse(drive), t_max=1.0, dt=0.002)
+    z, overlap = ev.best_fit_coherent(tab)
+    # the route the fit took before: the dense B- of a table two levels longer
+    psi = ev.trajectory[-1]
+    b_minus = LadderMatrices(energy_levels(family, n + 2), n + 1).b_minus
+    z_ref = complex(np.vdot(psi, b_minus @ psi) / np.vdot(psi, psi))
+    if z_ref == 0:
+        overlap_ref = float(abs(psi[0]) / np.linalg.norm(psi))
+    else:
+        coh = coherent_recursive(tab, z_ref, n + 1).normalized_copy()
+        overlap_ref = float(abs(np.vdot(psi, coh.coefficients)) / np.linalg.norm(psi))
+    assert bitwise_equal(np.array([z.real, z.imag, overlap]),
+                         np.array([z_ref.real, z_ref.imag, overlap_ref]))
+
+
+def test_best_fit_refuses_a_short_table():
+    ev = evolve_forced(energy_levels(Q5, 6), DriveProfile("const", 0.1), t_max=0.1, dt=0.002)
+    with pytest.raises(ValueError, match="n_max >= 6, got n_max = 5"):
+        ev.best_fit_coherent(energy_levels(Q5, 5))

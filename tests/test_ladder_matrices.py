@@ -54,7 +54,13 @@ def test_chain_lowering_weights():
 
 def test_singular_spectrum_rejected():
     tab = energy_levels(Q5, 8)
-    bad = type(tab)(levels=np.concatenate([[0.0, 0.0], tab.levels[2:]]),
-                    family=tab.family, n_max=tab.n_max)
+    bad = type(tab)(levels=np.concatenate([[0.0, 0.0], tab.levels[2:]]), n_max=tab.n_max)
     with pytest.raises(SingularSpectrumError):
         LadderMatrices(bad, 6)
+
+
+def test_short_table_refused_not_rebuilt():
+    # the padded workspace of dimension 6 reaches level 7
+    LadderMatrices(energy_levels(Q5, 7), 6)
+    with pytest.raises(ValueError, match="n_max >= 7, got n_max = 6"):
+        LadderMatrices(energy_levels(Q5, 6), 6)
