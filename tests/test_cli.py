@@ -251,6 +251,7 @@ def test_morse_evolve_uses_only_bound_levels(tmp_path):
                         "--t-max", "0.1", "--out", str(out)]) == 0
     assert len(out.read_text().splitlines()) == 52
 
+
 def test_rerun_is_bitwise_identical(tmp_path):
     args = ["coeffs", "--q", "0.5", "--c0", "1", "--order", "30"]
     out1 = tmp_path / "r1.csv"
