@@ -14,9 +14,9 @@ import numpy as np
 
 from siqm import (coherent_closed_scaling,
                   coherent_property_residuals, coherent_recursive,
-                  energy_levels, selfsimilar_family)
+                  energy_levels, SelfSimilar)
 
-fam = selfsimilar_family(0.5, 1.0, 1.0)
+fam = SelfSimilar(q=0.5, c=1.0, a1=1.0)
 table = energy_levels(fam, 24)
 
 print("=== coefficients at z = 1 (q = 0.5, R1 = 1) ===")

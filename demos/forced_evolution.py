@@ -10,12 +10,12 @@ closed form is only approximate, and the final state is measurably not an
 eigenstate of the lowering operator, however the eigenvalue is fitted.
 """
 
-from siqm import DriveProfile, energy_levels, evolve_forced, selfsimilar_family
+from siqm import DriveProfile, energy_levels, evolve_forced, SelfSimilar
 
 drive = DriveProfile.parse("const:0.1")
 
 print("=== q = 1 (equal spacing): the closed form is exact ===")
-tab1 = energy_levels(selfsimilar_family(1.0, 1.0, 1.0), 23)
+tab1 = energy_levels(SelfSimilar(q=1.0, c=1.0, a1=1.0), 23)
 for sign in ("conjugate", "paper"):
     ev = evolve_forced(tab1, drive, t_max=5.0, dt=0.002, sign_convention=sign)
     print(f"  phase convention {sign:9s}: final overlap with closed form = "
@@ -30,7 +30,7 @@ print(f"  end state vs best-fit coherent state: overlap {ov1:.10f} "
 
 print()
 print("=== q = 0.5: the deformed algebra breaks both statements ===")
-tab5 = energy_levels(selfsimilar_family(0.5, 1.0, 1.0), 23)
+tab5 = energy_levels(SelfSimilar(q=0.5, c=1.0, a1=1.0), 23)
 ev5 = evolve_forced(tab5, drive, t_max=5.0, dt=0.002)
 z5, ov5 = ev5.best_fit_coherent(tab5)
 print(f"  final overlap with the (now approximate) closed form: "
@@ -42,6 +42,6 @@ print(f"  norm drift of the direct integration: {ev5.norm_drift:.1e}")
 print()
 print("=== deviation of the closed form as a function of q ===")
 for q in (1.0, 0.9, 0.7, 0.5, 0.3):
-    tab = energy_levels(selfsimilar_family(q, 1.0, 1.0), 23)
+    tab = energy_levels(SelfSimilar(q=q, c=1.0, a1=1.0), 23)
     ev = evolve_forced(tab, drive, t_max=5.0, dt=0.002)
     print(f"  q = {q:3}: overlap(direct, closed) = {ev.final_overlap:.9f}")

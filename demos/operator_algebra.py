@@ -15,11 +15,11 @@ import warnings
 
 from siqm import (RELATIONS, adjoint_pair_residual, build_grid,
                   commutator_residual, dilation_identity_residual,
-                  energy_levels, matrix_identities, selfsimilar_family)
+                  energy_levels, matrix_identities, SelfSimilar)
 
 warnings.filterwarnings("ignore")
 
-fam = selfsimilar_family(0.5, 1.0, 1.0)
+fam = SelfSimilar(q=0.5, c=1.0, a1=1.0)
 grid = build_grid(-15, 15, 3001)
 
 print("=== lattice relations at q = 0.5 (window K = 12, interior levels) ===")

@@ -17,13 +17,13 @@ import warnings
 import numpy as np
 
 from siqm import (BoundaryDecayWarning, build_grid, energy_levels,
-                  fd_diagonalize, harmonic_family, morse_family,
-                  selfsimilar_family)
+                  fd_diagonalize, Harmonic, Morse,
+                  SelfSimilar)
 
 warnings.filterwarnings("ignore")
 
 print("=== harmonic fixture (lambda = 1): E_n = 2 n ===")
-fam = harmonic_family(1.0)
+fam = Harmonic(a1=1.0)
 e_fd, _ = fd_diagonalize(fam, build_grid(-10, 10, 2001), 5)
 tab = energy_levels(fam, 4)
 for n in range(5):
@@ -31,7 +31,7 @@ for n in range(5):
 
 print()
 print("=== Morse fixture (A = 2.5): E_n = A^2 - (A-n)^2, three bound levels ===")
-fam = morse_family(2.5)
+fam = Morse(a1=2.5)
 e_fd, _ = fd_diagonalize(fam, build_grid(-5, 32, 3701), 3)
 tab = energy_levels(fam, 2)
 for n in range(3):
@@ -52,7 +52,7 @@ print("levels accumulate at E_inf = 2 and live in the 1/x^2 tail, so the")
 print("oracle needs a wide box for n >= 4. Containment rule (acceptance")
 print("criterion 1): double the half-width from 15 until the oracle's wall")
 print("check is silent for all 7 states. Errors |E_fd - E_ladder|, h = 0.01:")
-fam = selfsimilar_family(0.5, 1.0, 1.0)
+fam = SelfSimilar(q=0.5, c=1.0, a1=1.0)
 tab = energy_levels(fam, 6)
 print("  box          n=3        n=4        n=5        n=6     wall check")
 half = 15

@@ -18,8 +18,7 @@ from .series import (SeriesCoefficients, SelfSimilarW, series_coefficients,
                      HorizonExceededError)
 from .families import (ParameterRule, PotentialFamily, Harmonic, Morse,
                        SelfSimilar, FAMILIES, eval_W, ground_state,
-                       shape_invariance_residual, harmonic_family,
-                       morse_family, selfsimilar_family, family_from_config,
+                       shape_invariance_residual, family_from_config,
                        suggested_grid, NonNormalizableError, OutOfDomainError)
 from .spectra import (SpectrumTable, energy_levels, normalization_factor,
                       lowering_weights, eigenstate_with_prenorm,

@@ -329,8 +329,10 @@ def _cmd_coherent(params: dict, outputs: list) -> tuple[dict, int]:
                "partial_norm": state.partial_norm()}
     if fam.q is not None and fam.q < 1.0:
         closed = coherent_closed_scaling(fam.q, fam.c * fam.a1, z, N)
+        # relative where |h_n| > 0, absolute at the zeros (z = 0 gives h_n = 0, n >= 1)
+        scale = np.abs(state.coefficients)
         agree = float(np.max(np.abs(closed.coefficients - state.coefficients)
-                             / np.abs(state.coefficients)))
+                             / np.where(scale > 0, scale, 1.0)))
         results["closed_vs_recursive"] = agree
     h = state.coefficients
     _write_columns(params.get("out"), outputs, ["n", "re_h_n", "im_h_n"],

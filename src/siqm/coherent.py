@@ -29,6 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .families import SelfSimilar
 from .spectra import (SpectrumTable, energy_levels, lowering_weights,
                       normalization_factor)
 
@@ -89,8 +90,7 @@ def coherent_closed_scaling(q: float, R1: float, z: complex, N: int) -> Coherent
     mag = (1 - q) ** (n / 2) * q ** (-n * (n - 1) / 4.0) / (R1 ** (n / 2) * np.sqrt(poch))
     coeff = np.asarray(z, dtype=complex) ** n * mag
 
-    from .families import selfsimilar_family
-    table = energy_levels(selfsimilar_family(q=q, c=R1, a1=1.0), N - 1 if N > 1 else 1)
+    table = energy_levels(SelfSimilar(q=q, c=R1, a1=1.0), N - 1 if N > 1 else 1)
     ref = coherent_recursive(table, z, N).coefficients
     scale = np.abs(ref)
     # both routes evaluate differences 1 - q^j ~ j(1-q), so the comparison
@@ -107,9 +107,12 @@ def coherent_property_residuals(state: CoherentState) -> tuple[float, float]:
     eigen: ||(B_minus - z)|z>|| with the chain-weighted lowering, relative
     to the restricted norm of |z>. derivative: the same combination applied
     to the z-derivative of |z>, obtained by a central difference with step
-    1e-5, minus |z> itself.
+    1e-5, minus |z> itself. A state needs N >= 2 coefficients: with one,
+    the restricted window is empty and there is no property to check.
     """
     N = state.N
+    if N < 2:
+        raise ValueError(f"coherent-state residuals need at least 2 levels, got {N}")
     beta = lowering_weights(state.levels, N)
     h = state.coefficients
     scale = np.linalg.norm(h[:N - 1])

@@ -87,6 +87,8 @@ class PotentialFamily(ABC):
     series_order = 60                     # series truncation of W
 
     a1: float
+    # eval_W's read-only samples, keyed on (a, grid)
+    _samples: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @abstractmethod
     def W(self, x: np.ndarray, a: float) -> np.ndarray:
@@ -219,19 +221,6 @@ FAMILIES = {cls.name: cls for cls in (Harmonic, Morse, SelfSimilar)}
 DEFAULT_FAMILY = SelfSimilar.name
 
 
-def harmonic_family(lam: float = 1.0) -> PotentialFamily:
-    return Harmonic(a1=lam)
-
-
-def morse_family(A: float = 2.5) -> PotentialFamily:
-    return Morse(a1=A)
-
-
-def selfsimilar_family(q: float = 0.5, c: float = 1.0, a1: float = 1.0,
-                       series_order: int = 60) -> PotentialFamily:
-    return SelfSimilar(q=q, c=c, a1=a1, series_order=series_order)
-
-
 def family_from_config(cfg: dict) -> PotentialFamily:
     """The registered family cfg["family"], built from its declared keys only."""
     name = cfg.get("family")
@@ -241,8 +230,18 @@ def family_from_config(cfg: dict) -> PotentialFamily:
 
 
 def eval_W(family: PotentialFamily, a: float, grid: Grid) -> np.ndarray:
-    """Sample W(x; a) on the grid."""
-    return family.W(grid.x, a)
+    """Sample W(x; a) on the grid, once per (a, grid) for the family's lifetime.
+
+    The family keeps the sample and every call returns that same read-only
+    array, so callers share it and none can alter it.
+    """
+    key = (float(a), grid)
+    W = family._samples.get(key)
+    if W is None:
+        W = family.W(grid.x, a)
+        W.flags.writeable = False
+        family._samples[key] = W
+    return W
 
 
 def suggested_grid(family: PotentialFamily, spacing: float = 0.01) -> Grid:

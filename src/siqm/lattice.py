@@ -82,43 +82,34 @@ def packet_state(grid: Grid, window: int, levels: tuple[int, ...] | None = None,
 
 
 class LatticeContext:
-    """Precomputed per-level superpotentials and primitive operator actions."""
+    """Per-level superpotentials and primitive operator actions.
+
+    The actions take raw (window, n) arrays. Chain values come from the
+    family, and so do the W samples of the ladder levels.
+    """
 
     def __init__(self, family: PotentialFamily, grid: Grid, window: int):
         self.family = family
         self.grid = grid
         self.window = window
-        # chain parameters a_i for i = (1-reach) .. (window+reach); stored in a
-        # dict keyed by 1-based chain index so level/offset lookups stay literal
-        self._params = {i: family.chain_value(i) for i in range(-4, window + 6)}
-        self._W = {}
+        # W(x; a_k) for k = 1 .. window-1: B+ at level k - 1 and B- at level k
+        self.level_W = [eval_W(family, family.chain_value(k), grid)
+                        for k in range(1, window)]
 
-    def param(self, index: int) -> float:
-        if index not in self._params:
-            self._params[index] = self.family.chain_value(index)
-        return self._params[index]
-
-    def W(self, index: int) -> np.ndarray:
-        if index not in self._W:
-            self._W[index] = eval_W(self.family, self.param(index), self.grid)
-        return self._W[index]
-
-    # primitive actions on raw (K, n) arrays
+    # primitive actions on raw (window, n) arrays
 
     def b_plus(self, comps: np.ndarray) -> np.ndarray:
         out = np.zeros_like(comps)
-        K = comps.shape[0]
-        for k in range(K - 1):
-            psi = WaveFunctionGrid(self.grid, comps[k + 1])
-            out[k] = apply_ladder(self.W(k + 1), psi, "raise").amplitudes
+        for k, (W, above) in enumerate(zip(self.level_W, comps[1:], strict=True)):
+            psi = WaveFunctionGrid(self.grid, above)
+            out[k] = apply_ladder(W, psi, "raise").amplitudes
         return out
 
     def b_minus(self, comps: np.ndarray) -> np.ndarray:
         out = np.zeros_like(comps)
-        K = comps.shape[0]
-        for k in range(1, K):
-            psi = WaveFunctionGrid(self.grid, comps[k - 1])
-            out[k] = apply_ladder(self.W(k), psi, "lower").amplitudes
+        for k, (W, below) in enumerate(zip(self.level_W, comps[:-1], strict=True), start=1):
+            psi = WaveFunctionGrid(self.grid, below)
+            out[k] = apply_ladder(W, psi, "lower").amplitudes
         return out
 
     def t_shift(self, comps: np.ndarray) -> np.ndarray:
@@ -133,7 +124,8 @@ class LatticeContext:
 
     def diag(self, comps: np.ndarray, f, offset: int) -> np.ndarray:
         """Level-diagonal parameter function: level k is multiplied by f(a_{k+offset})."""
-        vals = np.array([f(self.param(k + offset)) for k in range(comps.shape[0])])
+        vals = np.array([f(self.family.chain_value(k + offset))
+                         for k in range(comps.shape[0])])
         return comps * vals[:, None]
 
     def rem(self, comps: np.ndarray, offset: int) -> np.ndarray:
@@ -145,7 +137,7 @@ class LatticeContext:
         out = np.zeros_like(comps)
         for k in range(comps.shape[0]):
             acc = sum((-1) ** (depth - j) * comb(depth, j)
-                      * self.family.R(self.param(k + j))
+                      * self.family.R(self.family.chain_value(k + j))
                       for j in range(depth + 1))
             out[k] = acc * comps[k]
         return out

@@ -20,11 +20,11 @@ from siqm import (BoundaryDecayWarning, DriveProfile,
                   coherent_recursive, commutator_residual,
                   dilation_identity_residual,
                   energy_levels, eval_W, evolve_forced, fd_diagonalize,
-                  build_grid, matrix_identities, selfsimilar_family,
+                  build_grid, matrix_identities, SelfSimilar,
                   series_coefficients)
 from siqm.cli import run_command
 
-Q5 = selfsimilar_family(q=0.5, c=1.0, a1=1.0)
+Q5 = SelfSimilar(q=0.5, c=1.0, a1=1.0)
 
 RESULTS = []
 
@@ -108,7 +108,7 @@ def test_criterion_2_soliton_limit_series():
 
 
 def test_criterion_3_harmonic_limit():
-    fam = selfsimilar_family(q=1.0, c=1.0, a1=1.0)  # c0 = 1/2, W = x/2
+    fam = SelfSimilar(q=1.0, c=1.0, a1=1.0)  # c0 = 1/2, W = x/2
     grid = build_grid(-10.0, 10.0, 2001)
     c0 = 0.5
     W = eval_W(fam, 1.0, grid)
@@ -123,8 +123,8 @@ def test_criterion_3_harmonic_limit():
 
 
 def test_criterion_4_morse_fixture():
-    from siqm import morse_family
-    fam = morse_family(2.5)
+    from siqm import Morse
+    fam = Morse(a1=2.5)
     grid = build_grid(-5.0, 32.0, 3701)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
@@ -182,7 +182,7 @@ def test_criterion_7_coherent_states():
 
 def test_criterion_8_forced_dynamics():
     drive = DriveProfile("const", 0.1)
-    tab1 = energy_levels(selfsimilar_family(q=1.0, c=1.0, a1=1.0), 23)
+    tab1 = energy_levels(SelfSimilar(q=1.0, c=1.0, a1=1.0), 23)
     ev1 = evolve_forced(tab1, drive, t_max=5.0, dt=0.002,
                         sign_convention="conjugate")
     tab5 = energy_levels(Q5, 23)

@@ -177,6 +177,27 @@ def test_coherent_command(tmp_path):
     assert float(rows[3].split(",")[1]) == pytest.approx(1.1547005383792517)
 
 
+def test_single_level_coherent_exits_1_without_outputs(tmp_path, capsys):
+    # one coefficient leaves no component window to check the properties on
+    code = run_command(["coherent", "--levels", "1", "--out", str(tmp_path / "coh.csv")])
+    assert code == 1
+    assert "need at least 2 levels, got 1" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+def test_coherent_at_z_zero_writes_a_strict_manifest(tmp_path):
+    # h_n = 0 for n >= 1, so closed and recursive agree absolutely there
+    out = tmp_path / "coh.csv"
+    assert run_command(["coherent", "--q", "0.5", "--levels", "8", "--z-re", "0",
+                        "--out", str(out)]) == 0
+
+    def refuse(constant):
+        raise ValueError(f"{constant} in the manifest")
+
+    text = (tmp_path / "coh.csv.manifest.json").read_text()
+    assert json.loads(text, parse_constant=refuse)["results"]["closed_vs_recursive"] == 0.0
+
+
 def test_eigenstates_command(tmp_path):
     out = tmp_path / "eig.csv"
     code = run_command(["eigenstates", "--family", "harmonic", "--levels", "3",

@@ -7,10 +7,10 @@ import pytest
 
 from siqm import (DegenerateLevelsError,
                   coherent_closed_scaling, coherent_property_residuals,
-                  coherent_recursive, energy_levels, harmonic_family,
-                  normalization_factor, q_pochhammer, selfsimilar_family)
+                  coherent_recursive, energy_levels, Harmonic,
+                  normalization_factor, q_pochhammer, SelfSimilar)
 
-Q5 = selfsimilar_family(q=0.5, c=1.0, a1=1.0)
+Q5 = SelfSimilar(q=0.5, c=1.0, a1=1.0)
 
 
 def test_q_pochhammer_values():
@@ -50,7 +50,7 @@ def test_termwise_lowering_cancellation():
     for n in range(1, 21):
         beta = normalization_factor(tab, n) / normalization_factor(tab, n - 1)
         assert abs(h[n] * beta - z * h[n - 1]) <= 1e-14 * abs(h[n - 1]) * max(1.0, abs(z))
-    tab1 = energy_levels(harmonic_family(1.0), 12)
+    tab1 = energy_levels(Harmonic(a1=1.0), 12)
     h1 = coherent_recursive(tab1, 0.5, 12).coefficients
     for n in range(1, 12):
         beta = normalization_factor(tab1, n) / normalization_factor(tab1, n - 1)

@@ -7,11 +7,11 @@ from scipy.linalg import expm
 
 from siqm import (DriveProfile, LadderMatrices, StepInstabilityError,
                   TruncationOverflowError, coherent_recursive, energy_levels,
-                  evolve_forced, harmonic_family, morse_family, selfsimilar_family)
+                  evolve_forced, Harmonic, Morse, SelfSimilar)
 from siqm.dynamics import TOP_BUDGET
 
-Q1 = selfsimilar_family(q=1.0, c=1.0, a1=1.0)
-Q5 = selfsimilar_family(q=0.5, c=1.0, a1=1.0)
+Q1 = SelfSimilar(q=1.0, c=1.0, a1=1.0)
+Q5 = SelfSimilar(q=0.5, c=1.0, a1=1.0)
 
 
 def bitwise_equal(a, b):
@@ -199,10 +199,10 @@ def assert_matches_dense_bitwise(family, n, drive, sign, t_max):
     (Q1, 23, "const:0.1", "conjugate"),
     (Q1, 20, "pulse:0.25,0.5,0.3", "paper"),
     (Q5, 23, "const:0.1", "paper"),
-    (selfsimilar_family(q=0.7, c=1.0, a1=1.0), 18, "pulse:0.2,0.4,0.5", "conjugate"),
-    (harmonic_family(1.3), 12, "const:0.15", "conjugate"),
-    (morse_family(6.5), 4, "const:0.05", "paper"),
-    (harmonic_family(1.3), 6, "const:0", "paper"),     # the closed form holds -0.0
+    (SelfSimilar(q=0.7, c=1.0, a1=1.0), 18, "pulse:0.2,0.4,0.5", "conjugate"),
+    (Harmonic(a1=1.3), 12, "const:0.15", "conjugate"),
+    (Morse(a1=6.5), 4, "const:0.05", "paper"),
+    (Harmonic(a1=1.3), 6, "const:0", "paper"),     # the closed form holds -0.0
 ])
 def test_vector_rhs_matches_dense_matrices_bitwise(family, n, drive, sign):
     assert_matches_dense_bitwise(family, n, drive, sign, t_max=1.0)
@@ -210,16 +210,16 @@ def test_vector_rhs_matches_dense_matrices_bitwise(family, n, drive, sign):
 
 def test_full_length_pulse_run_matches_dense_matrices_bitwise():
     # t_max = 5.0 is the CLI default, so every stage time of an evolve job is covered
-    assert_matches_dense_bitwise(selfsimilar_family(q=0.8, c=1.0, a1=1.0), 23,
+    assert_matches_dense_bitwise(SelfSimilar(q=0.8, c=1.0, a1=1.0), 23,
                                  "pulse:0.2,2.5,0.8", "conjugate", t_max=5.0)
 
 
 @pytest.mark.parametrize("family, drive", [
     (Q1, "const:0.1"),
-    (selfsimilar_family(q=0.8, c=1.0, a1=1.0), "pulse:0.2,0.4,0.5"),
+    (SelfSimilar(q=0.8, c=1.0, a1=1.0), "pulse:0.2,0.4,0.5"),
     (Q5, "const:0.1"),
-    (harmonic_family(1.3), "const:0.15"),
-    (harmonic_family(1.3), "const:-0.0"),   # psi stays e_0, so z is a signed zero
+    (Harmonic(a1=1.3), "const:0.15"),
+    (Harmonic(a1=1.3), "const:-0.0"),   # psi stays e_0, so z is a signed zero
 ])
 def test_best_fit_equals_the_dense_lowering_matrix_bitwise(family, drive):
     n = 12

@@ -5,9 +5,9 @@ import json
 import numpy as np
 import pytest
 
-from siqm import (NonNormalizableError, PotentialFamily, build_grid, eval_W,
-                  family_from_config, fd_diagonalize, ground_state,
-                  harmonic_family, morse_family, selfsimilar_family,
+from siqm import (NonNormalizableError, PotentialFamily, build_grid, energy_levels,
+                  eval_W, family_from_config, fd_diagonalize, ground_state,
+                  Harmonic, Morse, SelfSimilar,
                   shape_invariance_residual)
 from siqm.families import ParameterRule
 
@@ -41,22 +41,22 @@ PT_GRID = build_grid(-20, 20, 4001)
 
 
 def test_parameter_chain_scaling():
-    fam = selfsimilar_family(q=0.5, c=1.0, a1=1.0)
+    fam = SelfSimilar(q=0.5, c=1.0, a1=1.0)
     assert np.array_equal(chain(fam, 4), [1.0, 0.5, 0.25, 0.125])
 
 
 def test_parameter_chain_single():
-    fam = selfsimilar_family(q=0.7, a1=2.0)
+    fam = SelfSimilar(q=0.7, a1=2.0)
     assert chain(fam, 1).tolist() == [2.0]
 
 
 def test_parameter_chain_translation():
-    fam = morse_family(A=2.5)
+    fam = Morse(a1=2.5)
     assert np.array_equal(chain(fam, 3), [2.5, 1.5, 0.5])
 
 
 def test_chain_matches_repeated_rule_application():
-    fam = selfsimilar_family(q=0.731, a1=1.37)
+    fam = SelfSimilar(q=0.731, a1=1.37)
     chain_values = chain(fam, 12)
     a = fam.a1
     for k in range(12):
@@ -76,16 +76,16 @@ def test_rule_validation():
 def test_eval_w_fixtures():
     g = build_grid(-5, 5, 101)
     x2 = np.argmin(np.abs(g.x - 2.0))
-    W = eval_W(harmonic_family(1.0), 1.0, g)
+    W = eval_W(Harmonic(a1=1.0), 1.0, g)
     assert W[x2] == pytest.approx(2.0)
     x0 = np.argmin(np.abs(g.x))
-    Wm = eval_W(morse_family(2.5), 2.5, g)
+    Wm = eval_W(Morse(a1=2.5), 2.5, g)
     assert Wm[x0] == pytest.approx(1.5)
 
 
 def test_eval_w_selfsimilar_scaling_law():
     # W(x; a2) = sqrt(q) W(sqrt(q) x; a1) pointwise
-    fam = selfsimilar_family(q=0.5, c=1.0, a1=1.0)
+    fam = SelfSimilar(q=0.5, c=1.0, a1=1.0)
     g = build_grid(-8, 8, 401)
     W2 = eval_W(fam, 0.5, g)
     sq = np.sqrt(0.5)
@@ -93,15 +93,38 @@ def test_eval_w_selfsimilar_scaling_law():
     assert np.max(np.abs(W2 - ref)) < 1e-12
 
 
+@pytest.mark.parametrize("fam", [Harmonic(a1=1.0), Morse(a1=2.5),
+                                 SelfSimilar(q=0.5, c=1.0, a1=1.0)])
+def test_eval_w_keeps_one_read_only_sample_per_a_and_grid(fam):
+    g = build_grid(-8, 8, 401)
+    W = eval_W(fam, fam.a1, g)
+    assert eval_W(fam, fam.a1, g) is W
+    assert eval_W(fam, 0.5 * fam.a1, g) is not W
+    assert eval_W(fam, fam.a1, build_grid(-8, 8, 801)) is not W
+    with pytest.raises(ValueError):
+        W[0] = 0.0
+
+
+@pytest.mark.parametrize("c, a1", [(1.0, 1.0), (1.3, 0.8), (0.7, 2.0)])
+def test_scaling_family_at_q1_is_the_harmonic_oscillator(c, a1):
+    # q = 1 leaves only the linear term c0 x of the series, c0 = c a1 / 2
+    scaling = SelfSimilar(q=1.0, c=c, a1=a1)
+    harmonic = Harmonic(a1=c * a1 / 2)
+    g = build_grid(-40, 40, 8001)
+    assert eval_W(scaling, a1, g).tobytes() == eval_W(harmonic, harmonic.a1, g).tobytes()
+    assert np.array_equal(energy_levels(scaling, 10).levels,
+                          energy_levels(harmonic, 10).levels)
+
+
 def test_remainders():
-    assert selfsimilar_family(q=0.5, c=1.0, a1=1.0).R(0.25) == 0.25
-    assert harmonic_family(1.0).R(1.0) == 2.0
+    assert SelfSimilar(q=0.5, c=1.0, a1=1.0).R(0.25) == 0.25
+    assert Harmonic(a1=1.0).R(1.0) == 2.0
     # morse: R(a) = a^2 - (a-1)^2; value 4 at a=2.5 equals the first FD gap
-    assert morse_family(2.5).R(2.5) == pytest.approx(2.5 ** 2 - 1.5 ** 2)
+    assert Morse(a1=2.5).R(2.5) == pytest.approx(2.5 ** 2 - 1.5 ** 2)
 
 
 def test_remainder_positive_decreasing_for_scaling():
-    fam = selfsimilar_family(q=0.5, c=1.0, a1=1.0)
+    fam = SelfSimilar(q=0.5, c=1.0, a1=1.0)
     rs = [fam.R(a) for a in chain(fam, 8)]
     assert all(r > 0 for r in rs)
     assert np.all(np.diff(rs) < 0)
@@ -110,17 +133,17 @@ def test_remainder_positive_decreasing_for_scaling():
 def test_remainders_match_fd_gaps():
     # independent oracle: lowest FD gaps equal R(a_1), R(a_1) + R(a_2)
     g = build_grid(-10, 10, 2001)
-    e, _ = fd_diagonalize(harmonic_family(1.0), g, 2)
+    e, _ = fd_diagonalize(Harmonic(a1=1.0), g, 2)
     assert e[1] == pytest.approx(2.0, abs=1e-5)
     gm = build_grid(-5, 32, 3701)
-    em, _ = fd_diagonalize(morse_family(2.5), gm, 3)
+    em, _ = fd_diagonalize(Morse(a1=2.5), gm, 3)
     assert em[1] == pytest.approx(4.0, abs=1e-3)
     assert em[2] == pytest.approx(6.0, abs=1e-3)
 
 
 def test_ground_state_harmonic_gaussian():
     g = build_grid(-10, 10, 2001)
-    psi = ground_state(harmonic_family(1.0), 1.0, g)
+    psi = ground_state(Harmonic(a1=1.0), 1.0, g)
     ref = np.exp(-g.x ** 2 / 2) / np.pi ** 0.25
     assert np.max(np.abs(psi.amplitudes - ref)) < 1e-9
 
@@ -128,14 +151,14 @@ def test_ground_state_harmonic_gaussian():
 def test_ground_state_morse_quadrature_oracle():
     # closed-form norm: int exp(-2Ax - 2e^-x) dx = Gamma(2A)/2^(2A) = 0.75
     g = build_grid(-5, 32, 7401)
-    psi = ground_state(morse_family(2.5), 2.5, g)
+    psi = ground_state(Morse(a1=2.5), 2.5, g)
     ref = np.exp(-2.5 * g.x - np.exp(-g.x)) / np.sqrt(0.75)
     assert np.max(np.abs(psi.amplitudes - ref)) < 1e-8
 
 
 def test_ground_state_non_normalizable():
     g = build_grid(-10, 10, 2001)
-    fam = harmonic_family(-1.0)  # W = -x grows the candidate state
+    fam = Harmonic(a1=-1.0)  # W = -x grows the candidate state
     with pytest.raises(NonNormalizableError):
         ground_state(fam, -1.0, g)
 
@@ -143,9 +166,9 @@ def test_ground_state_non_normalizable():
 def test_annihilation_gate_for_every_family():
     # ||A(a1) psi_0|| / ||psi_0|| <= 1e-6 on the interior 90% of the grid
     from siqm import apply_ladder
-    cases = [(harmonic_family(1.0), build_grid(-10, 10, 2001)),
-             (morse_family(2.5), build_grid(-5, 32, 3701)),
-             (selfsimilar_family(0.5, 1.0, 1.0), build_grid(-15, 15, 3001)),
+    cases = [(Harmonic(a1=1.0), build_grid(-10, 10, 2001)),
+             (Morse(a1=2.5), build_grid(-5, 32, 3701)),
+             (SelfSimilar(q=0.5, c=1.0, a1=1.0), build_grid(-15, 15, 3001)),
              (PoschlTeller(3.0), PT_GRID)]
     for fam, g in cases:
         psi = ground_state(fam, fam.a1, g)
@@ -157,17 +180,17 @@ def test_annihilation_gate_for_every_family():
 
 def test_shape_invariance_residuals():
     fine = build_grid(-10, 10, 4001)
-    assert shape_invariance_residual(harmonic_family(1.0), fine) <= 1e-8
+    assert shape_invariance_residual(Harmonic(a1=1.0), fine) <= 1e-8
     gm = build_grid(-5, 32, 3701)
-    assert shape_invariance_residual(morse_family(2.5), gm) <= 1e-6
+    assert shape_invariance_residual(Morse(a1=2.5), gm) <= 1e-6
     gs = build_grid(-15, 15, 3001)
-    assert shape_invariance_residual(selfsimilar_family(0.5, 1.0, 1.0), gs) <= 1e-6
+    assert shape_invariance_residual(SelfSimilar(q=0.5, c=1.0, a1=1.0), gs) <= 1e-6
     assert shape_invariance_residual(PoschlTeller(3.0), PT_GRID) <= 1e-6
 
 
 def test_config_round_trip():
-    for fam in (selfsimilar_family(q=0.5, c=1.0, a1=1.0), harmonic_family(1.3),
-                morse_family(3.5)):
+    for fam in (SelfSimilar(q=0.5, c=1.0, a1=1.0), Harmonic(a1=1.3),
+                Morse(a1=3.5)):
         cfg = json.loads(json.dumps(fam.to_config()))
         back = family_from_config(cfg)
         assert back.name == fam.name
@@ -178,7 +201,7 @@ def test_config_round_trip():
 
 
 def test_undeclared_config_keys_rejected():
-    assert set(morse_family().to_config()) == {"family", "a1"}
+    assert set(Morse().to_config()) == {"family", "a1"}
     with pytest.raises(ValueError, match="delta"):
         family_from_config({"family": "morse", "a1": 2.5, "delta": -1.0})
     with pytest.raises(ValueError, match="order"):

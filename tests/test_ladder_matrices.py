@@ -5,9 +5,9 @@ import pytest
 
 from siqm import (LadderMatrices, SingularSpectrumError, energy_levels,
                   lowering_weights, matrix_identities, normalization_factor,
-                  selfsimilar_family)
+                  SelfSimilar)
 
-Q5 = selfsimilar_family(q=0.5, c=1.0, a1=1.0)
+Q5 = SelfSimilar(q=0.5, c=1.0, a1=1.0)
 
 
 def test_matrix_identities_n20_all_pass():

@@ -7,11 +7,12 @@ import pytest
 
 from siqm import (RELATIONS, UnknownRelationError, WindowTooSmallError,
                   adjoint_pair_residual, build_grid, commutator_residual,
-                  dilation_identity_residual, harmonic_family, packet_state,
-                  selfsimilar_family)
+                  dilation_identity_residual, Harmonic, packet_state,
+                  SelfSimilar)
+import siqm.lattice
 from siqm.lattice import LatticeContext, LatticeState
 
-Q5 = selfsimilar_family(q=0.5, c=1.0, a1=1.0)
+Q5 = SelfSimilar(q=0.5, c=1.0, a1=1.0)
 GRID = build_grid(-15, 15, 3001)
 
 SCALING_RELATION_TOL = 1e-6
@@ -34,8 +35,22 @@ def test_commutator_acts_as_remainder_at_each_level():
     assert num / np.linalg.norm(state.components[:, sl]) < 1e-8
 
 
+def test_relation_fetches_each_ladder_level_once(monkeypatch):
+    # one context per relation, and W of levels 1 .. window-1 fetched once each
+    fam = SelfSimilar(q=0.6, c=1.0, a1=1.0)
+    eval_W, fetched = siqm.lattice.eval_W, []
+
+    def counting_eval_W(family, a, grid):
+        fetched.append(a)
+        return eval_W(family, a, grid)
+
+    monkeypatch.setattr(siqm.lattice, "eval_W", counting_eval_W)
+    commutator_residual("ladder-commutator", fam, grid=build_grid(-8, 8, 401), window=12)
+    assert fetched == [fam.chain_value(k) for k in range(1, 12)]
+
+
 def test_harmonic_degenerate_brackets():
-    fam = harmonic_family(1.0)
+    fam = Harmonic(a1=1.0)
     g = build_grid(-12, 12, 4801)
     for rel in ("ladder-commutator", "remainder-bracket", "remainder-bracket-2",
                 "remainder-bracket-3"):
@@ -44,16 +59,16 @@ def test_harmonic_degenerate_brackets():
 
 
 def test_q1_q_oscillator_degenerates_to_boson():
-    fam = selfsimilar_family(q=1.0, c=1.0, a1=1.0)
+    fam = SelfSimilar(q=1.0, c=1.0, a1=1.0)
     g = build_grid(-12, 12, 2401)
     assert commutator_residual("q-oscillator", fam, grid=g, window=12) <= 1e-6
 
 
 def test_scaling_only_relations_guarded():
     with pytest.raises(UnknownRelationError):
-        commutator_residual("q-oscillator", harmonic_family(1.0), grid=GRID)
+        commutator_residual("q-oscillator", Harmonic(a1=1.0), grid=GRID)
     with pytest.raises(UnknownRelationError):
-        commutator_residual("so21-commutator", selfsimilar_family(q=1.0),
+        commutator_residual("so21-commutator", SelfSimilar(q=1.0),
                             grid=build_grid(-12, 12, 2401))
     with pytest.raises(UnknownRelationError):
         commutator_residual("no-such-relation", Q5, grid=GRID)
@@ -108,7 +123,7 @@ def test_adjoint_pairs():
     for pair in ("B", "K", "S"):
         assert adjoint_pair_residual(Q5, GRID, 10, pair) <= 1e-8
     with pytest.raises(ValueError):
-        adjoint_pair_residual(harmonic_family(1.0), GRID, 10, "K")
+        adjoint_pair_residual(Harmonic(a1=1.0), GRID, 10, "K")
 
 
 def test_window_too_small():
@@ -128,7 +143,7 @@ def test_dilation_identities():
 
 
 def test_dilation_identity_q1_reduces_to_factorization():
-    fam = selfsimilar_family(q=1.0, c=1.0, a1=1.0)
+    fam = SelfSimilar(q=1.0, c=1.0, a1=1.0)
     g = build_grid(-12, 12, 2401)
     assert dilation_identity_residual(fam, g, "yy3") <= 1e-8
 

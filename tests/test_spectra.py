@@ -7,10 +7,10 @@ import pytest
 
 from siqm import (BoundaryDecayWarning, LevelNotBoundError,
                   build_grid, eigen_residual, eigenstate_with_prenorm,
-                  energy_levels, fd_diagonalize, harmonic_family, inner,
-                  morse_family, normalization_factor, selfsimilar_family)
+                  energy_levels, fd_diagonalize, Harmonic, inner,
+                  Morse, normalization_factor, SelfSimilar)
 
-Q5 = selfsimilar_family(q=0.5, c=1.0, a1=1.0)
+Q5 = SelfSimilar(q=0.5, c=1.0, a1=1.0)
 
 
 @pytest.fixture(scope="module")
@@ -42,7 +42,7 @@ def test_energy_levels_empty_sum():
 
 
 def test_energy_levels_harmonic():
-    tab = energy_levels(harmonic_family(1.0), 5)
+    tab = energy_levels(Harmonic(a1=1.0), 5)
     assert np.array_equal(tab.levels, 2.0 * np.arange(6))
 
 
@@ -54,11 +54,11 @@ def test_energy_levels_monotone_below_limit():
 
 def test_morse_tower_terminates():
     with pytest.raises(LevelNotBoundError):
-        energy_levels(morse_family(2.5), 3)
+        energy_levels(Morse(a1=2.5), 3)
     # R(a_3) = 0.6 > 0, but a_4 = -0.2 lies outside the domain a > 0
-    assert np.allclose(energy_levels(morse_family(2.8), 2).levels, [0.0, 4.6, 7.2])
+    assert np.allclose(energy_levels(Morse(a1=2.8), 2).levels, [0.0, 4.6, 7.2])
     with pytest.raises(LevelNotBoundError):
-        energy_levels(morse_family(2.8), 3)
+        energy_levels(Morse(a1=2.8), 3)
 
 
 def test_normalization_factors():
@@ -77,7 +77,7 @@ def test_eigenstate_n0_is_ground_state(wide_grid):
 
 def test_harmonic_second_state_matches_oracle():
     g = build_grid(-12, 12, 2401)
-    fam = harmonic_family(1.0)
+    fam = Harmonic(a1=1.0)
     psi = eigenstate_with_prenorm(fam, 2, g)[0]
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
@@ -97,13 +97,13 @@ def test_prenorm_matches_level_difference_product(wide_grid, q5_ladder_states):
 
 def test_fd_oracle_harmonic():
     g = build_grid(-10, 10, 2001)
-    e, _ = fd_diagonalize(harmonic_family(1.0), g, 4)
+    e, _ = fd_diagonalize(Harmonic(a1=1.0), g, 4)
     assert np.max(np.abs(e - [0, 2, 4, 6])) < 1e-5
 
 
 def test_fd_oracle_morse():
     g = build_grid(-5, 32, 3701)
-    e, _ = fd_diagonalize(morse_family(2.5), g, 3)
+    e, _ = fd_diagonalize(Morse(a1=2.5), g, 3)
     assert np.max(np.abs(e - [0, 4, 6])) < 1e-3
 
 
@@ -139,10 +139,10 @@ def test_orthonormality(q5_ladder_states):
 def test_morse_level_not_bound(wide_grid):
     for A in (2.5, 2.8):
         with pytest.raises(LevelNotBoundError):
-            eigenstate_with_prenorm(morse_family(A), 3, build_grid(-5, 32, 3701))
+            eigenstate_with_prenorm(Morse(a1=A), 3, build_grid(-5, 32, 3701))
 
 
 def test_truncated_domain_warns():
     from siqm import BoundaryDecayWarning
     with pytest.warns(BoundaryDecayWarning):
-        eigenstate_with_prenorm(harmonic_family(1.0), 6, build_grid(-3.5, 3.5, 701))
+        eigenstate_with_prenorm(Harmonic(a1=1.0), 6, build_grid(-3.5, 3.5, 701))
