@@ -21,17 +21,31 @@ eigenstate; the overlap with the best-fit coherent state quantifies that.
 
 Direct integration uses a fixed-step classical Runge-Kutta scheme; norm
 drift over the run certifies effective unitarity.
+
+scipy is imported where it is used, not with the module, so that the
+commands that never evolve start without it: `expm` is bound on first
+access to `siqm.dynamics.expm` (the module's `__getattr__`), and `erf` is
+imported by the pulse drive's integral. `evolve_forced` calls `expm`
+through that module attribute, so a wrapper set there, as perfbench's
+tracer sets one, is the function that runs.
 """
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import expm
-from scipy.special import erf
 
 from .coherent import coherent_recursive
 from .spectra import SpectrumTable
+
+
+def __getattr__(name):
+    """Bind `expm` on first access; a binding already there is kept."""
+    if name == "expm":
+        from scipy.linalg import expm
+        return globals().setdefault(name, expm)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class TruncationOverflowError(RuntimeError):
@@ -77,6 +91,7 @@ class DriveProfile:
         """F(t) = int_0^t f dt', exactly."""
         if self.kind == "const":
             return self.f0 * t
+        from scipy.special import erf
         s = self.sigma * np.sqrt(np.pi / 2)
         return float(self.f0 * s * (erf((t - self.t0) / (np.sqrt(2) * self.sigma))
                                     + erf(self.t0 / (np.sqrt(2) * self.sigma))))
@@ -215,6 +230,7 @@ def evolve_forced(levels: SpectrumTable, drive: DriveProfile, t_max: float,
                 f"top-level population {abs(psi[-1])**2:.2e} exceeds the budget "
                 f"{TOP_BUDGET:.0e} at t = {t_grid[i + 1]:.3f}")
     # closed form: exp(-i E t) for all t at once, then one expm per time point
+    expm = sys.modules[__name__].expm
     np.multiply(-1j * E, t_grid[:, None], out=closed)
     np.exp(closed, out=closed)
     for i, t in enumerate(t_grid):

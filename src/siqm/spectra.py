@@ -14,17 +14,31 @@ normalization this construction accumulates exactly the magnitude
 
 which is cross-checked against the quadrature norm. An independent oracle
 diagonalizes the banded finite-difference Hamiltonian.
+
+Only the oracle needs scipy, and scipy.sparse is slow to import, so
+`eigsh` is bound on first access to `siqm.spectra.eigsh` (the module's
+`__getattr__`) rather than at import: the commands that never diagonalize
+start without scipy. `fd_diagonalize` calls it through that module
+attribute, so a wrapper set there, as perfbench's tracer sets one, is the
+function that runs.
 """
 
+import sys
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.linalg import ArpackError, eigsh
 
 from .families import PotentialFamily, eval_W, ground_state
 from .grid import BoundaryDecayWarning, Grid, WaveFunctionGrid, apply_ladder, hamiltonian_bands
+
+
+def __getattr__(name):
+    """Bind `eigsh` on first access; a binding already there is kept."""
+    if name == "eigsh":
+        from scipy.sparse.linalg import eigsh
+        return globals().setdefault(name, eigsh)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class LevelNotBoundError(ValueError):
@@ -173,6 +187,9 @@ def fd_diagonalize(family: PotentialFamily, grid: Grid,
     """
     if k < 1:
         raise ValueError("need k >= 1")
+    import scipy.sparse as sp
+    from scipy.sparse.linalg import ArpackError
+    eigsh = sys.modules[__name__].eigsh
     W = eval_W(family, family.a1, grid)
     bands = hamiltonian_bands(W, grid)
     n = grid.n_points

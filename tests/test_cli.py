@@ -1,5 +1,6 @@
 """CLI surface: commands, config handling, manifests, exit codes."""
 
+import importlib
 import json
 import os
 import subprocess
@@ -44,6 +45,29 @@ def test_coeffs_match_tanh(tmp_path):
     rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
     got = np.array([float(r[1]) for r in rows])
     assert np.max(np.abs(got - [1, -1 / 3, 2 / 15, -17 / 315, 62 / 2835])) < 1e-12
+
+
+def read_strict_json(path):
+    """json.loads that refuses the non-standard constants Infinity and NaN."""
+    def refuse(name):
+        raise ValueError(f"{name} in {path}")
+    return json.loads(path.read_text(), parse_constant=refuse)
+
+
+@pytest.mark.parametrize("flags", [["--q", "1"],
+                                   ["--q", "0", "--c0", "1", "--order", "4"]])
+def test_coeffs_manifest_of_a_polynomial_series_is_strict_json(tmp_path, flags):
+    out = tmp_path / "coeffs.csv"
+    assert run_command(["coeffs", *flags, "--out", str(out)]) == 0
+    results = read_strict_json(tmp_path / "coeffs.csv.manifest.json")["results"]
+    assert results["radius_estimate"] is None and results["polynomial"] is True
+
+
+def test_coeffs_manifest_keeps_a_finite_radius(tmp_path):
+    out = tmp_path / "coeffs.csv"
+    assert run_command(["coeffs", "--q", "0.5", "--out", str(out)]) == 0
+    results = read_strict_json(tmp_path / "coeffs.csv.manifest.json")["results"]
+    assert results["polynomial"] is False and 0 < results["radius_estimate"] < np.inf
 
 
 def test_config_equivalent_to_flags(tmp_path):
@@ -387,3 +411,87 @@ def test_cli_import_leaves_out_scipy_interpolate():
     out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "False"
+
+
+# scipy is imported where it is used: only the oracle (spectrum) and evolve need it
+
+def _in_fresh_process(code):
+    """The last line code prints, run in a new interpreter."""
+    env = dict(os.environ, PYTHONPATH=str(Path(siqm.__file__).parents[1]))
+    return subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True).stdout.splitlines()[-1]
+
+
+SCIPY_LOADED = "any(m.partition('.')[0] == 'scipy' for m in sys.modules)"
+
+
+@pytest.mark.parametrize("module", ["siqm", "siqm.cli"])
+def test_import_leaves_out_scipy(module):
+    assert _in_fresh_process(f"import sys, {module}; print({SCIPY_LOADED})") == "False"
+
+
+@pytest.mark.parametrize("argv", [
+    ["coeffs", "--q", "0.5", "--out", "{dir}/c.csv"],
+    ["coherent", "--levels", "10", "--out", "{dir}/coh.csv"],
+    ["verify", "--suite", "matrix-identities", "--report", "{dir}/m.json"],
+])
+def test_commands_without_oracle_or_evolution_leave_out_scipy(tmp_path, argv):
+    argv = [a.format(dir=tmp_path) for a in argv]
+    code = (f"import sys; from siqm.cli import run_command; "
+            f"print(run_command({argv!r}), {SCIPY_LOADED})")
+    assert _in_fresh_process(code) == "0 False"
+
+
+def test_spectrum_loads_the_sparse_eigensolver(tmp_path):
+    argv = ["spectrum", "--family", "harmonic", "--levels", "2",
+            "--out", str(tmp_path / "s.csv")]
+    code = (f"import sys; from siqm.cli import run_command; "
+            f"print(run_command({argv!r}), 'scipy.sparse.linalg' in sys.modules)")
+    assert _in_fresh_process(code) == "0 True"
+
+
+# perfbench's tracer reads siqm.spectra.eigsh and siqm.dynamics.expm and wraps
+# them in place, so the library must call them through those attributes
+
+BINDINGS = [(siqm.spectra, "eigsh", "scipy.sparse.linalg"),
+            (siqm.dynamics, "expm", "scipy.linalg")]
+
+
+@pytest.mark.parametrize("module, name, source", BINDINGS)
+def test_lazy_binding_is_the_scipy_function(module, name, source):
+    assert getattr(module, name) is getattr(importlib.import_module(source), name)
+    with pytest.raises(AttributeError, match="no_such_name"):
+        module.no_such_name
+
+
+@pytest.mark.parametrize("module, name, source", BINDINGS)
+def test_lazy_binding_keeps_a_wrapper_already_bound(monkeypatch, module, name, source):
+    def wrapper(*args, **kwargs):
+        raise AssertionError("not called")
+    monkeypatch.setattr(module, name, wrapper)
+    assert module.__getattr__(name) is wrapper
+    assert getattr(module, name) is wrapper
+
+
+def _counting(monkeypatch, module, name):
+    calls = []
+    inner = getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(1)
+        return inner(*args, **kwargs)
+    monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+def test_fd_diagonalize_calls_eigsh_through_the_module(monkeypatch):
+    calls = _counting(monkeypatch, siqm.spectra, "eigsh")
+    siqm.fd_diagonalize(siqm.Harmonic(a1=1.0), siqm.build_grid(-10, 10, 2001), 3)
+    assert len(calls) == 1
+
+
+def test_evolve_forced_calls_expm_through_the_module(monkeypatch):
+    calls = _counting(monkeypatch, siqm.dynamics, "expm")
+    levels = siqm.energy_levels(siqm.SelfSimilar(q=0.8), 3)
+    siqm.evolve_forced(levels, siqm.DriveProfile("pulse", 0.1, 0.05, 0.02), 0.1, 0.002)
+    assert len(calls) == 50 + 1  # steps + 1 time points

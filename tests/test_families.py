@@ -116,6 +116,48 @@ def test_scaling_family_at_q1_is_the_harmonic_oscillator(c, a1):
                           energy_levels(harmonic, 10).levels)
 
 
+@pytest.mark.parametrize("c, a1", [(1.0, 1.0), (1.3, 0.8), (0.7, 2.0)])
+def test_scaling_family_at_q1_has_the_harmonic_oracle_and_residual(c, a1):
+    # W(x; a1) and the chain a2 = a1 coincide bitwise with the harmonic
+    # family's, and R(a1) = c a1 = 2 (c a1 / 2) exactly, so both are bitwise
+    scaling = SelfSimilar(q=1.0, c=c, a1=a1)
+    harmonic = Harmonic(a1=c * a1 / 2)
+    g = build_grid(-40, 40, 8001)
+    e_scaling, _ = fd_diagonalize(scaling, g, 6)
+    e_harmonic, _ = fd_diagonalize(harmonic, g, 6)
+    assert e_scaling.tobytes() == e_harmonic.tobytes()
+    assert shape_invariance_residual(scaling, g) == shape_invariance_residual(harmonic, g)
+
+
+# q -> 0 is the one-soliton limit: W -> k tanh(k x), psi_0 -> sqrt(k/2) sech(k x),
+# with k^2 = c a1 = 1 here; the errors are first order in q (0.5-0.6 q and 0.15-0.18 q)
+SMALL_Q = [0.1 / 2 ** j for j in range(7)]  # 0.1 down to 0.0016
+
+
+def _soliton_errors(observable):
+    g = build_grid(-10, 10, 2001)
+    return np.array([observable(SelfSimilar(q=q, c=1.0, a1=1.0), g) for q in SMALL_Q])
+
+
+def _assert_first_order(errors, bound):
+    halving = errors[:-1] / errors[1:]
+    assert np.all((1.8 <= halving) & (halving <= 2.2)), halving
+    assert np.all(errors <= bound * np.array(SMALL_Q)), errors / SMALL_Q
+
+
+def test_small_q_W_converges_to_tanh_at_first_order():
+    errors = _soliton_errors(
+        lambda fam, g: np.max(np.abs(eval_W(fam, 1.0, g) - np.tanh(g.x))))
+    _assert_first_order(errors, 0.65)
+
+
+def test_small_q_ground_state_converges_to_sech_at_first_order():
+    errors = _soliton_errors(
+        lambda fam, g: np.max(np.abs(ground_state(fam, 1.0, g).amplitudes
+                                     - np.sqrt(0.5) / np.cosh(g.x))))
+    _assert_first_order(errors, 0.2)
+
+
 def test_remainders():
     assert SelfSimilar(q=0.5, c=1.0, a1=1.0).R(0.25) == 0.25
     assert Harmonic(a1=1.0).R(1.0) == 2.0
