@@ -23,10 +23,10 @@ from .families import (ParameterRule, PotentialFamily, Harmonic, Morse,
 from .spectra import (SpectrumTable, energy_levels, normalization_factor,
                       lowering_weights, eigenstate_with_prenorm,
                       fd_diagonalize, eigen_residual, LevelNotBoundError)
-from .lattice import (LatticeState, LatticeContext, packet_state,
-                      commutator_residual, dilation_identity_residual,
-                      adjoint_pair_residual, applicable_relations, RELATIONS,
-                      UnknownRelationError, WindowTooSmallError)
+from .lattice import (LatticeContext, packet_state, commutator_residual,
+                      dilation_identity_residual, adjoint_pair_residual,
+                      applicable_relations, RELATIONS, UnknownRelationError,
+                      WindowTooSmallError)
 from .ladder_matrices import LadderMatrices, matrix_identities, SingularSpectrumError
 from .coherent import (CoherentState, q_pochhammer, coherent_recursive,
                        coherent_closed_scaling, coherent_property_residuals,

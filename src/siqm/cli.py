@@ -254,10 +254,11 @@ def _cmd_coeffs(params: dict, outputs: list) -> tuple[dict, int]:
         # companion x, W(x) table on the requested grid
         table = Path(out).with_name(Path(out).stem + ".table.csv")
         _write_columns(table, outputs, ["x", "W"], grid.x, SelfSimilarW(sc).w(grid.x))
-    # an infinite radius (a polynomial series) has no strict-JSON number
-    polynomial = sc.radius_estimate == np.inf
-    results = {"radius_estimate": None if polynomial else sc.radius_estimate,
-               "polynomial": polynomial, "remainder": sc.remainder}
+    # an infinite radius (a polynomial, or too few nonzero coefficients to
+    # estimate) has no strict-JSON number
+    radius = None if sc.radius_estimate == np.inf else sc.radius_estimate
+    results = {"radius_estimate": radius, "polynomial": not np.any(sc.coeffs[1:]),
+               "remainder": sc.remainder}
     return results, EXIT_OK
 
 

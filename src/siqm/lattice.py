@@ -17,6 +17,10 @@ identity checkable to grid accuracy. Content shifted outside the window is
 dropped, so test states live in the middle levels and residual norms are
 restricted to interior levels.
 
+A lattice state is a plain (window, n_points) complex array, row k being
+level k. Each relation is one residual action c -> (LHS - RHS)(c) that
+builds each operator word once per packet.
+
 Relation identifiers (see RELATIONS): the ladder commutator
 [B-, B+] = R(a_0), the remainder brackets generating the infinite tower,
 their sqrt(q)-scaled K+/K- versions, the q-deformed oscillator relation
@@ -24,7 +28,6 @@ S- S+ - q S+ S- = 1, the deformed SO(2,1) form c*exp(-p J3) of the
 commutator, and the J3 ladder property [J3, B+-] = +-B+-.
 """
 
-from dataclasses import dataclass, field
 from math import comb
 
 import numpy as np
@@ -41,34 +44,10 @@ class UnknownRelationError(ValueError):
     """Relation identifier not in the registry."""
 
 
-@dataclass
-class LatticeState:
-    """K stacked x-wavefunctions; level k carries chain parameter a_{k+1}."""
-
-    grid: Grid
-    components: np.ndarray = field(repr=False)  # (K, n_points) complex
-
-    def __post_init__(self):
-        comps = np.asarray(self.components, dtype=complex)
-        if comps.ndim != 2 or comps.shape[1] != self.grid.n_points:
-            raise ValueError("components must be (K, n_points)")
-        if comps.shape[0] < 6:
-            raise WindowTooSmallError("lattice window must have at least 6 levels")
-        self.components = comps
-
-    @property
-    def window(self) -> int:
-        return self.components.shape[0]
-
-    def interior_norm(self) -> float:
-        core = self.components[1:-1, self.grid.interior_slice()]
-        return float(np.linalg.norm(core))
-
-
 def packet_state(grid: Grid, window: int, levels: tuple[int, ...] | None = None,
                  x0: float = 0.0, sigma: float = 1.0,
-                 momentum: float = 0.0) -> LatticeState:
-    """Gaussian packet placed in the given levels (default: the two middle ones)."""
+                 momentum: float = 0.0) -> np.ndarray:
+    """(window, n_points) Gaussian packet in the given levels (default: the two middle ones)."""
     if levels is None:
         mid = window // 2
         levels = (mid - 1, mid)
@@ -78,17 +57,24 @@ def packet_state(grid: Grid, window: int, levels: tuple[int, ...] | None = None,
     for lev in levels:
         comps[lev] = amps
     comps /= np.linalg.norm(comps)
-    return LatticeState(grid, comps)
+    return comps
+
+
+def _interior_norm(grid: Grid, comps: np.ndarray) -> float:
+    """Norm over the interior levels and the interior of the grid."""
+    return float(np.linalg.norm(comps[1:-1, grid.interior_slice()]))
 
 
 class LatticeContext:
     """Per-level superpotentials and primitive operator actions.
 
-    The actions take raw (window, n) arrays. Chain values come from the
+    The actions take (window, n) arrays. Chain values come from the
     family, and so do the W samples of the ladder levels.
     """
 
     def __init__(self, family: PotentialFamily, grid: Grid, window: int):
+        if window < 6:
+            raise WindowTooSmallError("lattice window must have at least 6 levels")
         self.family = family
         self.grid = grid
         self.window = window
@@ -169,18 +155,22 @@ class LatticeContext:
         return self.diag(comps, lambda a: a, 0)
 
 
-def _bracket(X, Y):
-    """The commutator [X, Y] as an action: c -> X(Y(c)) - Y(X(c))."""
-    return lambda c: X(Y(c)) - Y(X(c))
+def _bracket(X, Y, rhs):
+    """The residual of [X, Y] = rhs: c -> X(Y(c)) - Y(X(c)) - rhs(c)."""
+    return lambda c: X(Y(c)) - Y(X(c)) - rhs(c)
 
 
 def _tower(P, f, n: int):
-    """(LHS, RHS) of [P, X_n] = X_{n+1}, where X_m(c) = f(m, P^m c)."""
-    def X(m, c):
-        for _ in range(m):
+    """The residual of [P, X_n] = X_{n+1}, where X_m(c) = f(m, P^m c).
+
+    P^n c and P^(n+1) c are built once each: n + 2 applications of P.
+    """
+    def residual(c):
+        for _ in range(n):
             c = P(c)
-        return f(m, c)
-    return (lambda c: P(X(n, c)) - X(n, P(c))), (lambda c: X(n + 1, c))
+        up = P(c)
+        return P(f(n, c)) - f(n, up) - f(n + 1, up)
+    return residual
 
 
 # The families a relation is defined for: (test, description).
@@ -190,33 +180,33 @@ _SCALING = (lambda fam: fam.q is not None, "scaling families")
 _SCALING_Q_LT_1 = (lambda fam: fam.q is not None and fam.q < 1.0,
                    "scaling families with q < 1")
 
-# Relation id -> (families it holds for, builder ctx -> (LHS, RHS) actions).
+# Relation id -> (families it holds for, builder ctx -> residual action).
+# A word that both sides use is bound once with := and reused.
 _RELATIONS = {
-    "ladder-commutator": (_EVERY, lambda x: (
-        _bracket(x.b_minus, x.b_plus), lambda c: x.rem(c, 0))),
-    "remainder-bracket": (_EVERY, lambda x: (
-        _bracket(x.b_plus, lambda c: x.rem(c, 0)),
-        lambda c: x.rem(x.b_plus(c), 1) - x.rem(x.b_plus(c), 0))),
+    "ladder-commutator": (_EVERY, lambda x: _bracket(
+        x.b_minus, x.b_plus, lambda c: x.rem(c, 0))),
+    "remainder-bracket": (_EVERY, lambda x: lambda c: (
+        x.b_plus(x.rem(c, 0)) - x.rem(up := x.b_plus(c), 0) - (x.rem(up, 1) - x.rem(up, 0)))),
     "remainder-bracket-2": (_EVERY, lambda x: _tower(x.b_plus, x.rem_difference, 1)),
     "remainder-bracket-3": (_EVERY, lambda x: _tower(x.b_plus, x.rem_difference, 2)),
-    "scaled-commutator": (_SCALING, lambda x: (
-        _bracket(x.k_minus, x.k_plus), lambda c: x.rem(c, 1))),
+    "scaled-commutator": (_SCALING, lambda x: _bracket(
+        x.k_minus, x.k_plus, lambda c: x.rem(c, 1))),
     "scaled-remainder-bracket": (_SCALING, lambda x: _tower(x.k_plus, x.scaled_rem, 0)),
     "scaled-tower-1": (_SCALING, lambda x: _tower(x.k_plus, x.scaled_rem, 1)),
     "scaled-tower-2": (_SCALING, lambda x: _tower(x.k_plus, x.scaled_rem, 2)),
     "scaled-tower-3": (_SCALING, lambda x: _tower(x.k_plus, x.scaled_rem, 3)),
-    "q-oscillator": (_SCALING, lambda x: (
-        lambda c: x.s_minus(x.s_plus(c)) - x.family.q * x.s_plus(x.s_minus(c)),
-        lambda c: c)),
-    "so21-commutator": (_SCALING_Q_LT_1, lambda x: (
-        _bracket(x.b_minus, x.b_plus), lambda c: x.family.c * x.exp_minus_p_j3(c))),
-    "j3-ladder-up": (_SCALING_Q_LT_1, lambda x: (_bracket(x.j3, x.b_plus), x.b_plus)),
-    "j3-ladder-down": (_SCALING_Q_LT_1, lambda x: (
-        _bracket(x.j3, x.b_minus), lambda c: -x.b_minus(c))),
-    "shift-rule-raise": (_EVERY, lambda x: (
-        lambda c: x.rem(x.b_plus(c), 1), lambda c: x.b_plus(x.rem(c, 0)))),
-    "shift-rule-lower": (_EVERY, lambda x: (
-        lambda c: x.rem(x.b_minus(c), 1), lambda c: x.b_minus(x.rem(c, 2)))),
+    "q-oscillator": (_SCALING, lambda x: lambda c: (
+        x.s_minus(x.s_plus(c)) - x.family.q * x.s_plus(x.s_minus(c)) - c)),
+    "so21-commutator": (_SCALING_Q_LT_1, lambda x: _bracket(
+        x.b_minus, x.b_plus, lambda c: x.family.c * x.exp_minus_p_j3(c))),
+    "j3-ladder-up": (_SCALING_Q_LT_1, lambda x: lambda c: (
+        x.j3(up := x.b_plus(c)) - x.b_plus(x.j3(c)) - up)),
+    "j3-ladder-down": (_SCALING_Q_LT_1, lambda x: lambda c: (
+        x.j3(down := x.b_minus(c)) - x.b_minus(x.j3(c)) + down)),
+    "shift-rule-raise": (_EVERY, lambda x: lambda c: (
+        x.rem(x.b_plus(c), 1) - x.b_plus(x.rem(c, 0)))),
+    "shift-rule-lower": (_EVERY, lambda x: lambda c: (
+        x.rem(x.b_minus(c), 1) - x.b_minus(x.rem(c, 2)))),
 }
 
 RELATIONS = list(_RELATIONS)
@@ -241,19 +231,13 @@ def commutator_residual(relation_id: str, family: PotentialFamily, grid: Grid,
     (holds, scope), build = _RELATIONS[relation_id]
     if not holds(family):
         raise UnknownRelationError(f"{relation_id} is defined for {scope} only")
-    test_states = [
-        packet_state(grid, window, x0=0.0, sigma=1.0),
-        packet_state(grid, window, x0=-1.0, sigma=1.3),
-        packet_state(grid, window, x0=0.8, sigma=0.9, momentum=0.6),
-    ]
     ctx = LatticeContext(family, grid, window)
-    lhs, rhs = build(ctx)
+    residual = build(ctx)
     worst = 0.0
-    for state in test_states:
-        diff = lhs(state.components) - rhs(state.components)
-        num = LatticeState(grid, diff).interior_norm()
-        den = state.interior_norm()
-        worst = max(worst, num / den)
+    for state in (packet_state(grid, window, x0=0.0, sigma=1.0),
+                  packet_state(grid, window, x0=-1.0, sigma=1.3),
+                  packet_state(grid, window, x0=0.8, sigma=0.9, momentum=0.6)):
+        worst = max(worst, _interior_norm(grid, residual(state)) / _interior_norm(grid, state))
     return worst
 
 
@@ -275,9 +259,9 @@ def adjoint_pair_residual(family: PotentialFamily, grid: Grid, window: int,
     phi = packet_state(grid, window, x0=-0.5, sigma=1.1)
     psi = packet_state(grid, window, x0=0.4, sigma=0.9, momentum=0.5)
     h = grid.spacing
-    lhs = h * np.vdot(phi.components, ups[pair](psi.components))
-    rhs = h * np.vdot(downs[pair](phi.components), psi.components)
-    scale = abs(h * np.vdot(phi.components, psi.components)) + 1.0
+    lhs = h * np.vdot(phi, ups[pair](psi))
+    rhs = h * np.vdot(downs[pair](phi), psi)
+    scale = abs(h * np.vdot(phi, psi)) + 1.0
     return float(abs(lhs - rhs) / scale)
 
 

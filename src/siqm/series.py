@@ -45,7 +45,9 @@ class SeriesCoefficients:
     q: float
     c0: float
     coeffs: np.ndarray = field(repr=False)
-    radius_estimate: float = 0.0     # ratio-test radius; +inf for a polynomial
+    # ratio-test radius; +inf when fewer than 6 coefficients are nonzero,
+    # for a polynomial (q = 1) and for a series too short to estimate
+    radius_estimate: float = 0.0
 
     @property
     def remainder(self) -> float:
@@ -82,8 +84,9 @@ def ratio_sequence(coeffs: SeriesCoefficients) -> np.ndarray:
 def _ratio_radius(ratios: np.ndarray, tail: int = 6) -> float:
     """Ratio-test radius in x: the median of the last `tail` ratios.
 
-    +inf when fewer than tail coefficients are nonzero (a polynomial
-    series, q = 1).
+    +inf when fewer than tail coefficients are nonzero. That is a
+    polynomial series (q = 1), but also a series truncated too early to
+    estimate, such as the q = 0 tanh series at K = 4, whose radius is pi/2.
     """
     if len(ratios) < tail - 1:
         return np.inf

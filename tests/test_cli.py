@@ -54,13 +54,21 @@ def read_strict_json(path):
     return json.loads(path.read_text(), parse_constant=refuse)
 
 
-@pytest.mark.parametrize("flags", [["--q", "1"],
-                                   ["--q", "0", "--c0", "1", "--order", "4"]])
-def test_coeffs_manifest_of_a_polynomial_series_is_strict_json(tmp_path, flags):
+def test_coeffs_manifest_of_a_polynomial_series_is_strict_json(tmp_path):
     out = tmp_path / "coeffs.csv"
-    assert run_command(["coeffs", *flags, "--out", str(out)]) == 0
+    assert run_command(["coeffs", "--q", "1", "--out", str(out)]) == 0
     results = read_strict_json(tmp_path / "coeffs.csv.manifest.json")["results"]
     assert results["radius_estimate"] is None and results["polynomial"] is True
+
+
+def test_coeffs_manifest_of_a_short_series_is_not_a_polynomial(tmp_path):
+    # five tanh coefficients are too few for the ratio test: no radius, and
+    # no polynomial either (the series of tanh does not terminate)
+    out = tmp_path / "coeffs.csv"
+    assert run_command(["coeffs", "--q", "0", "--c0", "1", "--order", "4",
+                        "--out", str(out)]) == 0
+    results = read_strict_json(tmp_path / "coeffs.csv.manifest.json")["results"]
+    assert results["radius_estimate"] is None and results["polynomial"] is False
 
 
 def test_coeffs_manifest_keeps_a_finite_radius(tmp_path):

@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 
 from siqm import (RELATIONS, UnknownRelationError, WindowTooSmallError,
-                  adjoint_pair_residual, build_grid, commutator_residual,
-                  dilation_identity_residual, Harmonic, packet_state,
-                  SelfSimilar)
+                  adjoint_pair_residual, applicable_relations, build_grid,
+                  commutator_residual, dilation_identity_residual, Harmonic,
+                  packet_state, SelfSimilar)
 import siqm.lattice
-from siqm.lattice import LatticeContext, LatticeState
+from siqm.lattice import LatticeContext
 
 Q5 = SelfSimilar(q=0.5, c=1.0, a1=1.0)
 GRID = build_grid(-15, 15, 3001)
@@ -28,11 +28,11 @@ def test_commutator_acts_as_remainder_at_each_level():
     # [B-, B+] multiplies level k by R(a_k) = c q^(k-1) a1; level 2 -> 0.5
     ctx = LatticeContext(Q5, GRID, 8)
     state = packet_state(GRID, 8, levels=(2,))
-    got = ctx.b_minus(ctx.b_plus(state.components)) - ctx.b_plus(ctx.b_minus(state.components))
-    expected = 0.5 * state.components
+    got = ctx.b_minus(ctx.b_plus(state)) - ctx.b_plus(ctx.b_minus(state))
+    expected = 0.5 * state
     sl = GRID.interior_slice()
     num = np.linalg.norm((got - expected)[:, sl])
-    assert num / np.linalg.norm(state.components[:, sl]) < 1e-8
+    assert num / np.linalg.norm(state[:, sl]) < 1e-8
 
 
 def test_relation_fetches_each_ladder_level_once(monkeypatch):
@@ -47,6 +47,80 @@ def test_relation_fetches_each_ladder_level_once(monkeypatch):
     monkeypatch.setattr(siqm.lattice, "eval_W", counting_eval_W)
     commutator_residual("ladder-commutator", fam, grid=build_grid(-8, 8, 401), window=12)
     assert fetched == [fam.chain_value(k) for k in range(1, 12)]
+
+
+# ladder actions (words) per packet of each relation, in RELATIONS order
+WORDS = dict(zip(RELATIONS, (4, 2, 3, 4, 4, 2, 3, 4, 5, 4, 4, 2, 2, 2, 2), strict=True))
+
+
+def test_each_word_is_built_once_per_packet(monkeypatch):
+    # a word costs window - 1 apply_ladder calls, and each relation runs three packets
+    apply_ladder, calls = siqm.lattice.apply_ladder, []
+
+    def counting_apply_ladder(W, psi, mode):
+        calls.append(mode)
+        return apply_ladder(W, psi, mode)
+
+    monkeypatch.setattr(siqm.lattice, "apply_ladder", counting_apply_ladder)
+    grid = build_grid(-8, 8, 401)
+    totals = {}
+    for fam in (SelfSimilar(q=0.6, c=1.0, a1=1.0), Harmonic(a1=1.0)):
+        totals[fam.name] = 0
+        for rel in applicable_relations(fam):
+            calls.clear()
+            commutator_residual(rel, fam, grid=grid, window=12)
+            assert len(calls) == 11 * 3 * WORDS[rel], rel
+            totals[fam.name] += len(calls)
+    assert totals == {"selfsimilar": 1551, "harmonic": 561}
+
+
+def _two_sided(x, relation):
+    """A relation as (LHS, RHS) actions that build every word where it occurs."""
+    def X(P, f, m, c):
+        for _ in range(m):
+            c = P(c)
+        return f(m, c)
+
+    def tower(P, f, n):
+        return (lambda c: P(X(P, f, n, c)) - X(P, f, n, P(c))), (lambda c: X(P, f, n + 1, c))
+
+    def bracket(A, B):
+        return lambda c: A(B(c)) - B(A(c))
+
+    rem0 = lambda c: x.rem(c, 0)
+    return {
+        "ladder-commutator": (bracket(x.b_minus, x.b_plus), rem0),
+        "remainder-bracket": (bracket(x.b_plus, rem0),
+                              lambda c: x.rem(x.b_plus(c), 1) - x.rem(x.b_plus(c), 0)),
+        "remainder-bracket-2": tower(x.b_plus, x.rem_difference, 1),
+        "remainder-bracket-3": tower(x.b_plus, x.rem_difference, 2),
+        "scaled-commutator": (bracket(x.k_minus, x.k_plus), lambda c: x.rem(c, 1)),
+        "scaled-remainder-bracket": tower(x.k_plus, x.scaled_rem, 0),
+        "scaled-tower-1": tower(x.k_plus, x.scaled_rem, 1),
+        "scaled-tower-2": tower(x.k_plus, x.scaled_rem, 2),
+        "scaled-tower-3": tower(x.k_plus, x.scaled_rem, 3),
+        "q-oscillator": (lambda c: x.s_minus(x.s_plus(c)) - Q5.q * x.s_plus(x.s_minus(c)),
+                         lambda c: c),
+        "so21-commutator": (bracket(x.b_minus, x.b_plus),
+                            lambda c: Q5.c * x.exp_minus_p_j3(c)),
+        "j3-ladder-up": (bracket(x.j3, x.b_plus), x.b_plus),
+        "j3-ladder-down": (bracket(x.j3, x.b_minus), lambda c: -x.b_minus(c)),
+        "shift-rule-raise": (lambda c: x.rem(x.b_plus(c), 1), lambda c: x.b_plus(rem0(c))),
+        "shift-rule-lower": (lambda c: x.rem(x.b_minus(c), 1), lambda c: x.b_minus(x.rem(c, 2))),
+    }[relation]
+
+
+@pytest.mark.parametrize("relation", RELATIONS)
+def test_residual_equals_two_sided_form_bitwise(relation):
+    lhs, rhs = _two_sided(LatticeContext(Q5, GRID, 12), relation)
+    sl = GRID.interior_slice()
+    worst = 0.0
+    for packet in (dict(x0=0.0, sigma=1.0), dict(x0=-1.0, sigma=1.3),
+                   dict(x0=0.8, sigma=0.9, momentum=0.6)):
+        c = packet_state(GRID, 12, **packet)
+        num = float(np.linalg.norm((lhs(c) - rhs(c))[1:-1, sl]))
+        worst = max(worst, num / float(np.linalg.norm(c[1:-1, sl])))
+    assert commutator_residual(relation, Q5, grid=GRID, window=12) == worst
 
 
 def test_harmonic_degenerate_brackets():
@@ -77,8 +151,8 @@ def test_scaling_only_relations_guarded():
 def test_shift_then_unshift_is_identity_on_interior():
     state = packet_state(GRID, 8)
     ctx = LatticeContext(Q5, GRID, 8)
-    out = ctx.t_shift_dag(ctx.t_shift(state.components))
-    assert np.array_equal(out[1:-1], state.components[1:-1])
+    out = ctx.t_shift_dag(ctx.t_shift(state))
+    assert np.array_equal(out[1:-1], state[1:-1])
 
 
 def test_shift_rule_equality():
@@ -93,9 +167,9 @@ def test_hamiltonian_block_is_shifted_factorization():
     from siqm.grid import WaveFunctionGrid, apply_ladder
     ctx = LatticeContext(Q5, GRID, 8)
     state = packet_state(GRID, 8, levels=(3,))
-    got = ctx.b_plus(ctx.b_minus(state.components))
+    got = ctx.b_plus(ctx.b_minus(state))
     W = eval_W(Q5, Q5.chain_value(4), GRID)  # level 3 carries a_4
-    psi = WaveFunctionGrid(GRID, state.components[3])
+    psi = WaveFunctionGrid(GRID, state[3])
     ref = apply_ladder(W, apply_ladder(W, psi, "lower"), "raise").amplitudes
     assert np.max(np.abs(got[3] - ref)) < 1e-12
     assert np.max(np.abs(got[[0, 1, 2, 4, 5, 6]])) < 1e-14
@@ -104,9 +178,9 @@ def test_hamiltonian_block_is_shifted_factorization():
 def test_j3_is_level_diagonal_count():
     ctx = LatticeContext(Q5, GRID, 8)
     state = packet_state(GRID, 8, levels=(2, 4))
-    out = ctx.j3(state.components)
-    assert np.allclose(out[2], -1.0 * state.components[2])
-    assert np.allclose(out[4], -3.0 * state.components[4])
+    out = ctx.j3(state)
+    assert np.allclose(out[2], -1.0 * state[2])
+    assert np.allclose(out[4], -3.0 * state[4])
 
 
 def test_edge_monotonicity_across_windows():
@@ -128,7 +202,7 @@ def test_adjoint_pairs():
 
 def test_window_too_small():
     with pytest.raises(WindowTooSmallError):
-        LatticeState(GRID, np.zeros((4, GRID.n_points), dtype=complex))
+        LatticeContext(Q5, GRID, 4)
 
 
 def test_dilation_identities():

@@ -52,6 +52,21 @@ def test_energy_levels_monotone_below_limit():
     assert np.all(tab.levels < 2.0)  # E_inf = c a1 / (1 - q)
 
 
+@pytest.mark.parametrize("q", [0.1, 0.05, 0.01, 0.001])
+@pytest.mark.parametrize("c, a1", [(1.0, 1.0), (1.3, 0.8), (0.7, 2.0)])
+def test_small_q_levels_match_mpmath(q, c, a1):
+    # at small q, E_1 .. E_20 pile up just below c a1; each level stays
+    # within 4 eps of the 50-digit sum of c a1 q^(k-1) over the float inputs
+    import mpmath
+    levels = energy_levels(SelfSimilar(q=q, c=c, a1=a1), 20).levels
+    assert levels[0] == 0.0
+    with mpmath.workdps(50):
+        head, ratio = mpmath.mpf(c) * mpmath.mpf(a1), mpmath.mpf(q)
+        exact = [head * sum(ratio ** k for k in range(n)) for n in range(1, 21)]
+        worst = max(abs((mpmath.mpf(got) - ref) / ref) for got, ref in zip(levels[1:], exact))
+    assert worst <= 4 * np.finfo(float).eps
+
+
 def test_morse_tower_terminates():
     with pytest.raises(LevelNotBoundError):
         energy_levels(Morse(a1=2.5), 3)
