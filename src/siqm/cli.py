@@ -249,11 +249,13 @@ def _cmd_coeffs(params: dict, outputs: list) -> tuple[dict, int]:
     grid = _grid_from(params)
     sc = series_coefficients(params["q"], params["c0"], K)
     out = params.get("out")
+    # the engine of the W table comes first, so a series it refuses writes nothing
+    engine = SelfSimilarW(sc) if out and grid is not None else None
     _write_columns(out, outputs, ["k", "c_k"], np.arange(K + 1), sc.coeffs)
-    if out and grid is not None:
+    if engine is not None:
         # companion x, W(x) table on the requested grid
         table = Path(out).with_name(Path(out).stem + ".table.csv")
-        _write_columns(table, outputs, ["x", "W"], grid.x, SelfSimilarW(sc).w(grid.x))
+        _write_columns(table, outputs, ["x", "W"], grid.x, engine.w(grid.x))
     # an infinite radius (a polynomial, or too few nonzero coefficients to
     # estimate) has no strict-JSON number
     radius = None if sc.radius_estimate == np.inf else sc.radius_estimate

@@ -33,6 +33,9 @@ import numpy as np
 
 from .grid import _lagrange
 
+# nonzero coefficients the ratio test needs before it estimates a radius
+_RADIUS_TAIL = 6
+
 
 class HorizonExceededError(RuntimeError):
     """Outward continuation left the built table or diverged."""
@@ -81,7 +84,7 @@ def ratio_sequence(coeffs: SeriesCoefficients) -> np.ndarray:
     return np.sqrt(np.abs(c[nz[:-1]] / c[nz[1:]]))
 
 
-def _ratio_radius(ratios: np.ndarray, tail: int = 6) -> float:
+def _ratio_radius(ratios: np.ndarray, tail: int = _RADIUS_TAIL) -> float:
     """Ratio-test radius in x: the median of the last `tail` ratios.
 
     +inf when fewer than tail coefficients are nonzero. That is a
@@ -96,11 +99,12 @@ def _ratio_radius(ratios: np.ndarray, tail: int = 6) -> float:
 class SelfSimilarW:
     """Evaluator for W: direct series inside 0.8*radius, pantograph ODE outside.
 
-    Builds a uniform table of (x, W, W') on demand, marching outward with a
-    classical 4th-order Runge-Kutta step. Inner values needed at the
-    contracted arguments sqrt(q) x and sqrt(q) (x + h/2) come from the
-    series where it converges and from 6-point Lagrange interpolation of
-    the table beyond. W is odd, so only x >= 0 is tabulated.
+    The table holds rows (x, W, W') for x >= 0 (W is odd): the series region
+    up to x_break, tabulated on the first ensure(), then a classical RK4
+    march outward, extended on demand. One evaluator reads W and W' at any
+    u >= 0, the series up to x_break and 6-point Lagrange interpolation of
+    the table beyond, for w(), wp() and the march's delayed terms at the
+    contracted arguments sqrt(q) x and sqrt(q) (x + h/2).
 
     The march runs in blocks. A block starts at the current table length L
     and takes every following step whose interpolation stencils lie inside
@@ -112,6 +116,11 @@ class SelfSimilarW:
     """
 
     def __init__(self, coeffs: SeriesCoefficients, step: float = 0.005):
+        c = coeffs.coeffs
+        if coeffs.q < 1.0 and coeffs.radius_estimate == np.inf:
+            raise ValueError(
+                f"a q < 1 series needs at least {_RADIUS_TAIL} nonzero coefficients to "
+                f"place its break point; order {len(c) - 1} has {np.count_nonzero(c)}")
         self.coeffs = coeffs
         self.q = coeffs.q
         self.R = coeffs.remainder
@@ -123,9 +132,11 @@ class SelfSimilarW:
             self._w_cap = 10.0 * max(1.0, np.sqrt(abs(self.R) / (1.0 - self.q)))
         else:
             self._w_cap = np.inf
+        # term j of each table row's series: W sums c_j u^(2j+1), W' sums
+        # (2j+1) c_j u^(2j); row 0 (x) is never summed
+        self._terms = np.stack((0 * c, c, np.arange(1, 2 * len(c), 2) * c))
         # rows x, W, W' of a preallocated table; the first _n columns are built
         self._table = np.empty((3, 0))
-        self._xs, self._W, self._Wp = self._table
         self._n = 0
 
     @property
@@ -135,59 +146,50 @@ class SelfSimilarW:
             return np.inf
         return float(np.sqrt(self.R / (1.0 - self.q)))
 
-    def _series_w(self, x):
-        x = np.asarray(x, dtype=float)
-        out = np.zeros_like(x)
-        xp = x.copy()
-        x2 = x * x
-        for cj in self.coeffs.coeffs:
-            out += cj * xp
+    def _series(self, u: np.ndarray, row):
+        """The partial sums at u of W (row 1), W' (row 2) or both (rows 1:3)."""
+        xp = np.array((u, u, np.ones_like(u))[row])  # the power of u in term 0
+        terms = self._terms[row].T
+        if xp.ndim > u.ndim:
+            terms = terms[..., None]  # one coefficient per row; a scalar for one row
+        x2 = u * u
+        out = np.zeros_like(xp)
+        for t in terms:
+            out += t * xp
             xp = xp * x2
         return out
 
-    def _series_wp(self, x):
-        x = np.asarray(x, dtype=float)
-        out = np.zeros_like(x)
-        xp = np.ones_like(x)
-        x2 = x * x
-        for j, cj in enumerate(self.coeffs.coeffs):
-            out += (2 * j + 1) * cj * xp
-            xp = xp * x2
-        return out
-
-    def _delayed(self, u: np.ndarray, n: int):
-        """q W(u)^2 and q W'(u) for the table as it stands at n points."""
-        inner = np.empty((2, len(u)))
+    def _at(self, u: np.ndarray, n: int, row):
+        """W (row 1), W' (row 2) or both (rows 1:3) at u >= 0, the table read to point n."""
         ser = u <= self.x_break
-        if ser.any():
-            inner[0, ser] = self._series_w(u[ser])
-            inner[1, ser] = self._series_wp(u[ser])
-        if not ser.all():
-            inner[:, ~ser] = _lagrange(u[~ser] / self.step, n, self._table[1:])
-        # float_power rounds like Python's scalar ** 2; numpy's ** can differ in the last bit
-        return self.q * np.float_power(inner[0], 2.0), self.q * inner[1]
+        if ser.all():
+            return self._series(u, row)
+        rows = self._table[row]
+        if not ser.any():
+            return _lagrange(u / self.step, n, rows)
+        out = np.empty(rows.shape[:-1] + u.shape)
+        lead = (slice(None),) * (out.ndim - u.ndim)  # the row axis when both rows
+        out[lead + (ser,)] = self._series(u[ser], row)
+        out[lead + (~ser,)] = _lagrange(u[~ser] / self.step, n, rows)
+        return out
 
     def _reserve(self, size: int):
         if size > self._table.shape[1]:
             table = np.empty((3, max(size, 2 * self._table.shape[1])))
             table[:, :self._n] = self._table[:, :self._n]
             self._table = table
-            self._xs, self._W, self._Wp = table
 
     def ensure(self, x_max: float):
         """Extend the table so that |x| <= x_max is evaluable."""
         if self.q == 1.0:
             return  # W = c0 x globally, no table needed
         h = self.step
-        series_end = min(self.x_break, x_max + 4 * h)
         n = self._n
-        if n == 0 or (self._xs[n - 1] < self.x_break and self._xs[n - 1] < series_end - h):
-            # table still entirely inside the series region: (re)fill it
-            n = int(series_end / h) + 1
+        if n == 0:
+            # the series region, tabulated once
+            n = int(self.x_break / h) + 1
             xs = np.arange(n) * h
-            self._n = 0
-            self._reserve(n)
-            self._table[:, :n] = xs, self._series_w(xs), self._series_wp(xs)
+            self._table = np.vstack((xs, self._series(xs, slice(1, 3))))
             self._n = n
         sq, R, cap = self._sqrtq, self.R, self._w_cap
 
@@ -195,8 +197,7 @@ class SelfSimilarW:
             # a stencil at u would reach past the n points built so far
             return u > self.x_break and int(u / h) > n - 4
 
-        x = float(self._xs[n - 1])
-        w = float(self._W[n - 1])
+        x, w = self._table[:2, n - 1].tolist()
         while x < x_max:
             # the contracted argument must stay inside the built table
             if sq * (x + h) > x and x > 0:
@@ -213,7 +214,10 @@ class SelfSimilarW:
                 xs.append(xs[-1] + h)
             steps = len(xs) - 1
             xb = np.array(xs)
-            a, b = self._delayed(np.concatenate((sq * xb, sq * (xb[:-1] + h / 2))), n)
+            inner = self._at(np.concatenate((sq * xb, sq * (xb[:-1] + h / 2))), n, slice(1, 3))
+            # float_power rounds like Python's scalar ** 2; numpy's ** can differ in the last bit
+            a = self.q * np.float_power(inner[0], 2.0)
+            b = self.q * inner[1]
             a0, ah = a[:steps + 1].tolist(), a[steps + 1:].tolist()
             b0, bh = b[:steps + 1].tolist(), b[steps + 1:].tolist()
             self._reserve(n + steps)
@@ -239,10 +243,8 @@ class SelfSimilarW:
                 self._n = n = n + m
             if clamped:
                 # W' at the new point sees W with that point already appended
-                u = sq * xb[1:]
-                if u[0] > self.x_break:
-                    a1 = self.q * np.float_power(_lagrange(u / h, n, self._W)[0], 2.0)
-                    self._Wp[n - 1] = -w * w + a1 - b0[1] + R
+                a1 = self.q * np.float_power(self._at(sq * xb[1:], n, 1)[0], 2.0)
+                self._table[2, n - 1] = -w * w + a1 - b0[1] + R
 
     def w(self, x) -> np.ndarray:
         """W(x), vectorized; odd extension for negative arguments."""
@@ -251,11 +253,7 @@ class SelfSimilarW:
             return self.coeffs.c0 * x
         a = np.abs(x)
         self.ensure(float(np.max(a)) + 2 * self.step)
-        out = np.empty_like(a)
-        ser = a <= self.x_break
-        out[ser] = self._series_w(a[ser])
-        out[~ser] = _lagrange(a[~ser] / self.step, self._n, self._W)
-        return np.sign(x) * out
+        return np.sign(x) * self._at(a, self._n, 1)
 
     def wp(self, x) -> np.ndarray:
         """W'(x), vectorized; even in x."""
@@ -264,11 +262,7 @@ class SelfSimilarW:
             return np.full_like(x, self.coeffs.c0)
         a = np.abs(x)
         self.ensure(float(np.max(a)) + 2 * self.step)
-        out = np.empty_like(a)
-        ser = a <= self.x_break
-        out[ser] = self._series_wp(a[ser])
-        out[~ser] = _lagrange(a[~ser] / self.step, self._n, self._Wp)
-        return out
+        return self._at(a, self._n, 2)
 
     def defining_residual(self, x) -> np.ndarray:
         """|W^2 + W' - q W(sqrt(q)x)^2 + q W'(sqrt(q)x) - R| pointwise.

@@ -3,6 +3,7 @@
 import importlib
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 
 import siqm
-from siqm.cli import run_command
+from siqm.cli import VERIFY_SUITES, run_command
 from siqm.dynamics import MAX_STEPS
 
 
@@ -174,14 +175,30 @@ def test_verify_lattice_suite_passes(tmp_path):
 
 
 def test_verify_broken_w_table_exits_2(tmp_path):
-    # a 3-term series leaves a visibly wrong W, so the x-space relations fail
+    # a 6-term series, the shortest that places its break point, leaves a
+    # visibly wrong W, so the x-space relations fail
     rep = tmp_path / "rep.json"
     code = run_command(["verify", "--suite", "lattice-algebra", "--q", "0.5",
-                        "--order", "3", "--report", str(rep)])
+                        "--order", "5", "--report", str(rep)])
     assert code == 2
     manifest = read_manifest(tmp_path / "rep.json.manifest.json")
     failing = manifest["results"]["failing"]
     assert "ladder-commutator" in failing
+
+
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "--q", "0.5", "--order", "4", "--levels", "2", "--out", "spec.csv"],
+    ["coeffs", "--q", "0.5", "--c0", "0.6667", "--order", "4", "--grid-min", "-10",
+     "--grid-max", "10", "--grid-points", "201", "--out", "w.csv"],
+])
+def test_series_too_short_for_its_break_point_exits_1(tmp_path, monkeypatch, capsys, argv):
+    # five coefficients give no radius estimate, so no break point between
+    # the summed series and the march: refused before anything is written
+    monkeypatch.chdir(tmp_path)
+    assert run_command(argv) == 1
+    err = capsys.readouterr().err
+    assert "order 4" in err and "6 nonzero coefficients" in err
+    assert not list(tmp_path.iterdir())
 
 
 def test_verify_matrix_identities(tmp_path):
@@ -411,6 +428,50 @@ def test_config_value_its_flag_would_refuse_exits_1(tmp_path, capsys, command, t
     assert run_command([command, "--config", str(cfg), "--out", str(tmp_path / "o.csv")]) == 1
     assert flag in capsys.readouterr().err
     assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+
+# the sweep contract: over seeded random inputs nothing escapes run_command,
+# exit 0 or 2 writes a strict-JSON manifest and exit 1 writes no file at all
+
+def _sweep(tmp_path, jobs):
+    """Run each (argv, output flag, file name) job in its own directory; the exit codes."""
+    codes = []
+    for i, (argv, flag, name) in enumerate(jobs):
+        out = tmp_path / f"job{i}" / name
+        out.parent.mkdir()
+        code = run_command([*argv, flag, str(out)])
+        assert code in (0, 1, 2), argv
+        if code == 1:
+            assert not list(out.parent.iterdir()), argv
+        else:
+            read_strict_json(out.with_name(name + ".manifest.json"))
+        codes.append(code)
+    return codes
+
+
+def test_coeffs_sweep_contract(tmp_path):
+    rng = random.Random(1611)
+    jobs, short = [], []
+    for i in range(30):
+        q, c0, order = rng.uniform(0, 1), rng.uniform(0.3, 3), rng.randint(1, 80)
+        grid = ["--grid-min", "-10", "--grid-max", "10", "--grid-points", "201"] if i % 2 else []
+        jobs.append((["coeffs", "--q", repr(q), "--c0", repr(c0), "--order", str(order),
+                      *grid], "--out", "c.csv"))
+        short.append(bool(grid) and order < 5)
+    # exit 1 only where a gridded W table needs a break point the series cannot place
+    assert [code == 1 for code in _sweep(tmp_path, jobs)] == short
+
+
+def test_verify_sweep_contract(tmp_path):
+    rng = random.Random(1612)
+    bands = [(0.05, 0.3), (0.3, 0.95), (0.95, 1.0)]
+    jobs = []
+    for i in range(20):
+        q = rng.uniform(*bands[i % 3])
+        c, a1 = rng.uniform(0.3, 3), rng.uniform(0.3, 3)
+        jobs.append((["verify", "--suite", VERIFY_SUITES[i % 5], "--q", repr(q), "--c", repr(c),
+                      "--a1", repr(a1)], "--report", "rep.json"))
+    _sweep(tmp_path, jobs)
 
 
 def test_cli_import_leaves_out_scipy_interpolate():

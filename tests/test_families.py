@@ -5,7 +5,8 @@ import json
 import numpy as np
 import pytest
 
-from siqm import (NonNormalizableError, PotentialFamily, build_grid, energy_levels,
+from siqm import (NonNormalizableError, PotentialFamily, build_grid,
+                  eigenstate_with_prenorm, energy_levels,
                   eval_W, family_from_config, fd_diagonalize, ground_state,
                   Harmonic, Morse, SelfSimilar,
                   shape_invariance_residual)
@@ -127,6 +128,20 @@ def test_scaling_family_at_q1_has_the_harmonic_oracle_and_residual(c, a1):
     e_harmonic, _ = fd_diagonalize(harmonic, g, 6)
     assert e_scaling.tobytes() == e_harmonic.tobytes()
     assert shape_invariance_residual(scaling, g) == shape_invariance_residual(harmonic, g)
+
+
+@pytest.mark.parametrize("c, a1", [(1.0, 1.0), (1.3, 0.8), (0.7, 2.0)])
+def test_scaling_family_at_q1_has_the_harmonic_eigenstates(c, a1):
+    # the raising recursion sees the same W at every chain parameter and the
+    # same levels, so each state and its pre-normalization norm are bitwise
+    scaling = SelfSimilar(q=1.0, c=c, a1=a1)
+    harmonic = Harmonic(a1=c * a1 / 2)
+    g = build_grid(-10, 10, 2001)
+    for n in range(5):
+        psi_s, norm_s = eigenstate_with_prenorm(scaling, n, g)
+        psi_h, norm_h = eigenstate_with_prenorm(harmonic, n, g)
+        assert np.array_equal(psi_s.amplitudes, psi_h.amplitudes)
+        assert norm_s == norm_h
 
 
 # q -> 0 is the one-soliton limit: W -> k tanh(k x), psi_0 -> sqrt(k/2) sech(k x),

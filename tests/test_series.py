@@ -170,14 +170,14 @@ def _reference_march(eng, x_max):
     """
     q, R, h, sq = eng.q, eng.R, eng.step, np.sqrt(eng.q)
     xs = np.arange(int(min(eng.x_break, x_max + 4 * h) / h) + 1) * h
-    X, W, Wp = list(xs), list(eng._series_w(xs)), list(eng._series_wp(xs))
+    X, W, Wp = list(xs), list(eng._series(xs, 1)), list(eng._series(xs, 2))
     clamped = 0
 
     def rhs(x, w):
         nonlocal clamped
         u = sq * x
         if u <= eng.x_break:
-            iw, iwp = float(eng._series_w(u)), float(eng._series_wp(u))
+            iw, iwp = eng._series(np.array([u]), slice(1, 3))[:, 0].tolist()
         else:
             clamped += int(u / h) > len(Wp) - 4
             iw, iwp = _lagrange6(W, u, h), _lagrange6(Wp, u, h)
@@ -209,9 +209,9 @@ def test_blocked_march_matches_scalar_reference(q, step):
     x = np.linspace(-11.9, 11.9, 477)
     a = np.abs(x)
     ser = a <= eng.x_break
-    w_ref = np.array([float(eng._series_w(u)) if s else _lagrange6(ref[1], u, step)
+    w_ref = np.array([eng._series(np.array([u]), 1)[0] if s else _lagrange6(ref[1], u, step)
                       for u, s in zip(a, ser)])
-    wp_ref = np.array([float(eng._series_wp(u)) if s else _lagrange6(ref[2], u, step)
+    wp_ref = np.array([eng._series(np.array([u]), 2)[0] if s else _lagrange6(ref[2], u, step)
                        for u, s in zip(a, ser)])
     assert np.array_equal(eng.w(x), np.sign(x) * w_ref)
     assert np.array_equal(eng.wp(x), wp_ref)
@@ -226,3 +226,28 @@ def test_grown_table_equals_fresh_table(q):
         grown.ensure(x_max)
     fresh.ensure(40.0)
     assert np.array_equal(grown._table[:, :grown._n], fresh._table[:, :fresh._n])
+
+
+def _mp_coefficients(q, c0, K):
+    """The recursion at 50 digits on the float inputs, as mpf values."""
+    import mpmath
+    with mpmath.workdps(50):
+        q, c = mpmath.mpf(q), [mpmath.mpf(c0)]
+        for k in range(K):
+            conv = mpmath.fsum(c[i] * c[k - i] for i in range(k + 1))
+            c.append(-(1 - q ** (k + 2)) / ((2 * k + 3) * (1 + q ** (k + 2))) * conv)
+    return c
+
+
+@pytest.mark.parametrize("q", [0.0, 0.05, 0.3, 0.5, 0.7, 0.95, 0.99])
+@pytest.mark.parametrize("c0", [0.4, 1.0, 1.7])
+def test_series_recursion_matches_mpmath(q, c0):
+    # the float error of c_k grows linearly in k: at most 1.8 (k+1) eps here
+    import mpmath
+    K = 80
+    got = series_coefficients(q, c0, K).coeffs
+    ref = _mp_coefficients(q, c0, K)
+    with mpmath.workdps(50):
+        for k in np.flatnonzero(got):
+            bound = 4 * (k + 1) * np.finfo(float).eps * abs(ref[k])
+            assert abs(mpmath.mpf(got[k]) - ref[k]) <= bound, k
