@@ -13,14 +13,14 @@ condition carry the superpotential solver's accuracy (~1e-8).
 
 import warnings
 
-from siqm import (RELATIONS, adjoint_pair_residual, build_grid,
-                  commutator_residual, dilation_identity_residual,
-                  energy_levels, matrix_identities, SelfSimilar)
+from siqm import (RELATIONS, adjoint_pair_residual, commutator_residual,
+                  dilation_identity_residual, energy_levels, Grid,
+                  matrix_identities, SelfSimilar)
 
 warnings.filterwarnings("ignore")
 
 fam = SelfSimilar(q=0.5, c=1.0, a1=1.0)
-grid = build_grid(-15, 15, 3001)
+grid = Grid(-15, 15, 3001)
 
 print("=== lattice relations at q = 0.5 (window K = 12, interior levels) ===")
 for rel in RELATIONS:

@@ -16,7 +16,7 @@ import warnings
 
 import numpy as np
 
-from siqm import (BoundaryDecayWarning, build_grid, energy_levels,
+from siqm import (BoundaryDecayWarning, Grid, energy_levels,
                   fd_diagonalize, Harmonic, Morse,
                   SelfSimilar)
 
@@ -24,7 +24,7 @@ warnings.filterwarnings("ignore")
 
 print("=== harmonic fixture (lambda = 1): E_n = 2 n ===")
 fam = Harmonic(a1=1.0)
-e_fd, _ = fd_diagonalize(fam, build_grid(-10, 10, 2001), 5)
+e_fd, _ = fd_diagonalize(fam, Grid(-10, 10, 2001), 5)
 tab = energy_levels(fam, 4)
 for n in range(5):
     print(f"  n={n}: ladder {tab.levels[n]:8.5f}  oracle {e_fd[n]:11.8f}")
@@ -32,7 +32,7 @@ for n in range(5):
 print()
 print("=== Morse fixture (A = 2.5): E_n = A^2 - (A-n)^2, three bound levels ===")
 fam = Morse(a1=2.5)
-e_fd, _ = fd_diagonalize(fam, build_grid(-5, 32, 3701), 3)
+e_fd, _ = fd_diagonalize(fam, Grid(-5, 32, 3701), 3)
 tab = energy_levels(fam, 2)
 for n in range(3):
     print(f"  n={n}: ladder {tab.levels[n]:8.5f}  oracle {e_fd[n]:11.8f}")
@@ -42,7 +42,7 @@ def oracle_with_walls(fam, half, k):
     """Oracle levels and states on [-half, half] at h = 0.01, plus wall warnings."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", BoundaryDecayWarning)
-        e_fd, states = fd_diagonalize(fam, build_grid(-half, half, 200 * half + 1), k)
+        e_fd, states = fd_diagonalize(fam, Grid(-half, half, 200 * half + 1), k)
     return e_fd, states, [w for w in caught
                           if issubclass(w.category, BoundaryDecayWarning)]
 
@@ -59,7 +59,7 @@ half = 15
 while True:
     e_fd, states, walls = oracle_with_walls(fam, half, 7)
     errs = np.abs(e_fd - tab.levels)
-    top = states[-1].amplitudes
+    top = states[-1]
     wall = ("silent" if not walls else
             f"warns for {len(walls)} of 7; state 6 wall weight "
             f"{max(abs(top[0]), abs(top[-1])):.1e}")

@@ -11,9 +11,9 @@ time evolution.
 
 __version__ = "0.1.0"
 
-from .grid import (Grid, WaveFunctionGrid, build_grid, apply_ladder, dilate,
-                   inner, InvalidRangeError, TooFewPointsError,
-                   GridMismatchError, BoundaryDecayWarning)
+from .grid import (Grid, apply_ladder, dilate, inner, norm, normalized,
+                   InvalidRangeError, TooFewPointsError, GridMismatchError,
+                   BoundaryDecayWarning)
 from .series import (SeriesCoefficients, SelfSimilarW, series_coefficients,
                      HorizonExceededError)
 from .families import (ParameterRule, PotentialFamily, Harmonic, Morse,

@@ -42,7 +42,7 @@ from .coherent import (coherent_closed_scaling, coherent_property_residuals,
 from .dynamics import DriveProfile, evolve_forced
 from .families import (DEFAULT_FAMILY, FAMILIES, family_from_config,
                        shape_invariance_residual, suggested_grid)
-from .grid import Grid, build_grid
+from .grid import Grid
 from .ladder_matrices import MATRIX_TOL, matrix_identities
 from .lattice import (applicable_relations, commutator_residual,
                       dilation_identity_residual)
@@ -183,7 +183,7 @@ def _merge_params(parser: _Parser, args: argparse.Namespace) -> dict:
     A config key must name one of the command's own parameter flags, and
     its value is parsed as that flag's text would be, with the flag's type
     and choices; a null value, like an absent flag, leaves the value below
-    it in force.
+    it in force. A float that is not finite (inf or nan) is refused.
     """
     flags = {key: val for key, val in vars(args).items()
              if key not in ("command", "config")}
@@ -201,6 +201,9 @@ def _merge_params(parser: _Parser, args: argparse.Namespace) -> dict:
     merged = dict(DEFAULTS[args.command])
     for layer in (cfg, flags):
         merged.update((key, val) for key, val in layer.items() if val is not None)
+    for key, val in merged.items():
+        if isinstance(val, float) and not np.isfinite(val):
+            raise CliError(f"--{key.replace('_', '-')} must be finite, got {key} = {val!r}")
     return merged
 
 
@@ -221,7 +224,7 @@ def _grid_from(params: dict) -> Grid | None:
     if None in values:
         raise CliError("provide all of --grid-min, --grid-max, --grid-points "
                        "or none of them")
-    return build_grid(*values)
+    return Grid(*values)
 
 
 def _cmd_spectrum(params: dict, outputs: list) -> tuple[dict, int]:
@@ -272,7 +275,7 @@ def _cmd_eigenstates(params: dict, outputs: list) -> tuple[dict, int]:
     states, prenorm_errs = [], []
     for n in range(n_max + 1):
         psi, prenorm = eigenstate_with_prenorm(fam, n, grid)
-        states.append(psi.amplitudes)
+        states.append(psi)
         expected = normalization_factor(table, n)
         prenorm_errs.append(abs(prenorm - expected) / max(expected, 1e-300))
     header = ["x"] + [f"{part}_psi_{n}" for n in range(n_max + 1) for part in ("re", "im")]

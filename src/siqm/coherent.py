@@ -21,8 +21,8 @@ The eigenvalue and derivative conditions are checked against the lowering
 action whose matrix elements are the normalization-factor ratios
 N_n / N_{n-1} (sqrt(q^(n-1) E_n) for scaling chains); this is the action of
 the lowering operator on chain-built states, where the parameter map also
-rescales the expansion coefficients. At q = 1 the weight reduces to the
-familiar sqrt(E_n).
+rescales the expansion coefficients. It is not the sqrt(E_n) B- of
+ladder_matrices and evolve_forced; the two agree only at q = 1.
 """
 
 from dataclasses import dataclass, field

@@ -27,7 +27,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .grid import Grid, WaveFunctionGrid, apply_ladder, cumulative_integral
+from .grid import Grid, apply_ladder, cumulative_integral, normalized
 from .series import SelfSimilarW, series_coefficients
 
 
@@ -258,7 +258,7 @@ def suggested_grid(family: PotentialFamily, spacing: float = 0.01) -> Grid:
     return Grid(lo, hi, n)
 
 
-def ground_state(family: PotentialFamily, a: float, grid: Grid) -> WaveFunctionGrid:
+def ground_state(family: PotentialFamily, a: float, grid: Grid) -> np.ndarray:
     """Unit-norm ground state psi_0(x) proportional to exp(-int_0^x W).
 
     The accumulated integral uses a 4th-order cumulative rule; the additive
@@ -276,20 +276,16 @@ def ground_state(family: PotentialFamily, a: float, grid: Grid) -> WaveFunctionG
     if amps[0] > 1e-2 * peak or amps[-1] > 1e-2 * peak:
         raise NonNormalizableError(
             "candidate ground state does not decay at both boundaries")
-    return WaveFunctionGrid(grid, amps.astype(complex)).normalized()
+    return normalized(amps, grid)
 
 
-def default_test_functions(grid: Grid) -> list[WaveFunctionGrid]:
+def default_test_functions(grid: Grid) -> list[np.ndarray]:
     """Smooth decaying packets used to probe operator identities."""
     x = grid.x
     span = min(abs(grid.x_min), abs(grid.x_max))
-    packets = []
-    for x0, sig in ((0.0, 1.0), (-0.15 * span, 1.4), (0.1 * span, 0.8)):
-        amps = np.exp(-((x - x0) ** 2) / (2 * sig ** 2)).astype(complex)
-        packets.append(WaveFunctionGrid(grid, amps).normalized())
-    amps = (np.exp(-x ** 2 / 2.5) * np.exp(0.7j * x)).astype(complex)
-    packets.append(WaveFunctionGrid(grid, amps).normalized())
-    return packets
+    packets = [normalized(np.exp(-((x - x0) ** 2) / (2 * sig ** 2)), grid)
+               for x0, sig in ((0.0, 1.0), (-0.15 * span, 1.4), (0.1 * span, 0.8))]
+    return packets + [normalized(np.exp(-x ** 2 / 2.5) * np.exp(0.7j * x), grid)]
 
 
 def shape_invariance_residual(family: PotentialFamily, grid: Grid) -> float:
@@ -307,9 +303,9 @@ def shape_invariance_residual(family: PotentialFamily, grid: Grid) -> float:
     sl = grid.interior_slice()
     worst = 0.0
     for f in default_test_functions(grid):
-        lhs = apply_ladder(W1, apply_ladder(W1, f, "raise"), "lower")
-        rhs = apply_ladder(W2, apply_ladder(W2, f, "lower"), "raise")
-        diff = lhs.amplitudes - rhs.amplitudes - R * f.amplitudes
-        denom = np.linalg.norm(f.amplitudes[sl])
+        lhs = apply_ladder(W1, apply_ladder(W1, f, grid, "raise"), grid, "lower")
+        rhs = apply_ladder(W2, apply_ladder(W2, f, grid, "lower"), grid, "raise")
+        diff = lhs - rhs - R * f
+        denom = np.linalg.norm(f[sl])
         worst = max(worst, float(np.linalg.norm(diff[sl]) / denom))
     return worst

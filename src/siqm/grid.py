@@ -8,13 +8,15 @@ ground-state energy) is H = A_dag A = -d2/dx2 + W^2 - W'.
 Derivatives use 4th-order centered stencils, with 4th-order one-sided
 stencils on the two boundary rows at each end. Off-grid values come from
 one 6-point Lagrange interpolator, shared with the W table of the
-self-similar engine. All values are immutable
-after construction and every operation is a pure function, so concurrent
-read-only use is safe.
+self-similar engine.
+
+A state is a complex (n_points,) array on a Grid; every function that
+takes one refuses any other length with GridMismatchError. Every operation
+returns a new array and leaves its inputs as they were.
 """
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -68,34 +70,14 @@ class Grid:
         return slice(margin, self.n_points - margin)
 
 
-def build_grid(x_min: float, x_max: float, n_points: int) -> Grid:
-    """Construct a uniform grid; raises on a bad range or too few points."""
-    return Grid(float(x_min), float(x_max), int(n_points))
-
-
-@dataclass
-class WaveFunctionGrid:
-    """Complex amplitudes sampled on a Grid. Treated as immutable."""
-
-    grid: Grid
-    amplitudes: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        amps = np.asarray(self.amplitudes, dtype=complex)
-        if amps.shape != (self.grid.n_points,):
-            raise GridMismatchError(
-                f"{amps.shape[0] if amps.ndim == 1 else amps.shape} amplitudes "
-                f"on a {self.grid.n_points}-point grid")
-        self.amplitudes = amps
-
-    def norm(self) -> float:
-        return float(np.sqrt(trapezoid_weights(self.grid) @ np.abs(self.amplitudes) ** 2))
-
-    def normalized(self) -> "WaveFunctionGrid":
-        n = self.norm()
-        if n == 0.0:
-            raise ValueError("cannot normalize the zero function")
-        return WaveFunctionGrid(self.grid, self.amplitudes / n)
+def _samples(psi: np.ndarray, grid: Grid) -> np.ndarray:
+    """psi as a complex array; a length other than the grid's is refused."""
+    amps = np.asarray(psi, dtype=complex)
+    if amps.shape != (grid.n_points,):
+        raise GridMismatchError(
+            f"{amps.shape[0] if amps.ndim == 1 else amps.shape} amplitudes "
+            f"on a {grid.n_points}-point grid")
+    return amps
 
 
 def trapezoid_weights(grid: Grid) -> np.ndarray:
@@ -105,12 +87,23 @@ def trapezoid_weights(grid: Grid) -> np.ndarray:
     return w
 
 
-def inner(phi: WaveFunctionGrid, psi: WaveFunctionGrid) -> complex:
+def norm(psi: np.ndarray, grid: Grid) -> float:
+    """Trapezoidal L2 norm of a state."""
+    return float(np.sqrt(trapezoid_weights(grid) @ np.abs(_samples(psi, grid)) ** 2))
+
+
+def normalized(psi: np.ndarray, grid: Grid) -> np.ndarray:
+    """The state divided by its norm."""
+    n = norm(psi, grid)
+    if n == 0.0:
+        raise ValueError("cannot normalize the zero function")
+    return _samples(psi, grid) / n
+
+
+def inner(phi: np.ndarray, psi: np.ndarray, grid: Grid) -> complex:
     """Trapezoidal inner product <phi|psi> = int conj(phi) psi dx."""
-    if phi.grid != psi.grid:
-        raise GridMismatchError("inner product of functions on different grids")
-    w = trapezoid_weights(phi.grid)
-    return complex(np.sum(w * np.conj(phi.amplitudes) * psi.amplitudes))
+    w = trapezoid_weights(grid)
+    return complex(np.sum(w * np.conj(_samples(phi, grid)) * _samples(psi, grid)))
 
 
 # 4th-order centered stencils: the antisymmetric half of d/dx, and the
@@ -150,19 +143,18 @@ def first_derivative(values: np.ndarray, spacing: float) -> np.ndarray:
     return out / spacing
 
 
-def apply_ladder(W_values: np.ndarray, psi: WaveFunctionGrid, mode: str) -> WaveFunctionGrid:
+def apply_ladder(W_values: np.ndarray, psi: np.ndarray, grid: Grid, mode: str) -> np.ndarray:
     """Apply A = W + d/dx (mode 'lower') or A_dag = W - d/dx (mode 'raise')."""
+    psi = _samples(psi, grid)
     W = np.asarray(W_values, dtype=float)
-    if W.shape != (psi.grid.n_points,):
+    if W.shape != (grid.n_points,):
         raise GridMismatchError("W sampled on a different grid than psi")
-    dpsi = first_derivative(psi.amplitudes, psi.grid.spacing)
+    dpsi = first_derivative(psi, grid.spacing)
     if mode == "lower":
-        amps = W * psi.amplitudes + dpsi
-    elif mode == "raise":
-        amps = W * psi.amplitudes - dpsi
-    else:
-        raise ValueError(f"mode must be 'lower' or 'raise', got {mode!r}")
-    return WaveFunctionGrid(psi.grid, amps)
+        return W * psi + dpsi
+    if mode == "raise":
+        return W * psi - dpsi
+    raise ValueError(f"mode must be 'lower' or 'raise', got {mode!r}")
 
 
 # 6-point Lagrange stencil: offsets j of the stencil, and for each j the
@@ -193,7 +185,7 @@ def _lagrange(pos: np.ndarray, n: int, tables: np.ndarray) -> np.ndarray:
     return acc
 
 
-def dilate(psi: WaveFunctionGrid, s: float, unitary: bool = True) -> WaveFunctionGrid:
+def dilate(psi: np.ndarray, grid: Grid, s: float, unitary: bool = True) -> np.ndarray:
     """Rescale the argument: (D_s psi)(x) = sqrt(s) * psi(s*x).
 
     With unitary=True the sqrt(s) amplitude factor preserves the L2 norm.
@@ -204,13 +196,13 @@ def dilate(psi: WaveFunctionGrid, s: float, unitary: bool = True) -> WaveFunctio
     psi has decayed there, so a warning is issued if the boundary amplitude
     is not negligible.
     """
+    psi = _samples(psi, grid)
     if s <= 0:
         raise ValueError(f"scale factor must be positive, got {s}")
     if s == 1.0:
-        return WaveFunctionGrid(psi.grid, psi.amplitudes.copy())
-    grid = psi.grid
-    amax = float(np.max(np.abs(psi.amplitudes)))
-    edge = max(abs(psi.amplitudes[0]), abs(psi.amplitudes[-1]))
+        return psi.copy()
+    amax = float(np.max(np.abs(psi)))
+    edge = max(abs(psi[0]), abs(psi[-1]))
     if amax > 0 and edge > 1e-8 * amax:
         warnings.warn("wavefunction is not negligible at the grid boundary; "
                       "dilation will zero-fill out-of-domain samples",
@@ -219,10 +211,10 @@ def dilate(psi: WaveFunctionGrid, s: float, unitary: bool = True) -> WaveFunctio
     inside = (target >= grid.x_min) & (target <= grid.x_max)
     amps = np.zeros(grid.n_points, dtype=complex)
     amps[inside] = _lagrange((target[inside] - grid.x_min) / grid.spacing,
-                             grid.n_points, psi.amplitudes)
+                             grid.n_points, psi)
     if unitary:
         amps *= np.sqrt(s)
-    return WaveFunctionGrid(grid, amps)
+    return amps
 
 
 def second_derivative_bands(grid: Grid) -> np.ndarray:

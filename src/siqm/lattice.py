@@ -33,7 +33,7 @@ from math import comb
 import numpy as np
 
 from .families import PotentialFamily, eval_W
-from .grid import Grid, WaveFunctionGrid, apply_ladder, dilate
+from .grid import Grid, apply_ladder, dilate, normalized
 
 
 class WindowTooSmallError(ValueError):
@@ -87,15 +87,13 @@ class LatticeContext:
     def b_plus(self, comps: np.ndarray) -> np.ndarray:
         out = np.zeros_like(comps)
         for k, (W, above) in enumerate(zip(self.level_W, comps[1:], strict=True)):
-            psi = WaveFunctionGrid(self.grid, above)
-            out[k] = apply_ladder(W, psi, "raise").amplitudes
+            out[k] = apply_ladder(W, above, self.grid, "raise")
         return out
 
     def b_minus(self, comps: np.ndarray) -> np.ndarray:
         out = np.zeros_like(comps)
         for k, (W, below) in enumerate(zip(self.level_W, comps[:-1], strict=True), start=1):
-            psi = WaveFunctionGrid(self.grid, below)
-            out[k] = apply_ladder(W, psi, "lower").amplitudes
+            out[k] = apply_ladder(W, below, self.grid, "lower")
         return out
 
     def t_shift(self, comps: np.ndarray) -> np.ndarray:
@@ -287,32 +285,29 @@ def dilation_identity_residual(family: PotentialFamily, grid: Grid,
     for f in _dilation_test_functions(grid, sq):
         if which == "yy3":
             # A_dag(sqrt(q) x) A(sqrt(q) x) = D_sqrt(q) A_dag A D_{1/sqrt(q)}
-            inner = dilate(f, 1.0 / sq, unitary=True)
-            inner = apply_ladder(W, apply_ladder(W, inner, "lower"), "raise")
-            conj = dilate(inner, sq, unitary=True)
-            lhs = apply_ladder(W, apply_ladder(W, f, "raise"), "lower")
-            diff = lhs.amplitudes - q * conj.amplitudes - R * f.amplitudes
+            inner = dilate(f, grid, 1.0 / sq, unitary=True)
+            inner = apply_ladder(W, apply_ladder(W, inner, grid, "lower"), grid, "raise")
+            conj = dilate(inner, grid, sq, unitary=True)
+            lhs = apply_ladder(W, apply_ladder(W, f, grid, "raise"), grid, "lower")
+            diff = lhs - q * conj - R * f
         elif which == "yy6":
             # C C_dag f = A S S^{-1} A_dag f = A A_dag f exactly
-            cc = apply_ladder(W, apply_ladder(W, f, "raise"), "lower")
-            sf = dilate(f, 1.0 / sq, unitary=False)
-            asf = apply_ladder(W, sf, "lower")
+            cc = apply_ladder(W, apply_ladder(W, f, grid, "raise"), grid, "lower")
+            sf = dilate(f, grid, 1.0 / sq, unitary=False)
+            asf = apply_ladder(W, sf, grid, "lower")
             # C_dag C f = S^{-1} A_dag A S f
-            cdc = dilate(apply_ladder(W, asf, "raise"), sq, unitary=False)
-            diff = cc.amplitudes - q * cdc.amplitudes - R * f.amplitudes
+            cdc = dilate(apply_ladder(W, asf, grid, "raise"), grid, sq, unitary=False)
+            diff = cc - q * cdc - R * f
         else:
             raise ValueError("which must be 'yy3' or 'yy6'")
         worst = max(worst, float(np.linalg.norm(diff[sl])
-                                 / np.linalg.norm(f.amplitudes[sl])))
+                                 / np.linalg.norm(f[sl])))
     return worst
 
 
-def _dilation_test_functions(grid: Grid, sq: float) -> list[WaveFunctionGrid]:
+def _dilation_test_functions(grid: Grid, sq: float) -> list[np.ndarray]:
     # support must stay inside the grid after the 1/sqrt(q) argument stretch
     span = min(abs(grid.x_min), abs(grid.x_max)) * sq * 0.6
     x = grid.x
-    fns = []
-    for x0, sig in ((0.0, span / 4), (span / 8, span / 5), (-span / 10, span / 4.5)):
-        amps = np.exp(-((x - x0) ** 2) / (2 * sig ** 2)).astype(complex)
-        fns.append(WaveFunctionGrid(grid, amps).normalized())
-    return fns
+    return [normalized(np.exp(-((x - x0) ** 2) / (2 * sig ** 2)), grid)
+            for x0, sig in ((0.0, span / 4), (span / 8, span / 5), (-span / 10, span / 4.5))]

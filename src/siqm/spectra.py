@@ -30,7 +30,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .families import PotentialFamily, eval_W, ground_state
-from .grid import BoundaryDecayWarning, Grid, WaveFunctionGrid, apply_ladder, hamiltonian_bands
+from .grid import (BoundaryDecayWarning, Grid, apply_ladder, hamiltonian_bands, norm,
+                   normalized)
 
 
 def __getattr__(name):
@@ -112,7 +113,7 @@ def lowering_weights(levels: SpectrumTable, N: int) -> np.ndarray:
     return np.array([hi / lo for lo, hi in zip(norms, norms[1:])])
 
 
-def _lowpass(psi: WaveFunctionGrid, k_cut: float) -> WaveFunctionGrid:
+def _lowpass(psi: np.ndarray, grid: Grid, k_cut: float) -> np.ndarray:
     """Smooth spectral filter exp(-(k/k_cut)^16) with a boundary taper.
 
     Repeated application of W -+ d/dx amplifies grid-frequency noise by
@@ -125,20 +126,19 @@ def _lowpass(psi: WaveFunctionGrid, k_cut: float) -> WaveFunctionGrid:
     periodicity, and an untapered residual boundary amplitude would turn
     into edge ringing that later raisings amplify.
     """
-    n = psi.grid.n_points
-    amps = psi.amplitudes.copy()
+    n = grid.n_points
+    amps = psi.copy()
     m = max(4, int(0.025 * n))
     ramp = 0.5 * (1.0 - np.cos(np.pi * np.arange(m) / m))
     amps[:m] *= ramp
     amps[n - m:] *= ramp[::-1]
-    k = 2 * np.pi * np.fft.fftfreq(n, d=psi.grid.spacing)
+    k = 2 * np.pi * np.fft.fftfreq(n, d=grid.spacing)
     damp = np.exp(-((np.abs(k) / k_cut) ** 16))
-    amps = np.fft.ifft(np.fft.fft(amps) * damp)
-    return WaveFunctionGrid(psi.grid, amps)
+    return np.fft.ifft(np.fft.fft(amps) * damp)
 
 
 def eigenstate_with_prenorm(family: PotentialFamily, n: int,
-                            grid: Grid) -> tuple[WaveFunctionGrid, float]:
+                            grid: Grid) -> tuple[np.ndarray, float]:
     """The raising recursion, returning (normalized state, pre-normalization norm).
 
     The recursion runs on an internally padded copy of the grid and the
@@ -161,21 +161,21 @@ def eigenstate_with_prenorm(family: PotentialFamily, n: int,
     psi = ground_state(family, seed_param, work)
     for k in range(n, 0, -1):
         W = eval_W(family, family.chain_value(k), work)
-        psi = _lowpass(apply_ladder(W, psi, "raise"), filter_cutoff)
-    prenorm = psi.norm()
+        psi = _lowpass(apply_ladder(W, psi, work, "raise"), work, filter_cutoff)
+    prenorm = norm(psi, work)
     if n_pad:
-        psi = WaveFunctionGrid(grid, psi.amplitudes[n_pad:n_pad + grid.n_points])
-        edge = max(abs(psi.amplitudes[0]), abs(psi.amplitudes[-1]))
-        if edge > 1e-2 * np.max(np.abs(psi.amplitudes)):
+        psi = psi[n_pad:n_pad + grid.n_points]
+        edge = max(abs(psi[0]), abs(psi[-1]))
+        if edge > 1e-2 * np.max(np.abs(psi)):
             warnings.warn(f"level {n} state has weight {edge:.2e} at the "
                           "requested domain edge; it is accurate on the padded "
                           "domain but truncated here", BoundaryDecayWarning,
                           stacklevel=2)
-    return psi.normalized() if n > 0 else psi, prenorm
+    return normalized(psi, grid) if n > 0 else psi, prenorm
 
 
 def fd_diagonalize(family: PotentialFamily, grid: Grid,
-                   k: int) -> tuple[np.ndarray, list[WaveFunctionGrid]]:
+                   k: int) -> tuple[np.ndarray, list[np.ndarray]]:
     """Lowest k eigenpairs of the banded FD Hamiltonian, energies relative to E_0.
 
     Independent of the ladder machinery: the potential W^2 - W' is formed
@@ -217,15 +217,16 @@ def fd_diagonalize(family: PotentialFamily, grid: Grid,
             warnings.warn(f"eigenstate {j} has weight {edge:.2e} at the wall; "
                           "energies may be contaminated by the boundary",
                           BoundaryDecayWarning, stacklevel=2)
-        states.append(WaveFunctionGrid(grid, v.astype(complex)))
+        states.append(v.astype(complex))
     return energies, states
 
 
-def eigen_residual(family: PotentialFamily, psi: WaveFunctionGrid, energy: float) -> float:
+def eigen_residual(family: PotentialFamily, psi: np.ndarray, grid: Grid,
+                   energy: float) -> float:
     """Interior norm of (H - E) psi for a unit-norm candidate eigenstate."""
-    W = eval_W(family, family.a1, psi.grid)
-    Ad_A = apply_ladder(W, apply_ladder(W, psi, "lower"), "raise")
-    diff = Ad_A.amplitudes - energy * psi.amplitudes
-    sl = psi.grid.interior_slice()
-    h = psi.grid.spacing
+    W = eval_W(family, family.a1, grid)
+    Ad_A = apply_ladder(W, apply_ladder(W, psi, grid, "lower"), grid, "raise")
+    diff = Ad_A - energy * psi
+    sl = grid.interior_slice()
+    h = grid.spacing
     return float(np.sqrt(h * np.sum(np.abs(diff[sl]) ** 2)))

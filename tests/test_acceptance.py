@@ -20,7 +20,7 @@ from siqm import (BoundaryDecayWarning, DriveProfile,
                   coherent_recursive, commutator_residual,
                   dilation_identity_residual,
                   energy_levels, eval_W, evolve_forced, fd_diagonalize,
-                  build_grid, matrix_identities, SelfSimilar,
+                  Grid, matrix_identities, SelfSimilar,
                   series_coefficients)
 from siqm.cli import run_command
 
@@ -46,7 +46,7 @@ FD_ALLOWANCE = 1e-8
 def _oracle_q5(half: float):
     """Lowest 7 oracle levels of Q5 on [-half, half] at h = 0.01, plus the
     BoundaryDecayWarnings raised; other warnings are passed on."""
-    grid = build_grid(-half, half, int(round(200 * half)) + 1)
+    grid = Grid(-half, half, int(round(200 * half)) + 1)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         e_fd, _ = fd_diagonalize(Q5, grid, 7)
@@ -109,7 +109,7 @@ def test_criterion_2_soliton_limit_series():
 
 def test_criterion_3_harmonic_limit():
     fam = SelfSimilar(q=1.0, c=1.0, a1=1.0)  # c0 = 1/2, W = x/2
-    grid = build_grid(-10.0, 10.0, 2001)
+    grid = Grid(-10.0, 10.0, 2001)
     c0 = 0.5
     W = eval_W(fam, 1.0, grid)
     assert np.max(np.abs(W - c0 * grid.x)) < 1e-14
@@ -125,7 +125,7 @@ def test_criterion_3_harmonic_limit():
 def test_criterion_4_morse_fixture():
     from siqm import Morse
     fam = Morse(a1=2.5)
-    grid = build_grid(-5.0, 32.0, 3701)
+    grid = Grid(-5.0, 32.0, 3701)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         e_fd, _ = fd_diagonalize(fam, grid, 3)
@@ -145,7 +145,7 @@ ALGEBRA_RELATIONS = ("ladder-commutator", "remainder-bracket",
 
 
 def test_criterion_5_algebra_suite():
-    grid = build_grid(-15.0, 15.0, 3001)
+    grid = Grid(-15.0, 15.0, 3001)
     worst_rel, worst = "", 0.0
     for rel in ALGEBRA_RELATIONS:
         res = commutator_residual(rel, Q5, grid=grid, window=12)

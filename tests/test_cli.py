@@ -314,6 +314,31 @@ def test_evolve_step_or_drive_it_cannot_run_exits_1(tmp_path, capsys, flags, nam
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("argv, config, flag", [
+    (["spectrum", "--family", "harmonic", "--grid-min", "-10", "--grid-max", "inf",
+      "--grid-points", "100"], None, "--grid-max"),
+    (["spectrum", "--c", "inf", "--levels", "2"], None, "--c"),
+    (["coherent", "--z-re", "inf", "--levels", "5"], None, "--z-re"),
+    (["coherent", "--z-re", "nan", "--levels", "5"], None, "--z-re"),
+    (["coeffs", "--q", "0.5", "--c0", "nan"], None, "--c0"),
+    (["coeffs", "--q", "0.5", "--c0", "inf"], None, "--c0"),
+    (["coeffs", "--q", "0.5"], '{"c0": -Infinity}', "--c0"),
+    (["coherent", "--levels", "5"], '{"z_im": NaN}', "--z-im"),
+])
+def test_non_finite_float_exits_1_without_files(tmp_path, monkeypatch, capsys,
+                                                argv, config, flag):
+    run_dir = tmp_path / "run"
+    run_dir.mkdir()
+    monkeypatch.chdir(run_dir)
+    if config is not None:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(config)
+        argv = [*argv, "--config", str(cfg)]
+    assert run_command([*argv, "--out", str(run_dir / "o.csv")]) == 1
+    assert f"{flag} must be finite" in capsys.readouterr().err
+    assert not list(run_dir.iterdir())
+
+
 def test_morse_evolve_uses_only_bound_levels(tmp_path):
     # A = 6.5 binds levels 0..6; a dimension-7 run needs no level above them
     out = tmp_path / "evo.csv"
@@ -555,7 +580,7 @@ def _counting(monkeypatch, module, name):
 
 def test_fd_diagonalize_calls_eigsh_through_the_module(monkeypatch):
     calls = _counting(monkeypatch, siqm.spectra, "eigsh")
-    siqm.fd_diagonalize(siqm.Harmonic(a1=1.0), siqm.build_grid(-10, 10, 2001), 3)
+    siqm.fd_diagonalize(siqm.Harmonic(a1=1.0), siqm.Grid(-10, 10, 2001), 3)
     assert len(calls) == 1
 
 

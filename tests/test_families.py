@@ -1,14 +1,15 @@
 """Family registry: parameter chains, remainders, ground states, shape invariance."""
 
 import json
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
-from siqm import (NonNormalizableError, PotentialFamily, build_grid,
+from siqm import (Grid, LevelNotBoundError, NonNormalizableError, PotentialFamily,
                   eigenstate_with_prenorm, energy_levels,
                   eval_W, family_from_config, fd_diagonalize, ground_state,
-                  Harmonic, Morse, SelfSimilar,
+                  Harmonic, Morse, normalization_factor, SelfSimilar,
                   shape_invariance_residual)
 from siqm.families import ParameterRule
 
@@ -38,7 +39,60 @@ class PoschlTeller(PotentialFamily):
         return self.a1 ** 2 - (self.a1 - np.arange(n_max + 1)) ** 2
 
 
-PT_GRID = build_grid(-20, 20, 4001)
+PT_GRID = Grid(-20, 20, 4001)
+
+
+@dataclass
+class RosenMorseII(PotentialFamily):
+    """W = a tanh x + B/a, a -> a - 1; bound while a^2 > |B|.
+
+    E_n = a1^2 - (a1-n)^2 + B^2/a1^2 - B^2/(a1-n)^2 (Cooper, Khare &
+    Sukhatme, Phys. Rep. 251 (1995) 267).
+    """
+
+    name = "rosen-morse-ii"
+    rule = ParameterRule("translation", shift_delta=-1.0)
+    box = (-25.0, 25.0)
+
+    B: float
+
+    def W(self, x, a):
+        return a * np.tanh(x) + self.B / a
+
+    def R(self, a):
+        return a * a - (a - 1.0) ** 2 + self.B ** 2 / a ** 2 - self.B ** 2 / (a - 1.0) ** 2
+
+    def in_domain(self, a):
+        return a * a > abs(self.B)
+
+    def closed_levels(self, n_max):
+        a = self.a1 - np.arange(n_max + 1)
+        return self.a1 ** 2 - a ** 2 + self.B ** 2 / self.a1 ** 2 - self.B ** 2 / a ** 2
+
+
+@dataclass
+class ScarfII(PotentialFamily):
+    """W = a tanh x + B sech x, a -> a - 1, R(a) = a^2 - (a-1)^2, E_n = a1^2 - (a1-n)^2."""
+
+    name = "scarf-ii"
+    rule = ParameterRule("translation", shift_delta=-1.0)
+    box = (-25.0, 25.0)
+
+    B: float
+
+    def W(self, x, a):
+        return a * np.tanh(x) + self.B / np.cosh(x)
+
+    def R(self, a):
+        return a * a - (a - 1.0) ** 2
+
+    def closed_levels(self, n_max):
+        return self.a1 ** 2 - (self.a1 - np.arange(n_max + 1)) ** 2
+
+
+RM2 = RosenMorseII(a1=4.0, B=2.0)
+SCARF2 = ScarfII(a1=4.0, B=1.5)
+TANH_GRID = Grid(-25, 25, 5001)
 
 
 def test_parameter_chain_scaling():
@@ -75,7 +129,7 @@ def test_rule_validation():
 
 
 def test_eval_w_fixtures():
-    g = build_grid(-5, 5, 101)
+    g = Grid(-5, 5, 101)
     x2 = np.argmin(np.abs(g.x - 2.0))
     W = eval_W(Harmonic(a1=1.0), 1.0, g)
     assert W[x2] == pytest.approx(2.0)
@@ -87,7 +141,7 @@ def test_eval_w_fixtures():
 def test_eval_w_selfsimilar_scaling_law():
     # W(x; a2) = sqrt(q) W(sqrt(q) x; a1) pointwise
     fam = SelfSimilar(q=0.5, c=1.0, a1=1.0)
-    g = build_grid(-8, 8, 401)
+    g = Grid(-8, 8, 401)
     W2 = eval_W(fam, 0.5, g)
     sq = np.sqrt(0.5)
     ref = sq * fam.engine().w(sq * g.x)
@@ -97,11 +151,11 @@ def test_eval_w_selfsimilar_scaling_law():
 @pytest.mark.parametrize("fam", [Harmonic(a1=1.0), Morse(a1=2.5),
                                  SelfSimilar(q=0.5, c=1.0, a1=1.0)])
 def test_eval_w_keeps_one_read_only_sample_per_a_and_grid(fam):
-    g = build_grid(-8, 8, 401)
+    g = Grid(-8, 8, 401)
     W = eval_W(fam, fam.a1, g)
     assert eval_W(fam, fam.a1, g) is W
     assert eval_W(fam, 0.5 * fam.a1, g) is not W
-    assert eval_W(fam, fam.a1, build_grid(-8, 8, 801)) is not W
+    assert eval_W(fam, fam.a1, Grid(-8, 8, 801)) is not W
     with pytest.raises(ValueError):
         W[0] = 0.0
 
@@ -111,7 +165,7 @@ def test_scaling_family_at_q1_is_the_harmonic_oscillator(c, a1):
     # q = 1 leaves only the linear term c0 x of the series, c0 = c a1 / 2
     scaling = SelfSimilar(q=1.0, c=c, a1=a1)
     harmonic = Harmonic(a1=c * a1 / 2)
-    g = build_grid(-40, 40, 8001)
+    g = Grid(-40, 40, 8001)
     assert eval_W(scaling, a1, g).tobytes() == eval_W(harmonic, harmonic.a1, g).tobytes()
     assert np.array_equal(energy_levels(scaling, 10).levels,
                           energy_levels(harmonic, 10).levels)
@@ -123,7 +177,7 @@ def test_scaling_family_at_q1_has_the_harmonic_oracle_and_residual(c, a1):
     # family's, and R(a1) = c a1 = 2 (c a1 / 2) exactly, so both are bitwise
     scaling = SelfSimilar(q=1.0, c=c, a1=a1)
     harmonic = Harmonic(a1=c * a1 / 2)
-    g = build_grid(-40, 40, 8001)
+    g = Grid(-40, 40, 8001)
     e_scaling, _ = fd_diagonalize(scaling, g, 6)
     e_harmonic, _ = fd_diagonalize(harmonic, g, 6)
     assert e_scaling.tobytes() == e_harmonic.tobytes()
@@ -136,11 +190,11 @@ def test_scaling_family_at_q1_has_the_harmonic_eigenstates(c, a1):
     # same levels, so each state and its pre-normalization norm are bitwise
     scaling = SelfSimilar(q=1.0, c=c, a1=a1)
     harmonic = Harmonic(a1=c * a1 / 2)
-    g = build_grid(-10, 10, 2001)
+    g = Grid(-10, 10, 2001)
     for n in range(5):
         psi_s, norm_s = eigenstate_with_prenorm(scaling, n, g)
         psi_h, norm_h = eigenstate_with_prenorm(harmonic, n, g)
-        assert np.array_equal(psi_s.amplitudes, psi_h.amplitudes)
+        assert np.array_equal(psi_s, psi_h)
         assert norm_s == norm_h
 
 
@@ -150,7 +204,7 @@ SMALL_Q = [0.1 / 2 ** j for j in range(7)]  # 0.1 down to 0.0016
 
 
 def _soliton_errors(observable):
-    g = build_grid(-10, 10, 2001)
+    g = Grid(-10, 10, 2001)
     return np.array([observable(SelfSimilar(q=q, c=1.0, a1=1.0), g) for q in SMALL_Q])
 
 
@@ -168,7 +222,7 @@ def test_small_q_W_converges_to_tanh_at_first_order():
 
 def test_small_q_ground_state_converges_to_sech_at_first_order():
     errors = _soliton_errors(
-        lambda fam, g: np.max(np.abs(ground_state(fam, 1.0, g).amplitudes
+        lambda fam, g: np.max(np.abs(ground_state(fam, 1.0, g)
                                      - np.sqrt(0.5) / np.cosh(g.x))))
     _assert_first_order(errors, 0.2)
 
@@ -189,32 +243,32 @@ def test_remainder_positive_decreasing_for_scaling():
 
 def test_remainders_match_fd_gaps():
     # independent oracle: lowest FD gaps equal R(a_1), R(a_1) + R(a_2)
-    g = build_grid(-10, 10, 2001)
+    g = Grid(-10, 10, 2001)
     e, _ = fd_diagonalize(Harmonic(a1=1.0), g, 2)
     assert e[1] == pytest.approx(2.0, abs=1e-5)
-    gm = build_grid(-5, 32, 3701)
+    gm = Grid(-5, 32, 3701)
     em, _ = fd_diagonalize(Morse(a1=2.5), gm, 3)
     assert em[1] == pytest.approx(4.0, abs=1e-3)
     assert em[2] == pytest.approx(6.0, abs=1e-3)
 
 
 def test_ground_state_harmonic_gaussian():
-    g = build_grid(-10, 10, 2001)
+    g = Grid(-10, 10, 2001)
     psi = ground_state(Harmonic(a1=1.0), 1.0, g)
     ref = np.exp(-g.x ** 2 / 2) / np.pi ** 0.25
-    assert np.max(np.abs(psi.amplitudes - ref)) < 1e-9
+    assert np.max(np.abs(psi - ref)) < 1e-9
 
 
 def test_ground_state_morse_quadrature_oracle():
     # closed-form norm: int exp(-2Ax - 2e^-x) dx = Gamma(2A)/2^(2A) = 0.75
-    g = build_grid(-5, 32, 7401)
+    g = Grid(-5, 32, 7401)
     psi = ground_state(Morse(a1=2.5), 2.5, g)
     ref = np.exp(-2.5 * g.x - np.exp(-g.x)) / np.sqrt(0.75)
-    assert np.max(np.abs(psi.amplitudes - ref)) < 1e-8
+    assert np.max(np.abs(psi - ref)) < 1e-8
 
 
 def test_ground_state_non_normalizable():
-    g = build_grid(-10, 10, 2001)
+    g = Grid(-10, 10, 2001)
     fam = Harmonic(a1=-1.0)  # W = -x grows the candidate state
     with pytest.raises(NonNormalizableError):
         ground_state(fam, -1.0, g)
@@ -223,26 +277,28 @@ def test_ground_state_non_normalizable():
 def test_annihilation_gate_for_every_family():
     # ||A(a1) psi_0|| / ||psi_0|| <= 1e-6 on the interior 90% of the grid
     from siqm import apply_ladder
-    cases = [(Harmonic(a1=1.0), build_grid(-10, 10, 2001)),
-             (Morse(a1=2.5), build_grid(-5, 32, 3701)),
-             (SelfSimilar(q=0.5, c=1.0, a1=1.0), build_grid(-15, 15, 3001)),
-             (PoschlTeller(3.0), PT_GRID)]
+    cases = [(Harmonic(a1=1.0), Grid(-10, 10, 2001)),
+             (Morse(a1=2.5), Grid(-5, 32, 3701)),
+             (SelfSimilar(q=0.5, c=1.0, a1=1.0), Grid(-15, 15, 3001)),
+             (PoschlTeller(3.0), PT_GRID), (RM2, TANH_GRID), (SCARF2, TANH_GRID)]
     for fam, g in cases:
         psi = ground_state(fam, fam.a1, g)
-        out = apply_ladder(eval_W(fam, fam.a1, g), psi, "lower")
+        out = apply_ladder(eval_W(fam, fam.a1, g), psi, g, "lower")
         sl = g.interior_slice()
-        rel = np.linalg.norm(out.amplitudes[sl]) / np.linalg.norm(psi.amplitudes[sl])
+        rel = np.linalg.norm(out[sl]) / np.linalg.norm(psi[sl])
         assert rel <= 1e-6, f"{fam.name}: {rel:.2e}"
 
 
 def test_shape_invariance_residuals():
-    fine = build_grid(-10, 10, 4001)
+    fine = Grid(-10, 10, 4001)
     assert shape_invariance_residual(Harmonic(a1=1.0), fine) <= 1e-8
-    gm = build_grid(-5, 32, 3701)
+    gm = Grid(-5, 32, 3701)
     assert shape_invariance_residual(Morse(a1=2.5), gm) <= 1e-6
-    gs = build_grid(-15, 15, 3001)
+    gs = Grid(-15, 15, 3001)
     assert shape_invariance_residual(SelfSimilar(q=0.5, c=1.0, a1=1.0), gs) <= 1e-6
     assert shape_invariance_residual(PoschlTeller(3.0), PT_GRID) <= 1e-6
+    assert shape_invariance_residual(RM2, gs) <= 1e-6
+    assert shape_invariance_residual(SCARF2, gs) <= 1e-6
 
 
 def test_config_round_trip():
@@ -267,7 +323,6 @@ def test_undeclared_config_keys_rejected():
 
 def test_poschl_teller_ladder_levels():
     # partial remainder sums against E_n = A^2 - (A-n)^2, then the oracle
-    from siqm import LevelNotBoundError, energy_levels
     fam = PoschlTeller(3.0)
     levels = energy_levels(fam, 2).levels
     assert np.array_equal(levels, [0.0, 5.0, 8.0])
@@ -275,6 +330,24 @@ def test_poschl_teller_ladder_levels():
         energy_levels(fam, 3)      # a_4 = 0 leaves the domain a > 0
     e, _ = fd_diagonalize(fam, PT_GRID, 3)
     assert np.max(np.abs(e - levels)) <= 1e-6
+
+
+@pytest.mark.parametrize("fam, levels", [(RM2, [0.0, 7.0 - 7.0 / 36.0, 11.25]),
+                                          (SCARF2, [0.0, 7.0, 12.0, 15.0])])
+def test_closed_spectrum_family_levels_oracle_and_prenorm(fam, levels):
+    # remainder sums against the closed form, the first unbound level
+    # refused, then the oracle and the raising recursion's norms
+    top = len(levels) - 1
+    tab = energy_levels(fam, top)
+    assert tab.levels == pytest.approx(levels, rel=0, abs=1e-12)
+    with pytest.raises(LevelNotBoundError):
+        energy_levels(fam, top + 1)
+    e, _ = fd_diagonalize(fam, TANH_GRID, top + 1)
+    assert np.max(np.abs(e - tab.levels)) <= 1e-6
+    for n in range(top + 1):
+        _, prenorm = eigenstate_with_prenorm(fam, n, TANH_GRID)
+        expected = normalization_factor(tab, n)
+        assert abs(prenorm - expected) <= 1e-7 * expected
 
 
 def test_unknown_family_rejected():

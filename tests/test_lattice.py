@@ -6,14 +6,14 @@ import numpy as np
 import pytest
 
 from siqm import (RELATIONS, UnknownRelationError, WindowTooSmallError,
-                  adjoint_pair_residual, applicable_relations, build_grid,
-                  commutator_residual, dilation_identity_residual, Harmonic,
+                  adjoint_pair_residual, applicable_relations,
+                  commutator_residual, dilation_identity_residual, Grid, Harmonic,
                   packet_state, SelfSimilar)
 import siqm.lattice
 from siqm.lattice import LatticeContext
 
 Q5 = SelfSimilar(q=0.5, c=1.0, a1=1.0)
-GRID = build_grid(-15, 15, 3001)
+GRID = Grid(-15, 15, 3001)
 
 SCALING_RELATION_TOL = 1e-6
 
@@ -45,7 +45,7 @@ def test_relation_fetches_each_ladder_level_once(monkeypatch):
         return eval_W(family, a, grid)
 
     monkeypatch.setattr(siqm.lattice, "eval_W", counting_eval_W)
-    commutator_residual("ladder-commutator", fam, grid=build_grid(-8, 8, 401), window=12)
+    commutator_residual("ladder-commutator", fam, grid=Grid(-8, 8, 401), window=12)
     assert fetched == [fam.chain_value(k) for k in range(1, 12)]
 
 
@@ -57,12 +57,12 @@ def test_each_word_is_built_once_per_packet(monkeypatch):
     # a word costs window - 1 apply_ladder calls, and each relation runs three packets
     apply_ladder, calls = siqm.lattice.apply_ladder, []
 
-    def counting_apply_ladder(W, psi, mode):
+    def counting_apply_ladder(W, psi, grid, mode):
         calls.append(mode)
-        return apply_ladder(W, psi, mode)
+        return apply_ladder(W, psi, grid, mode)
 
     monkeypatch.setattr(siqm.lattice, "apply_ladder", counting_apply_ladder)
-    grid = build_grid(-8, 8, 401)
+    grid = Grid(-8, 8, 401)
     totals = {}
     for fam in (SelfSimilar(q=0.6, c=1.0, a1=1.0), Harmonic(a1=1.0)):
         totals[fam.name] = 0
@@ -125,7 +125,7 @@ def test_residual_equals_two_sided_form_bitwise(relation):
 
 def test_harmonic_degenerate_brackets():
     fam = Harmonic(a1=1.0)
-    g = build_grid(-12, 12, 4801)
+    g = Grid(-12, 12, 4801)
     for rel in ("ladder-commutator", "remainder-bracket", "remainder-bracket-2",
                 "remainder-bracket-3"):
         res = commutator_residual(rel, fam, grid=g, window=12)
@@ -134,7 +134,7 @@ def test_harmonic_degenerate_brackets():
 
 def test_q1_q_oscillator_degenerates_to_boson():
     fam = SelfSimilar(q=1.0, c=1.0, a1=1.0)
-    g = build_grid(-12, 12, 2401)
+    g = Grid(-12, 12, 2401)
     assert commutator_residual("q-oscillator", fam, grid=g, window=12) <= 1e-6
 
 
@@ -143,7 +143,7 @@ def test_scaling_only_relations_guarded():
         commutator_residual("q-oscillator", Harmonic(a1=1.0), grid=GRID)
     with pytest.raises(UnknownRelationError):
         commutator_residual("so21-commutator", SelfSimilar(q=1.0),
-                            grid=build_grid(-12, 12, 2401))
+                            grid=Grid(-12, 12, 2401))
     with pytest.raises(UnknownRelationError):
         commutator_residual("no-such-relation", Q5, grid=GRID)
 
@@ -164,13 +164,12 @@ def test_shift_rule_equality():
 def test_hamiltonian_block_is_shifted_factorization():
     # (B+ B- psi)_k = A_dag(a_{k+1}) A(a_{k+1}) psi_k
     from siqm.families import eval_W
-    from siqm.grid import WaveFunctionGrid, apply_ladder
+    from siqm.grid import apply_ladder
     ctx = LatticeContext(Q5, GRID, 8)
     state = packet_state(GRID, 8, levels=(3,))
     got = ctx.b_plus(ctx.b_minus(state))
     W = eval_W(Q5, Q5.chain_value(4), GRID)  # level 3 carries a_4
-    psi = WaveFunctionGrid(GRID, state[3])
-    ref = apply_ladder(W, apply_ladder(W, psi, "lower"), "raise").amplitudes
+    ref = apply_ladder(W, apply_ladder(W, state[3], GRID, "lower"), GRID, "raise")
     assert np.max(np.abs(got[3] - ref)) < 1e-12
     assert np.max(np.abs(got[[0, 1, 2, 4, 5, 6]])) < 1e-14
 
@@ -218,26 +217,26 @@ def test_dilation_identities():
 
 def test_dilation_identity_q1_reduces_to_factorization():
     fam = SelfSimilar(q=1.0, c=1.0, a1=1.0)
-    g = build_grid(-12, 12, 2401)
+    g = Grid(-12, 12, 2401)
     assert dilation_identity_residual(fam, g, "yy3") <= 1e-8
 
 
 def test_dilation_operator_output_is_constant_multiple():
     # the combination A A_dag - q A_dag(sq x) A(sq x) acts as the number c a1
     from siqm.families import eval_W
-    from siqm.grid import WaveFunctionGrid, apply_ladder, dilate
+    from siqm.grid import apply_ladder, dilate
     q = 0.5
     sq = np.sqrt(q)
     W = eval_W(Q5, 1.0, GRID)
     x = GRID.x
     for x0, sig in ((0.0, 1.3), (0.5, 0.9), (-0.8, 1.7)):
-        f = WaveFunctionGrid(GRID, np.exp(-((x - x0) ** 2) / (2 * sig ** 2)).astype(complex))
-        inner_part = dilate(f, 1.0 / sq, unitary=True)
-        inner_part = apply_ladder(W, apply_ladder(W, inner_part, "lower"), "raise")
-        conj = dilate(inner_part, sq, unitary=True)
-        lhs = apply_ladder(W, apply_ladder(W, f, "raise"), "lower")
-        op_f = lhs.amplitudes - q * conj.amplitudes
+        f = np.exp(-((x - x0) ** 2) / (2 * sig ** 2)).astype(complex)
+        inner_part = dilate(f, GRID, 1.0 / sq, unitary=True)
+        inner_part = apply_ladder(W, apply_ladder(W, inner_part, GRID, "lower"), GRID, "raise")
+        conj = dilate(inner_part, GRID, sq, unitary=True)
+        lhs = apply_ladder(W, apply_ladder(W, f, GRID, "raise"), GRID, "lower")
+        op_f = lhs - q * conj
         # ratios are meaningful where f itself is not vanishingly small
-        mask = np.abs(f.amplitudes) > 1e-2 * np.max(np.abs(f.amplitudes))
-        ratio = op_f[mask] / f.amplitudes[mask]
+        mask = np.abs(f) > 1e-2 * np.max(np.abs(f))
+        ratio = op_f[mask] / f[mask]
         assert np.max(np.abs(ratio - 1.0)) < 1e-4

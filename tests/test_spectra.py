@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from siqm import (BoundaryDecayWarning, LevelNotBoundError,
-                  build_grid, eigen_residual, eigenstate_with_prenorm,
+                  Grid, eigen_residual, eigenstate_with_prenorm,
                   energy_levels, fd_diagonalize, Harmonic, inner,
                   Morse, normalization_factor, SelfSimilar)
 
@@ -17,7 +17,7 @@ Q5 = SelfSimilar(q=0.5, c=1.0, a1=1.0)
 def wide_grid():
     # h = 0.01 on a box whose walls the oracle's decay check accepts for all
     # 7 states (on [-60, 60] it flags state 6)
-    return build_grid(-120, 120, 24001)
+    return Grid(-120, 120, 24001)
 
 
 @pytest.fixture(scope="module")
@@ -87,17 +87,17 @@ def test_eigenstate_n0_is_ground_state(wide_grid):
     from siqm import ground_state
     psi = eigenstate_with_prenorm(Q5, 0, wide_grid)[0]
     ref = ground_state(Q5, 1.0, wide_grid)
-    assert np.max(np.abs(psi.amplitudes - ref.amplitudes)) == 0.0
+    assert np.max(np.abs(psi - ref)) == 0.0
 
 
 def test_harmonic_second_state_matches_oracle():
-    g = build_grid(-12, 12, 2401)
+    g = Grid(-12, 12, 2401)
     fam = Harmonic(a1=1.0)
     psi = eigenstate_with_prenorm(fam, 2, g)[0]
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         _, states = fd_diagonalize(fam, g, 3)
-    assert abs(inner(psi, states[2])) >= 1.0 - 1e-6
+    assert abs(inner(psi, states[2], g)) >= 1.0 - 1e-6
 
 
 def test_prenorm_matches_level_difference_product(wide_grid, q5_ladder_states):
@@ -111,13 +111,13 @@ def test_prenorm_matches_level_difference_product(wide_grid, q5_ladder_states):
 
 
 def test_fd_oracle_harmonic():
-    g = build_grid(-10, 10, 2001)
+    g = Grid(-10, 10, 2001)
     e, _ = fd_diagonalize(Harmonic(a1=1.0), g, 4)
     assert np.max(np.abs(e - [0, 2, 4, 6])) < 1e-5
 
 
 def test_fd_oracle_morse():
-    g = build_grid(-5, 32, 3701)
+    g = Grid(-5, 32, 3701)
     e, _ = fd_diagonalize(Morse(a1=2.5), g, 3)
     assert np.max(np.abs(e - [0, 4, 6])) < 1e-3
 
@@ -133,31 +133,31 @@ def test_eigen_residuals(wide_grid, q5_ladder_states):
     tab = energy_levels(Q5, 6)
     for n in range(7):
         psi, _ = q5_ladder_states[n]
-        assert eigen_residual(Q5, psi, tab.levels[n]) <= 1e-4
+        assert eigen_residual(Q5, psi, wide_grid, tab.levels[n]) <= 1e-4
 
 
-def test_ladder_oracle_state_overlap(q5_oracle, q5_ladder_states):
+def test_ladder_oracle_state_overlap(wide_grid, q5_oracle, q5_ladder_states):
     _, states = q5_oracle
     for n in range(7):
         psi, _ = q5_ladder_states[n]
-        assert abs(inner(psi, states[n])) >= 1.0 - 1e-5
+        assert abs(inner(psi, states[n], wide_grid)) >= 1.0 - 1e-5
 
 
-def test_orthonormality(q5_ladder_states):
+def test_orthonormality(wide_grid, q5_ladder_states):
     states = [s for s, _ in q5_ladder_states]
     for m in range(7):
         for n in range(7):
-            val = abs(inner(states[m], states[n]))
+            val = abs(inner(states[m], states[n], wide_grid))
             assert abs(val - (1.0 if m == n else 0.0)) <= 1e-6
 
 
 def test_morse_level_not_bound(wide_grid):
     for A in (2.5, 2.8):
         with pytest.raises(LevelNotBoundError):
-            eigenstate_with_prenorm(Morse(a1=A), 3, build_grid(-5, 32, 3701))
+            eigenstate_with_prenorm(Morse(a1=A), 3, Grid(-5, 32, 3701))
 
 
 def test_truncated_domain_warns():
     from siqm import BoundaryDecayWarning
     with pytest.warns(BoundaryDecayWarning):
-        eigenstate_with_prenorm(Harmonic(a1=1.0), 6, build_grid(-3.5, 3.5, 701))
+        eigenstate_with_prenorm(Harmonic(a1=1.0), 6, Grid(-3.5, 3.5, 701))
