@@ -37,8 +37,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .coherent import (coherent_closed_scaling, coherent_property_residuals,
-                       coherent_recursive)
+from .coherent import (DegenerateLevelsError, coherent_closed_scaling,
+                       coherent_property_residuals, coherent_recursive)
 from .dynamics import DriveProfile, evolve_forced
 from .families import (DEFAULT_FAMILY, FAMILIES, family_from_config,
                        shape_invariance_residual, suggested_grid)
@@ -358,15 +358,21 @@ def _cmd_evolve(params: dict, outputs: list) -> tuple[dict, int]:
     table = energy_levels(fam, N)
     ev = evolve_forced(table, drive, params["t_max"], params["dt"],
                        sign_convention=params["phase_sign"])
-    z_fit, coh_overlap = ev.best_fit_coherent(table)
+    # the best fit is a diagnostic of the finished run: a fit the levels
+    # cannot carry is reported, and the run still writes its outputs
+    try:
+        z_fit, coh_overlap = ev.best_fit_coherent(table)
+        best_fit = {"best_fit_z": [z_fit.real, z_fit.imag],
+                    "best_fit_coherent_overlap": coh_overlap, "best_fit_error": None}
+    except DegenerateLevelsError as exc:
+        best_fit = {"best_fit_z": None, "best_fit_coherent_overlap": None,
+                    "best_fit_error": str(exc)}
     header = ["t"] + [f"{part}_c_{n}" for n in range(ev.trajectory.shape[1])
                       for part in ("re", "im")] + ["norm", "overlap_closed"]
     _write_columns(params.get("out"), outputs, header,
                ev.t_grid, ev.trajectory.view(float), ev.norms, ev.overlaps)
     results = {"final_overlap_closed": ev.final_overlap,
-               "norm_drift": ev.norm_drift,
-               "best_fit_z": [z_fit.real, z_fit.imag],
-               "best_fit_coherent_overlap": coh_overlap,
+               "norm_drift": ev.norm_drift, **best_fit,
                "sign_convention": ev.sign_convention}
     ok = ev.norm_drift <= NORM_DRIFT_TOL
     results["pass"] = ok

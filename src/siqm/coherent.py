@@ -66,15 +66,25 @@ class CoherentState:
 
 
 def coherent_recursive(levels: SpectrumTable, z: complex, N: int) -> CoherentState:
-    """Coefficients h_n = z^n / N_n; the table must reach level N - 1."""
+    """Coefficients h_n = z^n / N_n; the table must reach level N - 1.
+
+    A coefficient that overflows the floats is refused, naming z and N.
+    """
     if N < 1:
         raise ValueError("need N >= 1")
     levels.upto(N - 1)
     for n in range(1, N):
         if np.any(levels.gaps(n) <= 0):
             raise DegenerateLevelsError(f"level {n} is not above all lower levels")
-    coeff = np.array([1.0] + [z ** n / normalization_factor(levels, n) for n in range(1, N)],
-                     dtype=complex)
+    try:
+        coeff = np.array([1.0] + [z ** n / normalization_factor(levels, n)
+                                  for n in range(1, N)], dtype=complex)
+        finite = np.all(np.isfinite(coeff))
+    except OverflowError:  # complex z ** n
+        finite = False
+    if not finite:
+        raise ValueError(f"coherent coefficients z^n / N_n overflow for z = {z} "
+                         f"at {N} levels")
     return CoherentState(z=complex(z), N=N, coefficients=coeff, levels=levels)
 
 

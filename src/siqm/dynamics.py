@@ -19,6 +19,15 @@ For q < 1 the commutator is operator-valued, the closed form is only
 approximate, and the final state is no longer a lowering-operator
 eigenstate; the overlap with the best-fit coherent state quantifies that.
 
+The closed form is evaluated in real arithmetic. C = B+ + B- is tridiagonal
+with a zero diagonal, and the gauge G = diag((-i)^n) turns it into a real
+rotation generator:
+
+    -i C = G K G^{-1},   K = B+ - B-   (real, antisymmetric),
+
+so exp(-i F C) e_0 = G exp(F K) e_0, since G e_0 = e_0. Each time point
+takes one real matrix exponential instead of a complex one.
+
 Direct integration uses a fixed-step classical Runge-Kutta scheme; norm
 drift over the run certifies effective unitarity.
 
@@ -87,14 +96,14 @@ class DriveProfile:
         # float_power rounds like the scalar ** 2; numpy's array ** can differ in the last bit
         return self.f0 * np.exp(-np.float_power(t - self.t0, 2.0) / (2 * self.sigma ** 2))
 
-    def integral(self, t: float) -> float:
-        """F(t) = int_0^t f dt', exactly."""
+    def integral(self, t):
+        """F(t) = int_0^t f dt', exactly, at a time or, elementwise, at an array of times."""
         if self.kind == "const":
             return self.f0 * t
         from scipy.special import erf
         s = self.sigma * np.sqrt(np.pi / 2)
-        return float(self.f0 * s * (erf((t - self.t0) / (np.sqrt(2) * self.sigma))
-                                    + erf(self.t0 / (np.sqrt(2) * self.sigma))))
+        return self.f0 * s * (erf((t - self.t0) / (np.sqrt(2) * self.sigma))
+                              + erf(self.t0 / (np.sqrt(2) * self.sigma)))
 
     @classmethod
     def parse(cls, text: str) -> "DriveProfile":
@@ -214,8 +223,6 @@ def evolve_forced(levels: SpectrumTable, drive: DriveProfile, t_max: float,
     norms = np.empty(n_steps + 1)
     traj[0] = psi
     norms[0] = 1.0
-    e0 = psi.copy()
-    coupling = np.diag(weights, -1) + np.diag(weights, 1)
     for i in range(n_steps):
         ph, ph_conj, f = phase[i], phase_conj[i], f_stage[i]
         k1 = rhs(psi, ph[0], ph_conj[0], f[0])
@@ -229,13 +236,16 @@ def evolve_forced(levels: SpectrumTable, drive: DriveProfile, t_max: float,
             raise TruncationOverflowError(
                 f"top-level population {abs(psi[-1])**2:.2e} exceeds the budget "
                 f"{TOP_BUDGET:.0e} at t = {t_grid[i + 1]:.3f}")
-    # closed form: exp(-i E t) for all t at once, then one expm per time point
+    # closed form: exp(-i E t) G for all t at once, then column 0 of one real
+    # expm(F(t) K) per time point; G = diag((-i)^n) is exact, not a complex power
     expm = sys.modules[__name__].expm
+    gauge = np.array([1, -1j, -1, 1j])[np.arange(N) % 4]
+    rotation = np.diag(weights, -1) - np.diag(weights, 1)
     np.multiply(-1j * E, t_grid[:, None], out=closed)
     np.exp(closed, out=closed)
-    for i, t in enumerate(t_grid):
-        u_i = expm(-1j * drive.integral(t) * coupling)
-        closed[i] *= u_i @ e0
+    closed *= gauge
+    for i, F in enumerate(drive.integral(t_grid)):
+        closed[i] *= expm(F * rotation)[:, 0]
     overlaps = np.abs(np.einsum("ij,ij->i", traj.conj(), closed)) / \
         (np.linalg.norm(traj, axis=1) * np.linalg.norm(closed, axis=1))
     return ForcedEvolution(drive=drive, sign_convention=sign_convention, t_grid=t_grid,

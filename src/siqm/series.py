@@ -62,7 +62,8 @@ def series_coefficients(q: float, c0: float, K: int) -> SeriesCoefficients:
     """Solve the power-matching recursion for c_0 ... c_K.
 
     q = 0 is admitted (one-soliton limit, tanh series) even though the
-    scaling parameter map itself requires q > 0.
+    scaling parameter map itself requires q > 0. A recursion that leaves
+    the finite floats (c0 too large for its squares) is refused.
     """
     if not 0.0 <= q <= 1.0:
         raise ValueError(f"q must lie in [0, 1], got {q}")
@@ -73,6 +74,10 @@ def series_coefficients(q: float, c0: float, K: int) -> SeriesCoefficients:
     for k in range(K):
         conv = float(np.dot(c[:k + 1], c[k::-1]))
         c[k + 1] = -(1.0 - q ** (k + 2)) / ((2 * k + 3) * (1.0 + q ** (k + 2))) * conv
+    bad = np.flatnonzero(~np.isfinite(c))
+    if bad.size:
+        raise ValueError(f"the series recursion at q = {q}, c0 = {c0} overflows "
+                         f"at c_{bad[0]} of order {K}")
     sc = SeriesCoefficients(q=q, c0=c0, coeffs=c)
     return replace(sc, radius_estimate=_ratio_radius(ratio_sequence(sc)))
 

@@ -339,6 +339,44 @@ def test_non_finite_float_exits_1_without_files(tmp_path, monkeypatch, capsys,
     assert not list(run_dir.iterdir())
 
 
+@pytest.mark.parametrize("argv, named", [
+    (["coeffs", "--q", "0.5", "--c0", "1e200"], "c0 = 1e+200"),
+    (["spectrum", "--c", "1e300", "--levels", "2"], "c0 = 6.666666666666667e+299"),
+    (["coherent", "--z-re", "1e100", "--levels", "5"], "z = (1e+100+0j) at 5 levels"),
+])
+def test_finite_overflow_exits_1_naming_the_value(tmp_path, monkeypatch, capsys,
+                                                   argv, named):
+    monkeypatch.chdir(tmp_path)
+    assert run_command([*argv, "--out", str(tmp_path / "o.csv")]) == 1
+    assert named in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+def test_evolve_keeps_a_finished_run_whose_best_fit_fails(tmp_path):
+    # the float levels 20..27 of this small-q family are not increasing, so no
+    # coherent state fits the final state; the run itself is sound
+    out = tmp_path / "evo.csv"
+    code = run_command(["evolve", "--q", "0.1425", "--c", "0.7782", "--a1", "1.541",
+                        "--levels", "27", "--drive", "pulse:-0.104,1,0.5",
+                        "--t-max", "1", "--dt", "0.001", "--out", str(out)])
+    assert code == 0
+    assert len(out.read_text().splitlines()) == 1002
+    res = json.loads((tmp_path / "evo.csv.manifest.json").read_text(),
+                     parse_constant=lambda c: pytest.fail(f"{c} in the manifest"))["results"]
+    assert res["pass"] and res["norm_drift"] <= 1e-8
+    assert res["best_fit_z"] is None and res["best_fit_coherent_overlap"] is None
+    assert res["best_fit_error"] == "level 20 is not above all lower levels"
+
+
+def test_evolve_manifest_records_the_best_fit(tmp_path):
+    out = tmp_path / "evo.csv"
+    assert run_command(["evolve", "--q", "0.8", "--levels", "6", "--t-max", "0.1",
+                        "--out", str(out)]) == 0
+    res = read_manifest(tmp_path / "evo.csv.manifest.json")["results"]
+    assert res["best_fit_error"] is None
+    assert len(res["best_fit_z"]) == 2 and 0 < res["best_fit_coherent_overlap"] <= 1
+
+
 def test_morse_evolve_uses_only_bound_levels(tmp_path):
     # A = 6.5 binds levels 0..6; a dimension-7 run needs no level above them
     out = tmp_path / "evo.csv"

@@ -124,6 +124,14 @@ def test_drive_on_stage_times_equals_scalar_calls(spec):
                                           for row in t_stage]))
 
 
+@pytest.mark.parametrize("spec", ["const:0.1", "const:-0.0", "pulse:0.25,0.5,0.3",
+                                  "pulse:-0.2,2.7,1.1", "pulse:-0.104,1,0.5"])
+def test_integral_on_an_array_equals_scalar_calls(spec):
+    drive = DriveProfile.parse(spec)
+    t = np.linspace(0.0, 5.0, 2501)
+    assert bitwise_equal(drive.integral(t), np.array([drive.integral(s) for s in t]))
+
+
 def convergence_certificate(levels, drive, t_max, dt):
     """Overlap change of the final direct state under dt -> dt/2."""
     a = evolve_forced(levels, drive, t_max, dt)
@@ -171,7 +179,9 @@ def dense_rk4(levels, drive, t_max, dt, sign_convention):
 
 
 def closed_form(levels, drive, t_grid):
-    """exp(-i E t) exp(-i F(t) (B+ + B-)) e_0, one time point at a time."""
+    """exp(-i E t) exp(-i F(t) (B+ + B-)) e_0, one complex expm per time point.
+
+    The oracle for evolve_forced's real-gauge route."""
     _, bp, bm = dense_matrices(levels)
     E = levels.levels
     coupling = bp + bm
@@ -181,7 +191,13 @@ def closed_form(levels, drive, t_grid):
                      for t in t_grid])
 
 
+# the real-gauge closed form against the complex expm oracle; measured at most
+# 2.2e-16 over the cases below
+CLOSED_TOL = 1e-14
+
+
 def assert_matches_dense_bitwise(family, n, drive, sign, t_max):
+    """RK4 trajectory and norms bitwise; the closed form within CLOSED_TOL."""
     tab = energy_levels(family, n)
     drive = DriveProfile.parse(drive)
     ev = evolve_forced(tab, drive, t_max=t_max, dt=0.002, sign_convention=sign)
@@ -191,8 +207,8 @@ def assert_matches_dense_bitwise(family, n, drive, sign, t_max):
         (np.linalg.norm(traj, axis=1) * np.linalg.norm(closed, axis=1))
     assert bitwise_equal(ev.trajectory, traj)
     assert bitwise_equal(ev.norms, norms)
-    assert bitwise_equal(ev.closed_trajectory, closed)
-    assert bitwise_equal(ev.overlaps, overlaps)
+    assert np.max(np.abs(ev.closed_trajectory - closed)) <= CLOSED_TOL
+    assert np.max(np.abs(ev.overlaps - overlaps)) <= CLOSED_TOL
 
 
 @pytest.mark.parametrize("family, n, drive, sign", [
