@@ -24,21 +24,23 @@ rec = coherent_recursive(table, 1.0, 8)
 clo = coherent_closed_scaling(0.5, 1.0, 1.0, 8)
 print("  n   recursive        closed")
 for n in range(8):
-    print(f"  {n}   {rec.coefficients[n].real:14.10f}   {clo.coefficients[n].real:14.10f}")
+    print(f"  {n}   {rec[n].real:14.10f}   {clo[n].real:14.10f}")
+rec21 = coherent_recursive(table, 1.0, 21)
+clo21 = coherent_closed_scaling(0.5, 1.0, 1.0, 21)
 print(f"  max relative difference (n < 21): "
-      f"{np.max(np.abs(coherent_recursive(table, 1.0, 21).coefficients - coherent_closed_scaling(0.5, 1.0, 1.0, 21).coefficients) / np.abs(coherent_recursive(table, 1.0, 21).coefficients)):.2e}")
+      f"{np.max(np.abs(rec21 - clo21) / np.abs(rec21)):.2e}")
 
 print()
 print("=== defining properties at z = 0.3, N = 20 ===")
-state = coherent_recursive(table, 0.3, 20)
-eig, der = coherent_property_residuals(state)
+h = coherent_recursive(table, 0.3, 20)
+eig, der = coherent_property_residuals(table, 0.3, h)
 print(f"  eigenvalue condition residual   {eig:.2e}")
 print(f"  derivative condition residual   {der:.2e}")
 
 print()
 print("=== partial norms: the truncated object does not converge for q < 1 ===")
 for N in (6, 10, 14, 18, 22, 25):
-    pn = coherent_recursive(table, 1.0, N).partial_norm()
+    pn = np.linalg.norm(coherent_recursive(table, 1.0, N))
     print(f"  N = {N:2d}: partial norm = {pn:.4e}")
 print("each extra term eventually multiplies the norm by z q^{-(n-1)/2}/sqrt(E_n),")
 print("which exceeds 1 for large n at any z != 0")
@@ -49,4 +51,4 @@ import math
 cc = coherent_closed_scaling(1 - 1e-6, 1.0, 1.0, 10)
 ref = np.array([1 / math.sqrt(math.factorial(n)) for n in range(10)])
 print(f"  max |h_n - 1/sqrt(n!)| at q = 1 - 1e-6: "
-      f"{np.max(np.abs(cc.coefficients.real - ref)):.2e}")
+      f"{np.max(np.abs(cc.real - ref)):.2e}")

@@ -20,16 +20,14 @@ from .families import (ParameterRule, PotentialFamily, Harmonic, Morse,
                        SelfSimilar, FAMILIES, eval_W, ground_state,
                        shape_invariance_residual, family_from_config,
                        suggested_grid, NonNormalizableError, OutOfDomainError)
-from .spectra import (SpectrumTable, energy_levels, normalization_factor,
-                      lowering_weights, eigenstate_with_prenorm,
+from .spectra import (SpectrumTable, energy_levels, eigenstate_with_prenorm,
                       fd_diagonalize, eigen_residual, LevelNotBoundError)
 from .lattice import (LatticeContext, packet_state, commutator_residual,
                       dilation_identity_residual, adjoint_pair_residual,
                       applicable_relations, RELATIONS, UnknownRelationError,
                       WindowTooSmallError)
 from .ladder_matrices import LadderMatrices, matrix_identities, SingularSpectrumError
-from .coherent import (CoherentState, q_pochhammer, coherent_recursive,
-                       coherent_closed_scaling, coherent_property_residuals,
-                       DegenerateLevelsError)
+from .coherent import (q_pochhammer, coherent_recursive, coherent_closed_scaling,
+                       coherent_property_residuals, DegenerateLevelsError)
 from .dynamics import (DriveProfile, ForcedEvolution, evolve_forced,
                        TruncationOverflowError, StepInstabilityError)

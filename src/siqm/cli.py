@@ -37,8 +37,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .coherent import (DegenerateLevelsError, coherent_closed_scaling,
-                       coherent_property_residuals, coherent_recursive)
+from .coherent import (coherent_closed_scaling, coherent_property_residuals,
+                       coherent_recursive)
 from .dynamics import DriveProfile, evolve_forced
 from .families import (DEFAULT_FAMILY, FAMILIES, family_from_config,
                        shape_invariance_residual, suggested_grid)
@@ -47,8 +47,7 @@ from .ladder_matrices import MATRIX_TOL, matrix_identities
 from .lattice import (applicable_relations, commutator_residual,
                       dilation_identity_residual)
 from .series import SelfSimilarW, series_coefficients
-from .spectra import (energy_levels, eigenstate_with_prenorm, fd_diagonalize,
-                      normalization_factor)
+from .spectra import energy_levels, eigenstate_with_prenorm, fd_diagonalize
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -271,13 +270,12 @@ def _cmd_eigenstates(params: dict, outputs: list) -> tuple[dict, int]:
     fam = _family_from(params)
     n_max = params["levels"]
     grid = _grid_from(params) or suggested_grid(fam)
-    table = energy_levels(fam, n_max)
+    expected = energy_levels(fam, n_max).norms(n_max + 1).tolist()
     states, prenorm_errs = [], []
     for n in range(n_max + 1):
         psi, prenorm = eigenstate_with_prenorm(fam, n, grid)
         states.append(psi)
-        expected = normalization_factor(table, n)
-        prenorm_errs.append(abs(prenorm - expected) / max(expected, 1e-300))
+        prenorm_errs.append(abs(prenorm - expected[n]) / max(expected[n], 1e-300))
     header = ["x"] + [f"{part}_psi_{n}" for n in range(n_max + 1) for part in ("re", "im")]
     _write_columns(params.get("out"), outputs, header,
                grid.x, np.stack(states, axis=1).view(float))
@@ -330,20 +328,18 @@ def _cmd_coherent(params: dict, outputs: list) -> tuple[dict, int]:
     N = params["levels"]
     z = complex(params["z_re"], params["z_im"])
     table = energy_levels(fam, max(N - 1, 1))
-    state = coherent_recursive(table, z, N)
-    eig_res, der_res = coherent_property_residuals(state)
+    h = coherent_recursive(table, z, N)
+    eig_res, der_res = coherent_property_residuals(table, z, h)
     results = {"eigen_residual": eig_res, "eigen_tolerance": COHERENT_EIGEN_TOL,
                "derivative_residual": der_res,
                "derivative_tolerance": COHERENT_DERIVATIVE_TOL,
-               "partial_norm": state.partial_norm()}
+               "partial_norm": float(np.linalg.norm(h))}
     if fam.q is not None and fam.q < 1.0:
         closed = coherent_closed_scaling(fam.q, fam.c * fam.a1, z, N)
         # relative where |h_n| > 0, absolute at the zeros (z = 0 gives h_n = 0, n >= 1)
-        scale = np.abs(state.coefficients)
-        agree = float(np.max(np.abs(closed.coefficients - state.coefficients)
-                             / np.where(scale > 0, scale, 1.0)))
-        results["closed_vs_recursive"] = agree
-    h = state.coefficients
+        scale = np.abs(h)
+        results["closed_vs_recursive"] = float(np.max(np.abs(closed - h)
+                                                      / np.where(scale > 0, scale, 1.0)))
     _write_columns(params.get("out"), outputs, ["n", "re_h_n", "im_h_n"],
                np.arange(N), h.real, h.imag)
     ok = eig_res <= COHERENT_EIGEN_TOL and der_res <= COHERENT_DERIVATIVE_TOL
@@ -359,12 +355,13 @@ def _cmd_evolve(params: dict, outputs: list) -> tuple[dict, int]:
     ev = evolve_forced(table, drive, params["t_max"], params["dt"],
                        sign_convention=params["phase_sign"])
     # the best fit is a diagnostic of the finished run: a fit the levels
-    # cannot carry is reported, and the run still writes its outputs
+    # cannot carry (coincident levels, an N_n or a coefficient outside the
+    # floats) is reported, and the run still writes its outputs
     try:
         z_fit, coh_overlap = ev.best_fit_coherent(table)
         best_fit = {"best_fit_z": [z_fit.real, z_fit.imag],
                     "best_fit_coherent_overlap": coh_overlap, "best_fit_error": None}
-    except DegenerateLevelsError as exc:
+    except ValueError as exc:
         best_fit = {"best_fit_z": None, "best_fit_coherent_overlap": None,
                     "best_fit_error": str(exc)}
     header = ["t"] + [f"{part}_c_{n}" for n in range(ev.trajectory.shape[1])

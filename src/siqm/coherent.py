@@ -25,13 +25,10 @@ rescales the expansion coefficients. It is not the sqrt(E_n) B- of
 ladder_matrices and evolve_forced; the two agree only at q = 1.
 """
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from .families import SelfSimilar
-from .spectra import (SpectrumTable, energy_levels, lowering_weights,
-                      normalization_factor)
+from .spectra import SpectrumTable, energy_levels
 
 
 class DegenerateLevelsError(ValueError):
@@ -48,47 +45,30 @@ def q_pochhammer(z: float, q: float, n: int) -> float:
     return out
 
 
-@dataclass
-class CoherentState:
-    """Truncated coherent-state coefficients h_0 .. h_{N-1} with h_0 = 1."""
+def coherent_recursive(levels: SpectrumTable, z: complex, N: int) -> np.ndarray:
+    """The complex coefficients h_n = z^n / N_n, n = 0 .. N-1, with h_0 = 1.
 
-    z: complex
-    N: int
-    coefficients: np.ndarray = field(repr=False)
-    levels: SpectrumTable
-
-    def partial_norm(self) -> float:
-        return float(np.linalg.norm(self.coefficients))
-
-    def normalized_copy(self) -> "CoherentState":
-        c = self.coefficients / self.partial_norm()
-        return CoherentState(self.z, self.N, c, self.levels)
-
-
-def coherent_recursive(levels: SpectrumTable, z: complex, N: int) -> CoherentState:
-    """Coefficients h_n = z^n / N_n; the table must reach level N - 1.
-
-    A coefficient that overflows the floats is refused, naming z and N.
+    The table must reach level N - 1 and rise strictly up to it. A
+    coefficient that overflows the floats is refused, naming z and N.
     """
     if N < 1:
         raise ValueError("need N >= 1")
-    levels.upto(N - 1)
-    for n in range(1, N):
-        if np.any(levels.gaps(n) <= 0):
-            raise DegenerateLevelsError(f"level {n} is not above all lower levels")
+    flat = np.flatnonzero(np.diff(levels.upto(N - 1)) <= 0)
+    if flat.size:
+        raise DegenerateLevelsError(f"level {flat[0] + 1} is not above all lower levels")
+    norms = levels.norms(N).tolist()
     try:
-        coeff = np.array([1.0] + [z ** n / normalization_factor(levels, n)
-                                  for n in range(1, N)], dtype=complex)
+        coeff = np.array([1.0] + [z ** n / norms[n] for n in range(1, N)], dtype=complex)
         finite = np.all(np.isfinite(coeff))
     except OverflowError:  # complex z ** n
         finite = False
     if not finite:
         raise ValueError(f"coherent coefficients z^n / N_n overflow for z = {z} "
                          f"at {N} levels")
-    return CoherentState(z=complex(z), N=N, coefficients=coeff, levels=levels)
+    return coeff
 
 
-def coherent_closed_scaling(q: float, R1: float, z: complex, N: int) -> CoherentState:
+def coherent_closed_scaling(q: float, R1: float, z: complex, N: int) -> np.ndarray:
     """Closed-form coefficients for the scaling spectrum; asserts equality
     with the recursive construction to 1e-12 relative."""
     if not 0.0 < q < 1.0:
@@ -101,18 +81,19 @@ def coherent_closed_scaling(q: float, R1: float, z: complex, N: int) -> Coherent
     coeff = np.asarray(z, dtype=complex) ** n * mag
 
     table = energy_levels(SelfSimilar(q=q, c=R1, a1=1.0), N - 1 if N > 1 else 1)
-    ref = coherent_recursive(table, z, N).coefficients
+    ref = coherent_recursive(table, z, N)
     scale = np.abs(ref)
     # both routes evaluate differences 1 - q^j ~ j(1-q), so the comparison
     # noise floor grows like eps/(1-q) toward the harmonic limit
     tol = max(1e-12, 100 * np.finfo(float).eps / (1.0 - q))
     if np.max(np.abs(coeff - ref) / np.where(scale > 0, scale, 1.0)) > tol:
         raise AssertionError("closed form disagrees with the recursive product")
-    return CoherentState(z=complex(z), N=N, coefficients=coeff, levels=table)
+    return coeff
 
 
-def coherent_property_residuals(state: CoherentState) -> tuple[float, float]:
-    """(eigen_residual, derivative_residual) on components 0 .. N-2.
+def coherent_property_residuals(levels: SpectrumTable, z: complex,
+                                h: np.ndarray) -> tuple[float, float]:
+    """(eigen_residual, derivative_residual) of the coefficients h of |z> on 0 .. N-2.
 
     eigen: ||(B_minus - z)|z>|| with the chain-weighted lowering, relative
     to the restricted norm of |z>. derivative: the same combination applied
@@ -120,19 +101,20 @@ def coherent_property_residuals(state: CoherentState) -> tuple[float, float]:
     1e-5, minus |z> itself. A state needs N >= 2 coefficients: with one,
     the restricted window is empty and there is no property to check.
     """
-    N = state.N
+    N = len(h)
     if N < 2:
         raise ValueError(f"coherent-state residuals need at least 2 levels, got {N}")
-    beta = lowering_weights(state.levels, N)
-    h = state.coefficients
+    z = complex(z)
+    norms = levels.norms(N)
+    beta = norms[1:] / norms[:-1]   # N_n / N_{n-1}, n = 1 .. N-1
     scale = np.linalg.norm(h[:N - 1])
 
     lowered = beta * h[1:]          # component n-1 of B_minus |z>
-    eigen = float(np.linalg.norm(lowered - state.z * h[:N - 1]) / scale)
+    eigen = float(np.linalg.norm(lowered - z * h[:N - 1]) / scale)
 
     dz = 1e-5
-    hp = (coherent_recursive(state.levels, state.z + dz, N).coefficients
-          - coherent_recursive(state.levels, state.z - dz, N).coefficients) / (2 * dz)
-    deriv_combo = beta * hp[1:] - state.z * hp[:N - 1] - h[:N - 1]
+    hp = (coherent_recursive(levels, z + dz, N)
+          - coherent_recursive(levels, z - dz, N)) / (2 * dz)
+    deriv_combo = beta * hp[1:] - z * hp[:N - 1] - h[:N - 1]
     derivative = float(np.linalg.norm(deriv_combo) / scale)
     return eigen, derivative

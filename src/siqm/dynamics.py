@@ -152,8 +152,8 @@ class ForcedEvolution:
         z = complex(np.vdot(psi, lowered) / np.vdot(psi, psi))
         if z == 0:
             return z, float(abs(psi[0]) / np.linalg.norm(psi))
-        coh = coherent_recursive(levels, z, len(psi)).normalized_copy()
-        overlap = abs(np.vdot(psi, coh.coefficients)) / np.linalg.norm(psi)
+        coh = coherent_recursive(levels, z, len(psi))
+        overlap = abs(np.vdot(psi, coh / np.linalg.norm(coh))) / np.linalg.norm(psi)
         return z, float(overlap)
 
 

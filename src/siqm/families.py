@@ -157,6 +157,11 @@ class Morse(PotentialFamily):
 
     a1: float = 2.5
 
+    def __post_init__(self):
+        if not np.isfinite(self.a1 * self.a1):  # R and closed_levels square chain values
+            raise OutOfDomainError(f"morse needs a1 whose square is a finite float, "
+                                   f"got a1 = {self.a1}")
+
     def W(self, x, a):
         return a - np.exp(-x)
 
@@ -293,7 +298,7 @@ def shape_invariance_residual(family: PotentialFamily, grid: Grid) -> float:
 
     Measured on the interior 90% of the grid over default_test_functions.
     This is the admission gate for a family: spectra and algebra checks are
-    only meaningful below the 1e-6 level.
+    only meaningful below the 1e-6 level. A residual that is not finite is refused.
     """
     a1 = family.a1
     a2 = family.chain_value(2)
@@ -301,11 +306,20 @@ def shape_invariance_residual(family: PotentialFamily, grid: Grid) -> float:
     W2 = eval_W(family, a2, grid)
     R = family.R(a1)
     sl = grid.interior_slice()
-    worst = 0.0
+    residuals = []
     for f in default_test_functions(grid):
         lhs = apply_ladder(W1, apply_ladder(W1, f, grid, "raise"), grid, "lower")
         rhs = apply_ladder(W2, apply_ladder(W2, f, grid, "lower"), grid, "raise")
         diff = lhs - rhs - R * f
-        denom = np.linalg.norm(f[sl])
-        worst = max(worst, float(np.linalg.norm(diff[sl]) / denom))
+        residuals.append(float(np.linalg.norm(diff[sl]) / np.linalg.norm(f[sl])))
+    return worst_residual("shape-invariance", residuals)
+
+
+def worst_residual(check: str, residuals) -> float:
+    """The largest residual, at least 0; a NaN (max() skips it) or inf is refused."""
+    worst = 0.0
+    for r in residuals:
+        if not np.isfinite(r):
+            raise ValueError(f"{check}: residual {r} is not finite")
+        worst = max(worst, r)
     return worst

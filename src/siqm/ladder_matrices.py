@@ -30,14 +30,16 @@ MATRIX_TOL = 1e-12
 
 @dataclass
 class LadderMatrices:
-    """Dense N x N ladder operators: the leading blocks of the padded
-    (N + 2) x (N + 2) workspace that matrix_identities multiplies."""
+    """Dense ladder operators on the (N + 2) x (N + 2) workspace padded by
+    two levels: B+, B-, H and the pseudo-inverses H^{-1} and H^{-1/2}."""
 
     levels: SpectrumTable
     dimension: int
     b_plus: np.ndarray = field(init=False, repr=False)
     b_minus: np.ndarray = field(init=False, repr=False)
-    h_matrix: np.ndarray = field(init=False, repr=False)
+    h: np.ndarray = field(init=False, repr=False)
+    h_inv: np.ndarray = field(init=False, repr=False)
+    h_inv_sqrt: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         N = self.dimension
@@ -47,14 +49,11 @@ class LadderMatrices:
         E = self.levels.upto(top)
         if np.any(E[1:] <= 0):
             raise SingularSpectrumError("levels above the ground state must be positive")
-        bp = np.diag(self.levels.raising_weights(top), -1)
-        bm = bp.conj().T
-        hinv = np.diag(np.concatenate([[0.0], 1.0 / E[1:]]))
-        # (B+, B-, H^{-1}, H^{-1/2}) on the padded workspace
-        self._workspace = bp, bm, hinv, np.sqrt(hinv)
-        self.b_plus = bp[:N, :N]
-        self.b_minus = bm[:N, :N]
-        self.h_matrix = np.diag(E)[:N, :N]
+        self.b_plus = np.diag(self.levels.raising_weights(top), -1)
+        self.b_minus = self.b_plus.conj().T
+        self.h = np.diag(E)
+        self.h_inv = np.diag(np.concatenate([[0.0], 1.0 / E[1:]]))
+        self.h_inv_sqrt = np.sqrt(self.h_inv)
 
 
 def matrix_identities(levels: SpectrumTable, N: int) -> dict:
@@ -63,10 +62,11 @@ def matrix_identities(levels: SpectrumTable, N: int) -> dict:
     Returns {identity: {deviation, tolerance, pass}} with deviations taken
     on the blocks where the identity is exact: Q Q_dag and Q_dag Q on the
     full N x N block, the right-inverse identity B- (H^{-1} B+) = 1 on
-    components 0 .. N-2, and unit norms of (Q_dag)^n |0>.
+    components 0 .. N-2, unit norms of (Q_dag)^n |0>, and H = B+ B- and
+    B- |0> = 0 on the N x N blocks of the operators themselves.
     """
     lm = LadderMatrices(levels, N)
-    bp, bm, hinv, hs = lm._workspace
+    bp, bm, hs = lm.b_plus, lm.b_minus, lm.h_inv_sqrt
     eye = np.eye(N + _PAD)
     report = {}
 
@@ -82,7 +82,7 @@ def matrix_identities(levels: SpectrumTable, N: int) -> dict:
     report["qdagq-ground-projector"] = entry(
         np.max(np.abs((qd @ q)[:N, :N] - np.eye(N) + proj0)))
 
-    binv = hinv @ bp
+    binv = lm.h_inv @ bp
     report["right-inverse"] = entry(np.max(np.abs((bm @ binv - eye)[:N - 1, :N - 1])))
 
     vec = eye[0]
@@ -93,7 +93,7 @@ def matrix_identities(levels: SpectrumTable, N: int) -> dict:
     report["qdag-power-norms"] = entry(dev)
 
     report["factorized-hamiltonian"] = entry(
-        np.max(np.abs(lm.h_matrix - lm.b_plus @ lm.b_minus)))
+        np.max(np.abs(lm.h[:N, :N] - bp[:N, :N] @ bm[:N, :N])))
 
-    report["lowering-annihilates-ground"] = entry(np.linalg.norm(lm.b_minus[:, 0]))
+    report["lowering-annihilates-ground"] = entry(np.linalg.norm(bm[:N, 0]))
     return report

@@ -32,7 +32,7 @@ from math import comb
 
 import numpy as np
 
-from .families import PotentialFamily, eval_W
+from .families import PotentialFamily, eval_W, worst_residual
 from .grid import Grid, apply_ladder, dilate, normalized
 
 
@@ -222,7 +222,8 @@ def commutator_residual(relation_id: str, family: PotentialFamily, grid: Grid,
     The residual is ||(LHS - RHS) psi|| / ||psi|| restricted to interior
     levels and the interior 90% of the grid. Relations outside the family's
     scope (see applicable_relations) are rejected: the scaled ones need a
-    scaling family, and the J3 ones also q < 1.
+    scaling family, and the J3 ones also q < 1. A residual that is not
+    finite is refused, naming the relation.
     """
     if relation_id not in _RELATIONS:
         raise UnknownRelationError(f"unknown relation {relation_id!r}")
@@ -231,12 +232,11 @@ def commutator_residual(relation_id: str, family: PotentialFamily, grid: Grid,
         raise UnknownRelationError(f"{relation_id} is defined for {scope} only")
     ctx = LatticeContext(family, grid, window)
     residual = build(ctx)
-    worst = 0.0
-    for state in (packet_state(grid, window, x0=0.0, sigma=1.0),
-                  packet_state(grid, window, x0=-1.0, sigma=1.3),
-                  packet_state(grid, window, x0=0.8, sigma=0.9, momentum=0.6)):
-        worst = max(worst, _interior_norm(grid, residual(state)) / _interior_norm(grid, state))
-    return worst
+    states = (packet_state(grid, window, x0=0.0, sigma=1.0),
+              packet_state(grid, window, x0=-1.0, sigma=1.3),
+              packet_state(grid, window, x0=0.8, sigma=0.9, momentum=0.6))
+    return worst_residual(relation_id, (_interior_norm(grid, residual(state))
+                                        / _interior_norm(grid, state) for state in states))
 
 
 def adjoint_pair_residual(family: PotentialFamily, grid: Grid, window: int,
@@ -273,6 +273,7 @@ def dilation_identity_residual(family: PotentialFamily, grid: Grid,
     C_dag = S^{-1} A_dag with the plain substitution S f(x) = f(x / sqrt(q)):
     then C C_dag - q C_dag C = R. The two forms are algebraically the same
     identity, so their residuals should agree to interpolation accuracy.
+    A residual that is not finite is refused, naming the identity.
     """
     if family.q is None:
         raise ValueError("dilation identities require a scaling family")
@@ -281,7 +282,7 @@ def dilation_identity_residual(family: PotentialFamily, grid: Grid,
     W = eval_W(family, family.a1, grid)
     R = family.R(family.a1)
     sl = grid.interior_slice()
-    worst = 0.0
+    residuals = []
     for f in _dilation_test_functions(grid, sq):
         if which == "yy3":
             # A_dag(sqrt(q) x) A(sqrt(q) x) = D_sqrt(q) A_dag A D_{1/sqrt(q)}
@@ -300,9 +301,8 @@ def dilation_identity_residual(family: PotentialFamily, grid: Grid,
             diff = cc - q * cdc - R * f
         else:
             raise ValueError("which must be 'yy3' or 'yy6'")
-        worst = max(worst, float(np.linalg.norm(diff[sl])
-                                 / np.linalg.norm(f[sl])))
-    return worst
+        residuals.append(float(np.linalg.norm(diff[sl]) / np.linalg.norm(f[sl])))
+    return worst_residual(f"dilation-{which}", residuals)
 
 
 def _dilation_test_functions(grid: Grid, sq: float) -> list[np.ndarray]:

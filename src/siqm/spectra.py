@@ -53,10 +53,13 @@ class EigensolverError(RuntimeError):
 @dataclass(frozen=True)
 class SpectrumTable:
     """Energies E_0 ... E_{n_max} measured from E_0 = 0: the one source of
-    levels, raising weights and level gaps on the energy basis."""
+    levels, raising weights, gaps and normalization products N_n."""
 
     levels: np.ndarray
-    n_max: int
+
+    @property
+    def n_max(self) -> int:
+        return len(self.levels) - 1
 
     def upto(self, n: int) -> np.ndarray:
         """E_0 .. E_n; a shorter table is refused, never extended."""
@@ -72,6 +75,18 @@ class SpectrumTable:
     def gaps(self, n: int) -> np.ndarray:
         """E_n - E_j for j = 0 .. n-1, the factors of the normalization product."""
         return self.levels[n] - self.levels[:n]
+
+    def norms(self, N: int) -> np.ndarray:
+        """N_0 .. N_{N-1}, N_n = sqrt(E_n (E_n - E_{n-1}) ... (E_n - E_1)), N_0 = 1;
+        a product that is inf, 0 or NaN in floats is refused, naming its level."""
+        self.upto(N - 1)
+        out = np.array([np.sqrt(np.prod(self.gaps(n))) for n in range(N)])
+        bad = ~(np.isfinite(out) & (out > 0))
+        if bad.any():
+            n = int(np.argmax(bad))  # the first
+            raise ValueError(f"normalization product N_{n} = {out[n]} of level {n} "
+                             "is not a finite nonzero float")
+        return out
 
 
 def energy_levels(family: PotentialFamily, n_max: int) -> SpectrumTable:
@@ -97,20 +112,7 @@ def energy_levels(family: PotentialFamily, n_max: int) -> SpectrumTable:
     closed = family.closed_levels(n_max)
     if not np.allclose(levels, closed, rtol=0, atol=1e-12 * max(1.0, closed[-1])):
         raise AssertionError("partial sums disagree with the closed form")
-    return SpectrumTable(levels=levels, n_max=n_max)
-
-
-def normalization_factor(levels: SpectrumTable, n: int) -> float:
-    """sqrt(E_n (E_n - E_{n-1}) ... (E_n - E_1)); the empty product (n = 0) is 1."""
-    if not 0 <= n <= levels.n_max:
-        raise ValueError(f"n = {n} outside the table (n_max = {levels.n_max})")
-    return float(np.sqrt(np.prod(levels.gaps(n))))
-
-
-def lowering_weights(levels: SpectrumTable, N: int) -> np.ndarray:
-    """N_n / N_{n-1} for n = 1 .. N-1: the lowering weights of chain-built states."""
-    norms = [normalization_factor(levels, n) for n in range(N)]
-    return np.array([hi / lo for lo, hi in zip(norms, norms[1:])])
+    return SpectrumTable(levels)
 
 
 def _lowpass(psi: np.ndarray, grid: Grid, k_cut: float) -> np.ndarray:
@@ -146,8 +148,8 @@ def eigenstate_with_prenorm(family: PotentialFamily, n: int,
     domain edges, and the sharp spectral cutoff spreads that edge
     information over a kernel-tail length, so both artifacts are kept
     inside the discarded pad. The low-pass wavenumber is a safe multiple of
-    the physical bandwidth. A pre-normalization norm far from
-    normalization_factor(n) means the grid does not resolve the state.
+    the physical bandwidth. A pre-normalization norm far from N_n
+    (SpectrumTable.norms) means the grid does not resolve the state.
     """
     if n < 0:
         raise ValueError("need n >= 0")
@@ -184,6 +186,7 @@ def fd_diagonalize(family: PotentialFamily, grid: Grid,
     sits below the spectrum (the factorized Hamiltonian is positive
     semi-definite), and a fixed start vector keeps runs bitwise
     reproducible. Warns when an eigenvector has visible weight at the walls.
+    Bands that are not finite (W^2 overflows) are refused, naming the family.
     """
     if k < 1:
         raise ValueError("need k >= 1")
@@ -192,6 +195,9 @@ def fd_diagonalize(family: PotentialFamily, grid: Grid,
     eigsh = sys.modules[__name__].eigsh
     W = eval_W(family, family.a1, grid)
     bands = hamiltonian_bands(W, grid)
+    if not np.all(np.isfinite(bands)):
+        raise ValueError(f"the banded Hamiltonian of {family.to_config()} is not "
+                         "finite on the grid")
     n = grid.n_points
     diags, offsets = [bands[0]], [0]
     for j in range(1, bands.shape[0]):

@@ -170,10 +170,10 @@ def test_criterion_6_matrix_identities():
 
 def test_criterion_7_coherent_states():
     table = energy_levels(Q5, 21)
-    rec = coherent_recursive(table, 1.0, 21).coefficients
-    clo = coherent_closed_scaling(0.5, 1.0, 1.0, 21).coefficients
+    rec = coherent_recursive(table, 1.0, 21)
+    clo = coherent_closed_scaling(0.5, 1.0, 1.0, 21)
     agree = float(np.max(np.abs(rec - clo) / np.abs(rec)))
-    eig, der = coherent_property_residuals(coherent_recursive(table, 0.3, 20))
+    eig, der = coherent_property_residuals(table, 0.3, coherent_recursive(table, 0.3, 20))
     ok = agree <= 1e-12 and eig <= 1e-10 and der <= 1e-6
     report(7, "closed form equals recursion to 1e-12; eigen and derivative "
               "conditions hold", ok,

@@ -6,6 +6,7 @@ import os
 import random
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -352,6 +353,31 @@ def test_finite_overflow_exits_1_naming_the_value(tmp_path, monkeypatch, capsys,
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("argv, named", [
+    # a NaN residual would pass every gate through max(worst, nan)
+    (["verify", "--suite", "lattice-algebra", "--family", "harmonic", "--a1", "1e300"],
+     "ladder-commutator: residual nan"),
+    (["verify", "--suite", "shape-invariance", "--family", "harmonic", "--a1", "1e160"],
+     "shape-invariance: residual nan"),
+    # N_n = sqrt(E_n (E_n - E_{n-1}) ... (E_n - E_1)) over- or underflows
+    (["coherent", "--family", "harmonic", "--a1", "1e300", "--levels", "4"], "N_2 = inf"),
+    (["coherent", "--family", "harmonic", "--a1", "1e-300", "--levels", "4"], "N_2 = 0.0"),
+    (["eigenstates", "--family", "harmonic", "--a1", "1e160", "--levels", "2"], "N_2 = inf"),
+    # W^2 overflows the oracle's bands; Morse's R(a) squares a1
+    (["spectrum", "--family", "harmonic", "--a1", "1e300", "--levels", "2"], "'a1': 1e+300"),
+    (["spectrum", "--family", "morse", "--a1", "1e200", "--levels", "2"], "a1 = 1e+200"),
+])
+def test_arithmetic_outside_the_floats_exits_1_without_files(tmp_path, monkeypatch, capsys,
+                                                             argv, named):
+    monkeypatch.chdir(tmp_path)
+    target = ["--report", "r.json"] if argv[0] == "verify" else ["--out", "o.csv"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        assert run_command([*argv, *target]) == 1
+    assert named in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
 def test_evolve_keeps_a_finished_run_whose_best_fit_fails(tmp_path):
     # the float levels 20..27 of this small-q family are not increasing, so no
     # coherent state fits the final state; the run itself is sound
@@ -366,6 +392,18 @@ def test_evolve_keeps_a_finished_run_whose_best_fit_fails(tmp_path):
     assert res["pass"] and res["norm_drift"] <= 1e-8
     assert res["best_fit_z"] is None and res["best_fit_coherent_overlap"] is None
     assert res["best_fit_error"] == "level 20 is not above all lower levels"
+
+
+def test_evolve_reports_a_best_fit_whose_normalization_overflows(tmp_path):
+    # E_n = 0.17 n: N_254 = sqrt(0.17^254 254!) leaves the floats, the run does not
+    out = tmp_path / "evo.csv"
+    code = run_command(["evolve", "--family", "harmonic", "--a1", "0.085", "--levels", "270",
+                        "--t-max", "0.01", "--dt", "0.001", "--out", str(out)])
+    assert code == 0
+    assert len(out.read_text().splitlines()) == 12
+    res = read_strict_json(tmp_path / "evo.csv.manifest.json")["results"]
+    assert res["best_fit_z"] is None and res["best_fit_coherent_overlap"] is None
+    assert "N_254 = inf of level 254" in res["best_fit_error"]
 
 
 def test_evolve_manifest_records_the_best_fit(tmp_path):

@@ -8,7 +8,7 @@ import pytest
 from siqm import (DegenerateLevelsError,
                   coherent_closed_scaling, coherent_property_residuals,
                   coherent_recursive, energy_levels, Harmonic,
-                  normalization_factor, q_pochhammer, SelfSimilar)
+                  q_pochhammer, SelfSimilar, SpectrumTable)
 
 Q5 = SelfSimilar(q=0.5, c=1.0, a1=1.0)
 
@@ -23,22 +23,22 @@ def test_q_pochhammer_values():
 def test_recursive_coefficients_scaling_values():
     tab = energy_levels(Q5, 6)
     cs = coherent_recursive(tab, 1.0, 4)
-    assert cs.coefficients[0] == 1.0
-    assert cs.coefficients[1].real == pytest.approx(1.0)
-    assert cs.coefficients[2].real == pytest.approx(2.0 / np.sqrt(3.0), rel=1e-12)
+    assert cs[0] == 1.0
+    assert cs[1].real == pytest.approx(1.0)
+    assert cs[2].real == pytest.approx(2.0 / np.sqrt(3.0), rel=1e-12)
 
 
 def test_closed_form_values():
     cc = coherent_closed_scaling(0.5, 1.0, 1.0, 4)
-    assert cc.coefficients[1].real == pytest.approx(1.0, rel=1e-12)
-    assert cc.coefficients[2].real == pytest.approx(1.1547005383792517, rel=1e-12)
+    assert cc[1].real == pytest.approx(1.0, rel=1e-12)
+    assert cc[2].real == pytest.approx(1.1547005383792517, rel=1e-12)
 
 
 def test_closed_equals_recursive_to_1e12():
     tab = energy_levels(Q5, 21)
     for z in (1.0, 0.3 + 0.2j):
-        rec = coherent_recursive(tab, z, 21).coefficients
-        clo = coherent_closed_scaling(0.5, 1.0, z, 21).coefficients
+        rec = coherent_recursive(tab, z, 21)
+        clo = coherent_closed_scaling(0.5, 1.0, z, 21)
         assert np.max(np.abs(rec - clo) / np.abs(rec)) <= 1e-12
 
 
@@ -46,14 +46,16 @@ def test_termwise_lowering_cancellation():
     # h_n * (N_n / N_{n-1}) = z h_{n-1} termwise; at q = 1 the weight is sqrt(E_n)
     tab = energy_levels(Q5, 21)
     z = 0.7 - 0.4j
-    h = coherent_recursive(tab, z, 21).coefficients
+    h = coherent_recursive(tab, z, 21)
+    norms = tab.norms(21)
     for n in range(1, 21):
-        beta = normalization_factor(tab, n) / normalization_factor(tab, n - 1)
+        beta = norms[n] / norms[n - 1]
         assert abs(h[n] * beta - z * h[n - 1]) <= 1e-14 * abs(h[n - 1]) * max(1.0, abs(z))
     tab1 = energy_levels(Harmonic(a1=1.0), 12)
-    h1 = coherent_recursive(tab1, 0.5, 12).coefficients
+    h1 = coherent_recursive(tab1, 0.5, 12)
+    norms1 = tab1.norms(12)
     for n in range(1, 12):
-        beta = normalization_factor(tab1, n) / normalization_factor(tab1, n - 1)
+        beta = norms1[n] / norms1[n - 1]
         assert beta == pytest.approx(np.sqrt(tab1.levels[n]), rel=1e-14)
         assert abs(h1[n] * beta - 0.5 * h1[n - 1]) <= 1e-14
 
@@ -63,15 +65,15 @@ def test_closed_equals_recursive_random_z_sweep():
     tab = energy_levels(Q5, 21)
     for _ in range(6):
         z = complex(rng.uniform(-1.5, 1.5), rng.uniform(-1.5, 1.5))
-        rec = coherent_recursive(tab, z, 21).coefficients
-        clo = coherent_closed_scaling(0.5, 1.0, z, 21).coefficients
+        rec = coherent_recursive(tab, z, 21)
+        clo = coherent_closed_scaling(0.5, 1.0, z, 21)
         assert np.max(np.abs(rec - clo) / np.abs(rec)) <= 1e-12
 
 
 def test_eigen_and_derivative_residuals():
     tab = energy_levels(Q5, 21)
     state = coherent_recursive(tab, 0.3, 20)
-    eig, der = coherent_property_residuals(state)
+    eig, der = coherent_property_residuals(tab, 0.3, state)
     assert eig <= 1e-10
     assert der <= 1e-6
 
@@ -79,8 +81,8 @@ def test_eigen_and_derivative_residuals():
 def test_z_zero_is_ground_state():
     tab = energy_levels(Q5, 8)
     state = coherent_recursive(tab, 0.0, 8)
-    assert np.array_equal(state.coefficients[1:], np.zeros(7, dtype=complex))
-    eig, _ = coherent_property_residuals(state)
+    assert np.array_equal(state[1:], np.zeros(7, dtype=complex))
+    eig, _ = coherent_property_residuals(tab, 0.0, state)
     assert eig == 0.0
 
 
@@ -88,26 +90,72 @@ def test_harmonic_limit_coefficients():
     # q -> 1: h_n -> z^n / sqrt(n! R1^n)
     cc = coherent_closed_scaling(1 - 1e-6, 1.0, 1.0, 12)
     ref = np.array([1.0 / math.sqrt(math.factorial(n)) for n in range(12)])
-    assert np.max(np.abs(cc.coefficients.real - ref)) <= 1e-6
+    assert np.max(np.abs(cc.real - ref)) <= 1e-6
 
 
 def test_partial_norms_grow_superfast_for_small_q():
     # the truncated object is formal: partial norms blow up with N for q < 1
     tab = energy_levels(Q5, 25)
-    n8 = coherent_recursive(tab, 1.0, 8).partial_norm()
-    n25 = coherent_recursive(tab, 1.0, 25).partial_norm()
+    n8 = np.linalg.norm(coherent_recursive(tab, 1.0, 8))
+    n25 = np.linalg.norm(coherent_recursive(tab, 1.0, 25))
     assert n25 > 1e3 * n8
 
 
 def test_degenerate_levels_rejected():
     tab = energy_levels(Q5, 8)
-    flat = type(tab)(levels=np.concatenate([tab.levels[:3], [tab.levels[2]]]), n_max=3)
+    flat = type(tab)(levels=np.concatenate([tab.levels[:3], [tab.levels[2]]]))
     with pytest.raises(DegenerateLevelsError):
         coherent_recursive(flat, 1.0, 4)
 
 
 def test_short_table_refused_not_rebuilt():
     tab = energy_levels(Q5, 6)
-    assert coherent_recursive(tab, 0.5, 7).N == 7
+    assert coherent_recursive(tab, 0.5, 7).shape == (7,)
     with pytest.raises(ValueError, match="n_max >= 7, got n_max = 6"):
         coherent_recursive(tab, 0.5, 8)
+
+
+def first_degenerate_level(table, N):
+    """The O(N^2) scan coherent_recursive ran before its one np.diff test."""
+    for n in range(1, N):
+        if np.any(table.gaps(n) <= 0):
+            return n
+    return None
+
+
+def test_degeneracy_refusals_match_the_pairwise_scan(level_tables):
+    # the family sweep, plus tables whose levels dip below an earlier level
+    rng = np.random.default_rng(23)
+    dipped = []
+    for _ in range(60):
+        N = int(rng.integers(2, 42))
+        levels = np.concatenate([[0.0], np.cumsum(rng.uniform(-0.2, 1.0, N - 1))])
+        dipped.append((SpectrumTable(levels), N))
+    refused = 0
+    for tab, N in level_tables + dipped:
+        n = first_degenerate_level(tab, N)
+        if n is None:
+            try:
+                coherent_recursive(tab, 0.5, N)
+            except DegenerateLevelsError:
+                pytest.fail(f"refused a table the scan accepts (N = {N})")
+            except ValueError:
+                pass  # a product or a coefficient outside the floats
+        else:
+            with pytest.raises(DegenerateLevelsError) as exc:
+                coherent_recursive(tab, 0.5, N)
+            assert str(exc.value) == f"level {n} is not above all lower levels"
+            refused += 1
+    assert refused >= 20
+
+
+@pytest.mark.parametrize("a1, named", [(1e300, "N_2 = inf of level 2"),
+                                       (1e-300, "N_2 = 0.0 of level 2")])
+def test_coefficients_refuse_a_normalization_outside_the_floats(a1, named):
+    tab = energy_levels(Harmonic(a1=a1), 3)
+    with pytest.raises(ValueError, match=named):
+        coherent_recursive(tab, 1.0, 4)
+    # the degeneracy test still runs first
+    flat = SpectrumTable(np.array([0.0, 2 * a1, 2 * a1, 6 * a1]))
+    with pytest.raises(DegenerateLevelsError, match="level 2"):
+        coherent_recursive(flat, 1.0, 4)

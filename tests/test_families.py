@@ -1,15 +1,17 @@
 """Family registry: parameter chains, remainders, ground states, shape invariance."""
 
 import json
+import re
 from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
-from siqm import (Grid, LevelNotBoundError, NonNormalizableError, PotentialFamily,
+from siqm import (Grid, LevelNotBoundError, NonNormalizableError, OutOfDomainError,
+                  PotentialFamily,
                   eigenstate_with_prenorm, energy_levels,
                   eval_W, family_from_config, fd_diagonalize, ground_state,
-                  Harmonic, Morse, normalization_factor, SelfSimilar,
+                  Harmonic, Morse, SelfSimilar,
                   shape_invariance_residual)
 from siqm.families import ParameterRule
 
@@ -301,6 +303,27 @@ def test_shape_invariance_residuals():
     assert shape_invariance_residual(SCARF2, gs) <= 1e-6
 
 
+def test_shape_invariance_refuses_a_residual_that_is_not_finite():
+    # W = a1 x with a1 = 1e160 squares to inf; max() alone would pass over the NaN
+    with pytest.raises(ValueError, match="shape-invariance: residual nan is not finite"):
+        shape_invariance_residual(Harmonic(a1=1e160), Grid(-10, 10, 2001))
+
+
+@pytest.mark.parametrize("a1", [1e200, -1e200, float("inf"), float("nan")])
+def test_morse_refuses_an_a1_whose_square_overflows(a1):
+    # R(a) = a^2 - (a - 1)^2 would raise OverflowError from the float power
+    with pytest.raises(OutOfDomainError, match=re.escape(f"got a1 = {a1}")):
+        Morse(a1=a1)
+    with pytest.raises(OutOfDomainError):
+        family_from_config({"family": "morse", "a1": a1})
+
+
+def test_morse_at_a_large_finite_a1_is_unchanged():
+    fam = Morse(a1=1e150)
+    a = fam.a1
+    assert fam.R(a) == a * a - (a - 1.0) ** 2
+
+
 def test_config_round_trip():
     for fam in (SelfSimilar(q=0.5, c=1.0, a1=1.0), Harmonic(a1=1.3),
                 Morse(a1=3.5)):
@@ -346,7 +369,7 @@ def test_closed_spectrum_family_levels_oracle_and_prenorm(fam, levels):
     assert np.max(np.abs(e - tab.levels)) <= 1e-6
     for n in range(top + 1):
         _, prenorm = eigenstate_with_prenorm(fam, n, TANH_GRID)
-        expected = normalization_factor(tab, n)
+        expected = tab.norms(top + 1)[n]
         assert abs(prenorm - expected) <= 1e-7 * expected
 
 

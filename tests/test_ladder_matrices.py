@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from siqm import (LadderMatrices, SingularSpectrumError, energy_levels,
-                  lowering_weights, matrix_identities, normalization_factor,
-                  SelfSimilar)
+                  matrix_identities, SelfSimilar)
 
 Q5 = SelfSimilar(q=0.5, c=1.0, a1=1.0)
 
@@ -36,25 +35,25 @@ def test_qdag_powers_have_unit_norm():
 def test_ladder_matrix_structure():
     tab = energy_levels(Q5, 8)
     lm = LadderMatrices(tab, 6)
-    assert np.array_equal(lm.b_minus, lm.b_plus.conj().T)
-    assert np.max(np.abs(lm.b_plus @ lm.b_minus - lm.h_matrix)) <= 1e-15
-    assert np.max(np.abs(np.diag(lm.h_matrix) - tab.levels[:6])) == 0.0
+    b_plus, b_minus, h = lm.b_plus[:6, :6], lm.b_minus[:6, :6], lm.h[:6, :6]
+    assert np.array_equal(b_minus, b_plus.conj().T)
+    assert np.max(np.abs(b_plus @ b_minus - h)) <= 1e-15
+    assert np.max(np.abs(np.diag(h) - tab.levels[:6])) == 0.0
 
 
 def test_chain_lowering_weights():
     # N_n / N_{n-1} = sqrt(q^(n-1) E_n) for the scaling spectrum
     tab = energy_levels(Q5, 10)
-    weights = lowering_weights(tab, 8)
+    norms = tab.norms(8)
+    weights = norms[1:] / norms[:-1]
     for n in range(1, 8):
         expected = np.sqrt(0.5 ** (n - 1) * tab.levels[n])
         assert weights[n - 1] == pytest.approx(expected, rel=1e-14)
-        assert weights[n - 1] == pytest.approx(
-            normalization_factor(tab, n) / normalization_factor(tab, n - 1), rel=1e-14)
 
 
 def test_singular_spectrum_rejected():
     tab = energy_levels(Q5, 8)
-    bad = type(tab)(levels=np.concatenate([[0.0, 0.0], tab.levels[2:]]), n_max=tab.n_max)
+    bad = type(tab)(levels=np.concatenate([[0.0, 0.0], tab.levels[2:]]))
     with pytest.raises(SingularSpectrumError):
         LadderMatrices(bad, 6)
 

@@ -10,6 +10,7 @@ from siqm import (RELATIONS, UnknownRelationError, WindowTooSmallError,
                   commutator_residual, dilation_identity_residual, Grid, Harmonic,
                   packet_state, SelfSimilar)
 import siqm.lattice
+from siqm.families import worst_residual
 from siqm.lattice import LatticeContext
 
 Q5 = SelfSimilar(q=0.5, c=1.0, a1=1.0)
@@ -240,3 +241,32 @@ def test_dilation_operator_output_is_constant_multiple():
         mask = np.abs(f) > 1e-2 * np.max(np.abs(f))
         ratio = op_f[mask] / f[mask]
         assert np.max(np.abs(ratio - 1.0)) < 1e-4
+
+
+class Overflowing(SelfSimilar):
+    """A scaling family whose W squares to inf."""
+
+    def W(self, x, a):
+        return 1e300 * a * x
+
+
+@pytest.mark.parametrize("check, residual", [
+    ("ladder-commutator", lambda: commutator_residual(
+        "ladder-commutator", Harmonic(a1=1e300), GRID, window=8)),
+    ("dilation-yy3", lambda: dilation_identity_residual(Overflowing(), GRID, "yy3")),
+    ("dilation-yy6", lambda: dilation_identity_residual(Overflowing(), GRID, "yy6")),
+])
+def test_residual_that_is_not_finite_is_refused_naming_the_check(check, residual):
+    # max(worst, nan) keeps worst, so a NaN residual used to read as a pass
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        with pytest.raises(ValueError, match=f"{check}: residual nan is not finite"):
+            residual()
+
+
+def test_worst_residual():
+    assert worst_residual("c", []) == 0.0
+    assert worst_residual("c", [1e-9, 3e-8, 2e-8]) == 3e-8
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match=f"c: residual {bad} is not finite"):
+            worst_residual("c", [1e-9, bad, 2e-8])

@@ -8,7 +8,7 @@ import pytest
 from siqm import (BoundaryDecayWarning, LevelNotBoundError,
                   Grid, eigen_residual, eigenstate_with_prenorm,
                   energy_levels, fd_diagonalize, Harmonic, inner,
-                  Morse, normalization_factor, SelfSimilar)
+                  Morse, SelfSimilar)
 
 Q5 = SelfSimilar(q=0.5, c=1.0, a1=1.0)
 
@@ -78,9 +78,41 @@ def test_morse_tower_terminates():
 
 def test_normalization_factors():
     tab = energy_levels(Q5, 4)
-    assert normalization_factor(tab, 0) == 1.0
-    assert normalization_factor(tab, 1) == pytest.approx(1.0)
-    assert normalization_factor(tab, 2) == pytest.approx(np.sqrt(0.75))
+    norms = tab.norms(3)
+    assert norms[0] == 1.0
+    assert norms[1] == pytest.approx(1.0)
+    assert norms[2] == pytest.approx(np.sqrt(0.75))
+
+
+def test_norms_equal_per_level_products_bitwise(level_tables):
+    checked = 0
+    for tab, N in level_tables:
+        if np.any(np.diff(tab.levels) <= 0):
+            continue  # degenerate: coherent_recursive refuses these first
+        ref = np.array([np.sqrt(np.prod(tab.levels[n] - tab.levels[:n])) for n in range(N)])
+        assert np.array_equal(tab.norms(N), ref)
+        checked += 1
+    assert checked >= 100
+
+
+@pytest.mark.parametrize("a1, level, value", [(1e300, 2, "inf"), (1e-300, 2, "0.0")])
+def test_norms_refuse_a_product_outside_the_floats(a1, level, value):
+    # E_n = 2 a1 n: N_2 = sqrt(E_2 E_1) overflows at a1 = 1e300 and underflows at 1e-300
+    tab = energy_levels(Harmonic(a1=a1), 4)
+    assert tab.norms(2)[1] > 0
+    with pytest.raises(ValueError, match=f"N_{level} = {value} of level {level}"):
+        tab.norms(4)
+
+
+def test_norms_refuse_a_short_table():
+    with pytest.raises(ValueError, match="n_max >= 4, got n_max = 3"):
+        energy_levels(Q5, 3).norms(5)
+
+
+def test_fd_diagonalize_refuses_bands_that_are_not_finite():
+    # W = a1 x with a1 = 1e300: W^2 overflows, and the factorization would fail
+    with pytest.raises(ValueError, match=r"'a1': 1e\+300\} is not finite"):
+        fd_diagonalize(Harmonic(a1=1e300), Grid(-5, 5, 501), 2)
 
 
 def test_eigenstate_n0_is_ground_state(wide_grid):
@@ -101,10 +133,10 @@ def test_harmonic_second_state_matches_oracle():
 
 
 def test_prenorm_matches_level_difference_product(wide_grid, q5_ladder_states):
-    tab = energy_levels(Q5, 6)
+    norms = energy_levels(Q5, 6).norms(7)
     for n in range(7):
         _, prenorm = q5_ladder_states[n]
-        expected = normalization_factor(tab, n)
+        expected = norms[n]
         assert prenorm == pytest.approx(expected, rel=1e-3)
     # the n = 2 magnitude quoted from the closed products
     assert q5_ladder_states[2][1] == pytest.approx(0.8660254, abs=1e-6)
