@@ -16,6 +16,7 @@ import warnings
 from siqm import (RELATIONS, adjoint_pair_residual, commutator_residual,
                   dilation_identity_residual, energy_levels, Grid,
                   matrix_identities, SelfSimilar)
+from siqm.cli import MATRIX_TOL
 
 warnings.filterwarnings("ignore")
 
@@ -44,5 +45,5 @@ print(f"  (the same identity twice: |difference| = {abs(r3 - r6):.1e})")
 print()
 print("=== truncated ladder matrices, N = 20 ===")
 rep = matrix_identities(energy_levels(fam, 21), 20)
-for key, entry in rep.items():
-    print(f"  {key:28s} {entry['deviation']:9.2e}   pass={entry['pass']}")
+for key, dev in rep.items():
+    print(f"  {key:28s} {dev:9.2e}   pass={dev <= MATRIX_TOL}")

@@ -41,9 +41,9 @@ from .coherent import (coherent_closed_scaling, coherent_property_residuals,
                        coherent_recursive)
 from .dynamics import DriveProfile, evolve_forced
 from .families import (DEFAULT_FAMILY, FAMILIES, family_from_config,
-                       shape_invariance_residual, suggested_grid)
+                       shape_invariance_residual, suggested_grid, worst_residual)
 from .grid import Grid
-from .ladder_matrices import MATRIX_TOL, matrix_identities
+from .ladder_matrices import MAX_DIMENSION, matrix_identities
 from .lattice import (applicable_relations, commutator_residual,
                       dilation_identity_residual)
 from .series import SelfSimilarW, series_coefficients
@@ -55,6 +55,7 @@ EXIT_NUMERICAL = 2
 
 LATTICE_TOL = 1e-6
 DILATION_TOL = 1e-5
+MATRIX_TOL = 1e-12
 SHAPE_TOL = 1e-6
 ORACLE_TOL = 1e-3
 PRENORM_TOL = 1e-3
@@ -235,9 +236,9 @@ def _cmd_spectrum(params: dict, outputs: list) -> tuple[dict, int]:
         warnings.simplefilter("ignore")
         e_fd, _ = fd_diagonalize(fam, grid, n_max + 1)
     errs = np.abs(table.levels - e_fd)
+    worst = worst_residual("oracle", errs / np.maximum(1.0, table.levels))
     _write_columns(params.get("out"), outputs, ["n", "E_ladder", "E_fd", "abs_err"],
                np.arange(n_max + 1), table.levels, e_fd, errs)
-    worst = float(np.max(errs / np.maximum(1.0, table.levels)))
     ok = worst <= ORACLE_TOL
     results = {"max_rel_err": worst, "tolerance": ORACLE_TOL, "pass": ok,
                "levels": [float(v) for v in table.levels]}
@@ -276,10 +277,10 @@ def _cmd_eigenstates(params: dict, outputs: list) -> tuple[dict, int]:
         psi, prenorm = eigenstate_with_prenorm(fam, n, grid)
         states.append(psi)
         prenorm_errs.append(abs(prenorm - expected[n]) / max(expected[n], 1e-300))
+    worst = worst_residual("prenorm", prenorm_errs)
     header = ["x"] + [f"{part}_psi_{n}" for n in range(n_max + 1) for part in ("re", "im")]
     _write_columns(params.get("out"), outputs, header,
                grid.x, np.stack(states, axis=1).view(float))
-    worst = max(prenorm_errs)
     ok = worst <= PRENORM_TOL
     results = {"max_prenorm_rel_err": worst, "tolerance": PRENORM_TOL, "pass": ok}
     return results, EXIT_OK if ok else EXIT_NUMERICAL
@@ -293,8 +294,10 @@ def _verify_report(fam, suite: str, params: dict) -> dict:
     """{check: gate} for every check of the suite."""
     if suite == "matrix-identities":
         n_levels = params["levels"]
-        rep = matrix_identities(energy_levels(fam, n_levels + 1), n_levels)
-        return {key: _gate(val["deviation"], val["tolerance"]) for key, val in rep.items()}
+        if n_levels > MAX_DIMENSION:  # refused before any level or matrix is built
+            raise CliError(f"--levels must be at most {MAX_DIMENSION}, got {n_levels}")
+        deviations = matrix_identities(energy_levels(fam, n_levels + 1), n_levels)
+        return {key: _gate(dev, MATRIX_TOL) for key, dev in deviations.items()}
     grid = _grid_from(params) or Grid(-15.0, 15.0, 3001)
     if suite == "shape-invariance":
         return {suite: _gate(shape_invariance_residual(fam, grid), SHAPE_TOL)}
@@ -338,8 +341,8 @@ def _cmd_coherent(params: dict, outputs: list) -> tuple[dict, int]:
         closed = coherent_closed_scaling(fam.q, fam.c * fam.a1, z, N)
         # relative where |h_n| > 0, absolute at the zeros (z = 0 gives h_n = 0, n >= 1)
         scale = np.abs(h)
-        results["closed_vs_recursive"] = float(np.max(np.abs(closed - h)
-                                                      / np.where(scale > 0, scale, 1.0)))
+        results["closed_vs_recursive"] = worst_residual(
+            "closed_vs_recursive", np.abs(closed - h) / np.where(scale > 0, scale, 1.0))
     _write_columns(params.get("out"), outputs, ["n", "re_h_n", "im_h_n"],
                np.arange(N), h.real, h.imag)
     ok = eig_res <= COHERENT_EIGEN_TOL and der_res <= COHERENT_DERIVATIVE_TOL

@@ -27,7 +27,7 @@ ladder_matrices and evolve_forced; the two agree only at q = 1.
 
 import numpy as np
 
-from .families import SelfSimilar
+from .families import SelfSimilar, worst_residual
 from .spectra import SpectrumTable, energy_levels
 
 
@@ -86,7 +86,8 @@ def coherent_closed_scaling(q: float, R1: float, z: complex, N: int) -> np.ndarr
     # both routes evaluate differences 1 - q^j ~ j(1-q), so the comparison
     # noise floor grows like eps/(1-q) toward the harmonic limit
     tol = max(1e-12, 100 * np.finfo(float).eps / (1.0 - q))
-    if np.max(np.abs(coeff - ref) / np.where(scale > 0, scale, 1.0)) > tol:
+    if worst_residual("closed_vs_recursive",
+                      np.abs(coeff - ref) / np.where(scale > 0, scale, 1.0)) > tol:
         raise AssertionError("closed form disagrees with the recursive product")
     return coeff
 
@@ -99,7 +100,8 @@ def coherent_property_residuals(levels: SpectrumTable, z: complex,
     to the restricted norm of |z>. derivative: the same combination applied
     to the z-derivative of |z>, obtained by a central difference with step
     1e-5, minus |z> itself. A state needs N >= 2 coefficients: with one,
-    the restricted window is empty and there is no property to check.
+    the restricted window is empty and there is no property to check. A
+    residual that is not finite (||h|| can overflow) is refused.
     """
     N = len(h)
     if N < 2:
@@ -110,11 +112,11 @@ def coherent_property_residuals(levels: SpectrumTable, z: complex,
     scale = np.linalg.norm(h[:N - 1])
 
     lowered = beta * h[1:]          # component n-1 of B_minus |z>
-    eigen = float(np.linalg.norm(lowered - z * h[:N - 1]) / scale)
+    eigen = worst_residual("coherent_eigen", np.linalg.norm(lowered - z * h[:N - 1]) / scale)
 
     dz = 1e-5
     hp = (coherent_recursive(levels, z + dz, N)
           - coherent_recursive(levels, z - dz, N)) / (2 * dz)
     deriv_combo = beta * hp[1:] - z * hp[:N - 1] - h[:N - 1]
-    derivative = float(np.linalg.norm(deriv_combo) / scale)
+    derivative = worst_residual("coherent_derivative", np.linalg.norm(deriv_combo) / scale)
     return eigen, derivative

@@ -46,6 +46,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .coherent import coherent_recursive
+from .families import worst_residual
 from .spectra import SpectrumTable
 
 
@@ -133,7 +134,7 @@ class ForcedEvolution:
 
     @property
     def norm_drift(self) -> float:
-        return float(np.max(np.abs(self.norms - 1.0)))
+        return worst_residual("norm_drift", np.abs(self.norms - 1.0))
 
     @property
     def final_overlap(self) -> float:

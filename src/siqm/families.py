@@ -316,10 +316,9 @@ def shape_invariance_residual(family: PotentialFamily, grid: Grid) -> float:
 
 
 def worst_residual(check: str, residuals) -> float:
-    """The largest residual, at least 0; a NaN (max() skips it) or inf is refused."""
-    worst = 0.0
-    for r in residuals:
-        if not np.isfinite(r):
-            raise ValueError(f"{check}: residual {r} is not finite")
-        worst = max(worst, r)
-    return worst
+    """The largest residual (floats or an array), at least 0; a NaN or inf is refused."""
+    r = np.asarray(residuals, dtype=float)
+    bad = r[~np.isfinite(r)]
+    if bad.size:
+        raise ValueError(f"{check}: residual {bad[0]} is not finite")
+    return float(np.max(r, initial=0.0))

@@ -235,8 +235,8 @@ def commutator_residual(relation_id: str, family: PotentialFamily, grid: Grid,
     states = (packet_state(grid, window, x0=0.0, sigma=1.0),
               packet_state(grid, window, x0=-1.0, sigma=1.3),
               packet_state(grid, window, x0=0.8, sigma=0.9, momentum=0.6))
-    return worst_residual(relation_id, (_interior_norm(grid, residual(state))
-                                        / _interior_norm(grid, state) for state in states))
+    return worst_residual(relation_id, [_interior_norm(grid, residual(state))
+                                         / _interior_norm(grid, state) for state in states])
 
 
 def adjoint_pair_residual(family: PotentialFamily, grid: Grid, window: int,

@@ -162,8 +162,8 @@ def test_criterion_5_algebra_suite():
 
 def test_criterion_6_matrix_identities():
     rep = matrix_identities(energy_levels(Q5, 21), 20)
-    worst = max(v["deviation"] for v in rep.values())
-    ok = all(v["pass"] for v in rep.values())
+    worst = max(rep.values())
+    ok = all(dev <= 1e-12 for dev in rep.values())
     report(6, "QQ+ = 1, Q+Q = 1 - |0><0|, right inverse at N=20, all to 1e-12",
            ok, f"worst deviation {worst:.2e}")
 

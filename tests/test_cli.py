@@ -15,6 +15,7 @@ import pytest
 import siqm
 from siqm.cli import VERIFY_SUITES, run_command
 from siqm.dynamics import MAX_STEPS
+from siqm.ladder_matrices import MAX_DIMENSION
 
 
 def read_manifest(path):
@@ -212,6 +213,16 @@ def test_verify_matrix_identities(tmp_path):
     assert report["qqdag-identity"]["pass"]
 
 
+def test_matrix_identities_above_the_dimension_bound_exit_1(tmp_path, monkeypatch, capsys):
+    # refused before any level or matrix is built
+    monkeypatch.chdir(tmp_path)
+    code = run_command(["verify", "--suite", "matrix-identities", "--family", "harmonic",
+                        "--levels", str(MAX_DIMENSION + 1), "--report", "r.json"])
+    assert code == 1
+    assert f"--levels must be at most {MAX_DIMENSION}" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
 def test_coherent_command(tmp_path):
     out = tmp_path / "coh.csv"
     code = run_command(["coherent", "--family", "selfsimilar", "--q", "0.5",
@@ -366,6 +377,12 @@ def test_finite_overflow_exits_1_naming_the_value(tmp_path, monkeypatch, capsys,
     # W^2 overflows the oracle's bands; Morse's R(a) squares a1
     (["spectrum", "--family", "harmonic", "--a1", "1e300", "--levels", "2"], "'a1': 1e+300"),
     (["spectrum", "--family", "morse", "--a1", "1e200", "--levels", "2"], "a1 = 1e+200"),
+    # 1/E of subnormal levels is inf, and inf * 0 is NaN; max(0.0, nan) read 0.0
+    (["verify", "--suite", "matrix-identities", "--family", "harmonic", "--a1", "1e-310",
+      "--levels", "5"], "qqdag-identity: residual nan"),
+    # the coefficients are floats, but the norm of |z> overflows
+    (["coherent", "--q", "0.5", "--levels", "10", "--z-re", "1e30"],
+     "coherent_eigen: residual nan"),
 ])
 def test_arithmetic_outside_the_floats_exits_1_without_files(tmp_path, monkeypatch, capsys,
                                                              argv, named):

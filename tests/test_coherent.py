@@ -78,6 +78,16 @@ def test_eigen_and_derivative_residuals():
     assert der <= 1e-6
 
 
+def test_residuals_whose_norm_overflows_are_refused():
+    # every h_n is a float, but ||h|| is not
+    tab = energy_levels(Q5, 9)
+    state = coherent_recursive(tab, 1e30, 10)
+    assert np.all(np.isfinite(state))
+    with np.errstate(all="ignore"), \
+            pytest.raises(ValueError, match="coherent_eigen: residual nan is not finite"):
+        coherent_property_residuals(tab, 1e30, state)
+
+
 def test_z_zero_is_ground_state():
     tab = energy_levels(Q5, 8)
     state = coherent_recursive(tab, 0.0, 8)

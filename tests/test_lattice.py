@@ -267,6 +267,8 @@ def test_residual_that_is_not_finite_is_refused_naming_the_check(check, residual
 def test_worst_residual():
     assert worst_residual("c", []) == 0.0
     assert worst_residual("c", [1e-9, 3e-8, 2e-8]) == 3e-8
+    assert worst_residual("c", np.array([[1e-9, 3e-8], [2e-8, 0.0]])) == 3e-8
+    assert worst_residual("c", 2e-8) == 2e-8
     for bad in (float("nan"), float("inf")):
         with pytest.raises(ValueError, match=f"c: residual {bad} is not finite"):
             worst_residual("c", [1e-9, bad, 2e-8])
