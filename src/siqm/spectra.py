@@ -94,25 +94,34 @@ def energy_levels(family: PotentialFamily, n_max: int) -> SpectrumTable:
 
     Level n is bound when R(a_k) > 0 for every k <= n and a_{n+1} lies in
     the family's domain; a request above the top bound level (Morse has
-    only the levels n < a_1) is rejected. The sums are checked against the
-    family's closed form to 1e-12.
+    only the levels n < a_1) is rejected. A refusal whose chain value the
+    parameter map cannot make 0 (a1 q^k rounded to 0) names float underflow
+    instead. The sums are checked against the family's closed form to 1e-12.
     """
     if n_max < 0:
         raise ValueError(f"need n_max >= 0, got {n_max}")
     incs = [family.R(family.chain_value(k)) for k in range(1, n_max + 1)]
     for k, r in enumerate(incs, start=1):
         if r <= 0:
-            raise LevelNotBoundError(
-                f"remainder R(a_{k}) = {r:g} is not positive: level {k} is not bound")
+            _refuse_level(family, k, k, f"remainder R(a_{k}) = {r:g}", "is not positive")
     a_next = family.chain_value(n_max + 1)
     if not family.in_domain(a_next):
-        raise LevelNotBoundError(f"a_{n_max + 1} = {a_next:g} is outside the "
-                                 f"family's domain: level {n_max} is not bound")
+        _refuse_level(family, n_max + 1, n_max, f"a_{n_max + 1} = {a_next:g}",
+                      "is outside the family's domain")
     levels = np.concatenate([[0.0], np.cumsum(incs)]) if n_max else np.zeros(1)
     closed = family.closed_levels(n_max)
     if not np.allclose(levels, closed, rtol=0, atol=1e-12 * max(1.0, closed[-1])):
         raise AssertionError("partial sums disagree with the closed form")
     return SpectrumTable(levels)
+
+
+def _refuse_level(family: PotentialFamily, k: int, level: int, value: str, verdict: str):
+    """Refuse `level` for `value`, computed from the chain value a_k: as float
+    underflow where the parameter map cannot reach a_k = 0, else as not bound."""
+    if family.rule.underflows(family.chain_value(k)):
+        raise ValueError(f"{value} underflows the floats at level {level}: "
+                         f"the chain value a_{k} rounds to 0")
+    raise LevelNotBoundError(f"{value} {verdict}: level {level} is not bound")
 
 
 def _lowpass(psi: np.ndarray, grid: Grid, k_cut: float) -> np.ndarray:

@@ -15,7 +15,6 @@ import pytest
 import siqm
 from siqm.cli import VERIFY_SUITES, run_command
 from siqm.dynamics import MAX_STEPS
-from siqm.ladder_matrices import MAX_DIMENSION
 
 
 def read_manifest(path):
@@ -213,14 +212,35 @@ def test_verify_matrix_identities(tmp_path):
     assert report["qqdag-identity"]["pass"]
 
 
-def test_matrix_identities_above_the_dimension_bound_exit_1(tmp_path, monkeypatch, capsys):
-    # refused before any level or matrix is built
-    monkeypatch.chdir(tmp_path)
+def test_matrix_identities_at_5000_levels_pass(tmp_path):
+    # no levels bound: the identities are vector arithmetic on 5000 weights
+    rep = tmp_path / "mat.json"
     code = run_command(["verify", "--suite", "matrix-identities", "--family", "harmonic",
-                        "--levels", str(MAX_DIMENSION + 1), "--report", "r.json"])
+                        "--a1", "0.5", "--levels", "5000", "--report", str(rep)])
+    assert code == 0
+    report = read_strict_json(rep)
+    assert len(report) == 6 and all(entry["pass"] for entry in report.values())
+
+
+def test_matrix_identities_whose_chain_value_underflows_exit_1(tmp_path, monkeypatch,
+                                                               capsys):
+    # q^1075 rounds to 0, so a_1076 and R(a_1076) are float underflow, not physics
+    monkeypatch.chdir(tmp_path)
+    code = run_command(["verify", "--suite", "matrix-identities", "--q", "0.5",
+                        "--levels", "2000", "--report", "r.json"])
     assert code == 1
-    assert f"--levels must be at most {MAX_DIMENSION}" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "R(a_1076) = 0 underflows the floats at level 1076" in err
+    assert "not bound" not in err
     assert not list(tmp_path.iterdir())
+
+
+def test_matrix_identities_read_levels_up_to_n_only(tmp_path):
+    # Morse a1 = 8 binds levels 0 .. 7, and dimension 7 reads no level above them
+    rep = tmp_path / "mat.json"
+    assert run_command(["verify", "--suite", "matrix-identities", "--family", "morse",
+                        "--a1", "8", "--levels", "7", "--report", str(rep)]) == 0
+    assert all(entry["pass"] for entry in read_strict_json(rep).values())
 
 
 def test_coherent_command(tmp_path):
@@ -377,9 +397,9 @@ def test_finite_overflow_exits_1_naming_the_value(tmp_path, monkeypatch, capsys,
     # W^2 overflows the oracle's bands; Morse's R(a) squares a1
     (["spectrum", "--family", "harmonic", "--a1", "1e300", "--levels", "2"], "'a1': 1e+300"),
     (["spectrum", "--family", "morse", "--a1", "1e200", "--levels", "2"], "a1 = 1e+200"),
-    # 1/E of subnormal levels is inf, and inf * 0 is NaN; max(0.0, nan) read 0.0
+    # 1/E of subnormal levels is inf, so Q Q_dag carries inf on its diagonal
     (["verify", "--suite", "matrix-identities", "--family", "harmonic", "--a1", "1e-310",
-      "--levels", "5"], "qqdag-identity: residual nan"),
+      "--levels", "5"], "qqdag-identity: residual inf"),
     # the coefficients are floats, but the norm of |z> overflows
     (["coherent", "--q", "0.5", "--levels", "10", "--z-re", "1e30"],
      "coherent_eigen: residual nan"),

@@ -5,7 +5,6 @@ import pytest
 
 from siqm import (Harmonic, LadderMatrices, Morse, SingularSpectrumError, energy_levels,
                   matrix_identities, SelfSimilar)
-from siqm.ladder_matrices import MAX_DIMENSION
 
 Q5 = SelfSimilar(q=0.5, c=1.0, a1=1.0)
 
@@ -17,9 +16,14 @@ def test_matrix_identities_n20_all_pass():
 
 
 def reference_matrix_identities(levels, N):
-    """The deviations as matrix_identities computed them with its own max loop."""
-    lm = LadderMatrices(levels, N)
-    bp, bm, hs = lm.b_plus, lm.b_minus, lm.h_inv_sqrt
+    """The deviations from dense B+, B-, H, H^{-1} and H^{-1/2} on the
+    (N + 2) x (N + 2) workspace padded by two levels, with a max loop."""
+    E = levels.upto(N + 1)
+    bp = np.diag(levels.raising_weights(N + 1), -1)
+    bm = bp.conj().T
+    h = np.diag(E)
+    h_inv = np.diag(np.concatenate([[0.0], 1.0 / E[1:]]))
+    hs = np.sqrt(h_inv)
     eye = np.eye(N + 2)
     report = {}
     q = bm @ hs
@@ -28,7 +32,7 @@ def reference_matrix_identities(levels, N):
     proj0 = np.diag(eye[0, :N])
     report["qdagq-ground-projector"] = float(
         np.max(np.abs((qd @ q)[:N, :N] - np.eye(N) + proj0)))
-    binv = lm.h_inv @ bp
+    binv = h_inv @ bp
     report["right-inverse"] = float(np.max(np.abs((bm @ binv - eye)[:N - 1, :N - 1])))
     vec = eye[0]
     dev = 0.0
@@ -37,16 +41,32 @@ def reference_matrix_identities(levels, N):
         dev = max(dev, float(abs(np.linalg.norm(vec[:N]) - 1.0)))
     report["qdag-power-norms"] = dev
     report["factorized-hamiltonian"] = float(
-        np.max(np.abs(lm.h[:N, :N] - bp[:N, :N] @ bm[:N, :N])))
+        np.max(np.abs(h[:N, :N] - bp[:N, :N] @ bm[:N, :N])))
     report["lowering-annihilates-ground"] = float(np.linalg.norm(bm[:N, 0]))
     return report
 
 
-@pytest.mark.parametrize("family", [Q5, Harmonic(a1=0.7), Morse(a1=45.5)],
-                         ids=["selfsimilar", "harmonic", "morse"])
-@pytest.mark.parametrize("N", [3, 5, 20, 40])
-def test_deviations_equal_the_max_loop_bitwise(family, N):
-    table = energy_levels(family, N + 1)
+# the unsuffixed labels keep the ids this test had on its first three families
+FAMILIES = {
+    "selfsimilar": Q5,
+    "selfsimilar-q0.77": SelfSimilar(q=0.77, c=1.3, a1=0.8),
+    "selfsimilar-q1": SelfSimilar(q=1.0, c=1.0, a1=1.0),
+    "selfsimilar-q0.93": SelfSimilar(q=0.93, c=0.9, a1=1.2),
+    "harmonic": Harmonic(a1=0.7),
+    "harmonic-a1": Harmonic(a1=1.0),
+    "harmonic-a2.7": Harmonic(a1=2.7),
+    "morse-a8": Morse(a1=8.0),
+    "morse": Morse(a1=45.5),
+}
+# Morse binds the levels n < a1, and the dense oracle reads level N + 1
+GRID = [(label, N) for label, fam in FAMILIES.items() for N in (3, 4, 5, 10, 20, 33, 40)
+        if not isinstance(fam, Morse) or N + 1 < fam.a1]
+GRID += [(label, N) for label in ("selfsimilar", "harmonic") for N in (200, 1000)]
+
+
+@pytest.mark.parametrize("label, N", GRID, ids=[f"{N}-{label}" for label, N in GRID])
+def test_deviations_equal_the_max_loop_bitwise(label, N):
+    table = energy_levels(FAMILIES[label], N + 1)
     got = matrix_identities(table, N)
     ref = reference_matrix_identities(table, N)
     assert list(got) == list(ref)
@@ -56,17 +76,27 @@ def test_deviations_equal_the_max_loop_bitwise(family, N):
 
 
 def test_deviation_that_is_not_finite_is_refused_naming_the_identity():
-    # 1/E of subnormal levels is inf, and inf * 0 in the products is NaN
-    table = energy_levels(Harmonic(a1=1e-310), 6)
+    # 1/E of subnormal levels is inf, so Q Q_dag carries inf on its diagonal
+    table = energy_levels(Harmonic(a1=1e-310), 5)
     with np.errstate(all="ignore"), \
-            pytest.raises(ValueError, match="qqdag-identity: residual nan is not finite"):
+            pytest.raises(ValueError, match="qqdag-identity: residual inf is not finite"):
         matrix_identities(table, 5)
 
 
-def test_dimension_above_the_bound_is_refused_before_allocating():
-    with pytest.raises(ValueError, match=f"dimension <= {MAX_DIMENSION}, "
-                                         f"got {MAX_DIMENSION + 1}"):
-        LadderMatrices(energy_levels(Q5, 8), MAX_DIMENSION + 1)
+def test_large_dimension_needs_vectors_only():
+    # no dimension bound: 5000 levels are 5000-vectors, not dense matrices
+    report = matrix_identities(energy_levels(Harmonic(a1=0.5), 5000), 5000)
+    assert list(report) == ["qqdag-identity", "qdagq-ground-projector", "right-inverse",
+                            "qdag-power-norms", "factorized-hamiltonian",
+                            "lowering-annihilates-ground"]
+    assert all(dev <= 1e-12 for dev in report.values())
+
+
+def test_factorized_hamiltonian_deviation_is_an_ulp_of_the_level():
+    # E_k - sqrt(E_k)^2 is an ulp of E_k, so above E = 8192 it exceeds the
+    # CLI's absolute 1e-12 gate: harmonic a1 = 1 at 5000 levels fails there
+    report = matrix_identities(energy_levels(Harmonic(a1=1.0), 5000), 5000)
+    assert report["factorized-hamiltonian"] == np.spacing(8192.0) > 1e-12
 
 
 def test_qqdag_is_identity_n4():
@@ -86,12 +116,12 @@ def test_qdag_powers_have_unit_norm():
 
 
 def test_ladder_matrix_structure():
+    # the weights of B+ and H^{-1} on levels 1 .. N, read from the table itself
     tab = energy_levels(Q5, 8)
     lm = LadderMatrices(tab, 6)
-    b_plus, b_minus, h = lm.b_plus[:6, :6], lm.b_minus[:6, :6], lm.h[:6, :6]
-    assert np.array_equal(b_minus, b_plus.conj().T)
-    assert np.max(np.abs(b_plus @ b_minus - h)) <= 1e-15
-    assert np.max(np.abs(np.diag(h) - tab.levels[:6])) == 0.0
+    assert np.array_equal(lm.weights, np.sqrt(tab.levels[1:7]))
+    assert np.array_equal(lm.inverse_levels, 1.0 / tab.levels[1:7])
+    assert np.max(np.abs(lm.weights * lm.weights - tab.levels[1:7])) <= 1e-15
 
 
 def test_chain_lowering_weights():
@@ -109,10 +139,22 @@ def test_singular_spectrum_rejected():
     bad = type(tab)(levels=np.concatenate([[0.0, 0.0], tab.levels[2:]]))
     with pytest.raises(SingularSpectrumError):
         LadderMatrices(bad, 6)
+    # a level above N is not read, so it cannot make the spectrum singular
+    top_zero = type(tab)(levels=np.concatenate([tab.levels[:7], [0.0]]))
+    assert LadderMatrices(top_zero, 6).weights[-1] == np.sqrt(tab.levels[6])
 
 
 def test_short_table_refused_not_rebuilt():
-    # the padded workspace of dimension 6 reaches level 7
-    LadderMatrices(energy_levels(Q5, 7), 6)
-    with pytest.raises(ValueError, match="n_max >= 7, got n_max = 6"):
-        LadderMatrices(energy_levels(Q5, 6), 6)
+    # dimension 6 reads levels 0 .. 6: a table reaching exactly level 6 suffices
+    table = energy_levels(Q5, 6)
+    assert LadderMatrices(table, 6).weights.shape == (6,)
+    assert matrix_identities(table, 6) == matrix_identities(energy_levels(Q5, 8), 6)
+    with pytest.raises(ValueError, match="n_max >= 6, got n_max = 5"):
+        LadderMatrices(energy_levels(Q5, 5), 6)
+    with pytest.raises(ValueError, match="n_max >= 6, got n_max = 5"):
+        matrix_identities(energy_levels(Q5, 5), 6)
+
+
+def test_dimension_below_three_refused():
+    with pytest.raises(ValueError, match="dimension >= 3, got 2"):
+        LadderMatrices(energy_levels(Q5, 8), 2)

@@ -76,6 +76,21 @@ def test_morse_tower_terminates():
         energy_levels(Morse(a1=2.8), 3)
 
 
+@pytest.mark.parametrize("family, n_max, message", [
+    # q^1075 rounds to 0: the chain value a_1076 and its remainder are float underflow
+    (SelfSimilar(q=0.5), 2000, "remainder R(a_1076) = 0 underflows the floats at level 1076"),
+    (SelfSimilar(q=0.5), 1075, "a_1076 = 0 underflows the floats at level 1075"),
+    # exact zeros: a_3 = 0.5 gives R = 0, and a_9 = 0 leaves the domain
+    (Morse(a1=2.5), 3, "remainder R(a_3) = 0 is not positive: level 3 is not bound"),
+    (Morse(a1=8.0), 8, "a_9 = 0 is outside the family's domain: level 8 is not bound"),
+])
+def test_underflow_is_not_reported_as_an_unbound_level(family, n_max, message):
+    with pytest.raises(ValueError) as info:
+        energy_levels(family, n_max)
+    assert str(info.value).startswith(message)
+    assert isinstance(info.value, LevelNotBoundError) == ("not bound" in message)
+
+
 def test_normalization_factors():
     tab = energy_levels(Q5, 4)
     norms = tab.norms(3)
