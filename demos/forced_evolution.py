@@ -7,7 +7,8 @@ convention that makes the interaction picture cancel, direct integration
 and the closed form agree to integrator accuracy, and the end state is a
 textbook coherent state. At q = 0.5 the commutator is operator-valued: the
 closed form is only approximate, and the final state is measurably not an
-eigenstate of the lowering operator, however the eigenvalue is fitted.
+eigenstate of the lowering matrix sqrt(E_n) B- that drives it: its overlap
+with that matrix's eigenstate at the moment-fitted z is about 0.992.
 """
 
 from siqm import DriveProfile, energy_levels, evolve_forced, SelfSimilar
@@ -35,7 +36,7 @@ ev5 = evolve_forced(tab5, drive, t_max=5.0, dt=0.002)
 z5, ov5 = ev5.best_fit_coherent(tab5)
 print(f"  final overlap with the (now approximate) closed form: "
       f"{ev5.final_overlap:.6f}")
-print(f"  end state vs best-fit coherent state: overlap {ov5:.3e} "
+print(f"  end state vs best-fit coherent state: overlap {ov5:.6f} "
       f"at z = {z5:.4f}")
 print(f"  norm drift of the direct integration: {ev5.norm_drift:.1e}")
 

@@ -355,9 +355,8 @@ def _cmd_evolve(params: dict, outputs: list) -> tuple[dict, int]:
     table = energy_levels(fam, N)
     ev = evolve_forced(table, drive, params["t_max"], params["dt"],
                        sign_convention=params["phase_sign"])
-    # the best fit is a diagnostic of the finished run: a fit the levels
-    # cannot carry (coincident levels, an N_n or a coefficient outside the
-    # floats) is reported, and the run still writes its outputs
+    # the best fit is a diagnostic: one whose coefficients leave the floats
+    # is reported, and the finished run still writes its outputs
     try:
         z_fit, coh_overlap = ev.best_fit_coherent(table)
         best_fit = {"best_fit_z": [z_fit.real, z_fit.imag],

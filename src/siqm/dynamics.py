@@ -16,8 +16,8 @@ ground state has the closed form
 Measured numerically, the cancellation happens under the 'conjugate'
 convention; the 'paper' phases leave a residual e^{2 i R1 t} modulation.
 For q < 1 the commutator is operator-valued, the closed form is only
-approximate, and the final state is no longer a lowering-operator
-eigenstate; the overlap with the best-fit coherent state quantifies that.
+approximate, and the final state is no longer an eigenstate of sqrt(E_n) B-;
+the overlap with that matrix's best-fit eigenstate quantifies how far.
 
 The closed form is evaluated in real arithmetic. C = B+ + B- is tridiagonal
 with a zero diagonal, and the gauge G = diag((-i)^n) turns it into a real
@@ -45,7 +45,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .coherent import coherent_recursive
 from .families import worst_residual
 from .spectra import SpectrumTable
 
@@ -58,7 +57,7 @@ def __getattr__(name):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-class TruncationOverflowError(RuntimeError):
+class TruncationOverflowError(ValueError):
     """Population reached the top of the truncated basis."""
 
 
@@ -143,19 +142,18 @@ class ForcedEvolution:
     def best_fit_coherent(self, levels: SpectrumTable) -> tuple[complex, float]:
         """Moment-matched z and the final-state overlap with that |z>.
 
-        z is the expectation of the plain lowering matrix in the final
-        state; the comparison coherent state is truncated at the same N and
-        normalized on that window. The table must reach level N - 1.
+        z is the expectation of sqrt(E_n) B- in the final state; |z> is that matrix's
+        truncated eigenstate c_n = c_{n-1} z / sqrt(E_n), c_0 = 1, normalized on the N
+        levels. The table must reach level N - 1; coefficients outside the floats are refused.
         """
         psi = self.trajectory[-1]
+        weights = levels.raising_weights(len(psi) - 1)
         # B- psi: the sqrt(E) shift down by one level, as in the RK4 rhs
-        lowered = np.append(levels.raising_weights(len(psi) - 1) * psi[1:], 0)
-        z = complex(np.vdot(psi, lowered) / np.vdot(psi, psi))
-        if z == 0:
-            return z, float(abs(psi[0]) / np.linalg.norm(psi))
-        coh = coherent_recursive(levels, z, len(psi))
-        overlap = abs(np.vdot(psi, coh / np.linalg.norm(coh))) / np.linalg.norm(psi)
-        return z, float(overlap)
+        z = complex(np.vdot(psi, np.append(weights * psi[1:], 0)) / np.vdot(psi, psi))
+        coh = np.cumprod(np.append(1, z / weights))
+        if not np.isfinite(size := np.linalg.norm(coh)):
+            raise ValueError(f"coherent coefficients overflow for z = {z} at {len(psi)} levels")
+        return z, float(abs(np.vdot(psi, coh / size)) / np.linalg.norm(psi))
 
 
 def evolve_forced(levels: SpectrumTable, drive: DriveProfile, t_max: float,
@@ -235,8 +233,9 @@ def evolve_forced(levels: SpectrumTable, drive: DriveProfile, t_max: float,
         norms[i + 1] = np.linalg.norm(psi)
         if abs(psi[-1]) ** 2 > TOP_BUDGET:
             raise TruncationOverflowError(
-                f"top-level population {abs(psi[-1])**2:.2e} exceeds the budget "
-                f"{TOP_BUDGET:.0e} at t = {t_grid[i + 1]:.3f}")
+                f"more levels or a weaker drive needed: top-level population "
+                f"{abs(psi[-1])**2:.2e} exceeds the budget {TOP_BUDGET:.0e} "
+                f"at t = {t_grid[i + 1]:.3f}")
     # closed form: exp(-i E t) G for all t at once, then column 0 of one real
     # expm(F(t) K) per time point; G = diag((-i)^n) is exact, not a complex power
     expm = sys.modules[__name__].expm

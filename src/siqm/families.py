@@ -65,11 +65,6 @@ class ParameterRule:
             return a1 * self.factor_q ** (index - 1)
         return a1 + (index - 1) * self.shift_delta
 
-    def underflows(self, a: float) -> bool:
-        """Whether the chain value a is float underflow: a scaling value a1 q^k is
-        never 0 in exact arithmetic, while a translation value can be."""
-        return self.kind == "scaling" and a == 0.0
-
 
 @dataclass
 class PotentialFamily(ABC):

@@ -94,8 +94,8 @@ def energy_levels(family: PotentialFamily, n_max: int) -> SpectrumTable:
 
     Level n is bound when R(a_k) > 0 for every k <= n and a_{n+1} lies in
     the family's domain; a request above the top bound level (Morse has
-    only the levels n < a_1) is rejected. A refusal whose chain value the
-    parameter map cannot make 0 (a1 q^k rounded to 0) names float underflow
+    only the levels n < a_1) is rejected. A scaling chain value a1 q^k, or its
+    remainder c a1 q^k (c > 0), that rounds to 0 is named float underflow
     instead. The sums are checked against the family's closed form to 1e-12.
     """
     if n_max < 0:
@@ -103,7 +103,7 @@ def energy_levels(family: PotentialFamily, n_max: int) -> SpectrumTable:
     incs = [family.R(family.chain_value(k)) for k in range(1, n_max + 1)]
     for k, r in enumerate(incs, start=1):
         if r <= 0:
-            _refuse_level(family, k, k, f"remainder R(a_{k}) = {r:g}", "is not positive")
+            _refuse_level(family, k, k, f"remainder R(a_{k}) = {r:g}", "is not positive", r)
     a_next = family.chain_value(n_max + 1)
     if not family.in_domain(a_next):
         _refuse_level(family, n_max + 1, n_max, f"a_{n_max + 1} = {a_next:g}",
@@ -115,12 +115,15 @@ def energy_levels(family: PotentialFamily, n_max: int) -> SpectrumTable:
     return SpectrumTable(levels)
 
 
-def _refuse_level(family: PotentialFamily, k: int, level: int, value: str, verdict: str):
-    """Refuse `level` for `value`, computed from the chain value a_k: as float
-    underflow where the parameter map cannot reach a_k = 0, else as not bound."""
-    if family.rule.underflows(family.chain_value(k)):
-        raise ValueError(f"{value} underflows the floats at level {level}: "
-                         f"the chain value a_{k} rounds to 0")
+def _refuse_level(family: PotentialFamily, k: int, level: int, value: str, verdict: str,
+                  r: float | None = None):
+    """Refuse `level` for `value`, computed from the chain value a_k and its
+    remainder r: as float underflow where a scaling family's a_k = a1 q^(k-1), or
+    its r = c a_k with c > 0, is 0 (never so in exact arithmetic), else as not bound."""
+    a = family.chain_value(k)
+    if family.q is not None and (a == 0 or (r == 0 and family.c > 0)):
+        cause = f"R(a_{k} = {a:g}) rounds to 0" if a else f"the chain value a_{k} rounds to 0"
+        raise ValueError(f"{value} underflows the floats at level {level}: {cause}")
     raise LevelNotBoundError(f"{value} {verdict}: level {level} is not bound")
 
 

@@ -193,9 +193,9 @@ def test_criterion_8_forced_dynamics():
     ok = (ev1.final_overlap >= 1 - 1e-6 and coh_overlap < 0.999
           and drift <= 1e-8)
     report(8, "q=1 closed form matches direct integration; q=0.5 endpoint is "
-              "not a lowering-operator eigenstate", ok,
-           f"q=1 overlap {ev1.final_overlap:.9f}; q=0.5 coherent overlap "
-           f"{coh_overlap:.3e}; drift {drift:.1e}")
+              "not an eigenstate of sqrt(E_n) B-", ok,
+           f"q=1 overlap {ev1.final_overlap:.9f}; q=0.5 overlap with the best-fit "
+           f"eigenstate {coh_overlap:.5f}; drift {drift:.1e}")
 
 
 def test_criterion_9_bitwise_reproducibility(tmp_path):

@@ -415,32 +415,47 @@ def test_arithmetic_outside_the_floats_exits_1_without_files(tmp_path, monkeypat
     assert not list(tmp_path.iterdir())
 
 
-def test_evolve_keeps_a_finished_run_whose_best_fit_fails(tmp_path):
-    # the float levels 20..27 of this small-q family are not increasing, so no
-    # coherent state fits the final state; the run itself is sound
+@pytest.mark.parametrize("argv, named", [
+    # a drive the truncation cannot hold, and closed-form coherent coefficients
+    # that disagree with the recursion: each escaped run_command as a traceback
+    (["evolve", "--q", "0.5", "--levels", "3", "--drive", "const:2"],
+     "more levels or a weaker drive needed: top-level population"),
+    (["coherent", "--q", "0.7", "--levels", "30"], "by 1.08e-12 relative at level 25"),
+    (["coherent", "--q", "0.3", "--levels", "20"], "by 1.04e-07 relative at level 19"),
+])
+def test_numerical_refusal_exits_1_without_files(tmp_path, monkeypatch, capsys, argv, named):
+    monkeypatch.chdir(tmp_path)
+    assert run_command([*argv, "--out", str(tmp_path / "o.csv")]) == 1
+    assert named in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+def test_evolve_fits_a_run_whose_float_levels_are_not_increasing(tmp_path):
+    # the float levels 20..27 of this small-q family are not increasing, which
+    # N_n cannot carry; the fit needs only sqrt(E_n) > 0
     out = tmp_path / "evo.csv"
     code = run_command(["evolve", "--q", "0.1425", "--c", "0.7782", "--a1", "1.541",
                         "--levels", "27", "--drive", "pulse:-0.104,1,0.5",
                         "--t-max", "1", "--dt", "0.001", "--out", str(out)])
     assert code == 0
     assert len(out.read_text().splitlines()) == 1002
-    res = json.loads((tmp_path / "evo.csv.manifest.json").read_text(),
-                     parse_constant=lambda c: pytest.fail(f"{c} in the manifest"))["results"]
+    res = read_strict_json(tmp_path / "evo.csv.manifest.json")["results"]
     assert res["pass"] and res["norm_drift"] <= 1e-8
-    assert res["best_fit_z"] is None and res["best_fit_coherent_overlap"] is None
-    assert res["best_fit_error"] == "level 20 is not above all lower levels"
+    assert res["best_fit_error"] is None and all(map(np.isfinite, res["best_fit_z"]))
+    assert res["best_fit_coherent_overlap"] == pytest.approx(0.999998, abs=1e-6)
 
 
-def test_evolve_reports_a_best_fit_whose_normalization_overflows(tmp_path):
-    # E_n = 0.17 n: N_254 = sqrt(0.17^254 254!) leaves the floats, the run does not
+def test_evolve_fits_a_run_whose_normalization_products_overflow(tmp_path):
+    # E_n = 0.17 n: N_254 = sqrt(0.17^254 254!) leaves the floats, z^n / (sqrt(E_1) ...
+    # sqrt(E_n)) does not
     out = tmp_path / "evo.csv"
     code = run_command(["evolve", "--family", "harmonic", "--a1", "0.085", "--levels", "270",
                         "--t-max", "0.01", "--dt", "0.001", "--out", str(out)])
     assert code == 0
     assert len(out.read_text().splitlines()) == 12
     res = read_strict_json(tmp_path / "evo.csv.manifest.json")["results"]
-    assert res["best_fit_z"] is None and res["best_fit_coherent_overlap"] is None
-    assert "N_254 = inf of level 254" in res["best_fit_error"]
+    assert res["best_fit_error"] is None and all(map(np.isfinite, res["best_fit_z"]))
+    assert res["best_fit_coherent_overlap"] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_evolve_manifest_records_the_best_fit(tmp_path):
@@ -609,6 +624,41 @@ def test_verify_sweep_contract(tmp_path):
         c, a1 = rng.uniform(0.3, 3), rng.uniform(0.3, 3)
         jobs.append((["verify", "--suite", VERIFY_SUITES[i % 5], "--q", repr(q), "--c", repr(c),
                       "--a1", repr(a1)], "--report", "rep.json"))
+    _sweep(tmp_path, jobs)
+
+
+def test_evolve_sweep_contract(tmp_path):
+    rng = random.Random(1613)
+    bands = [(0.05, 0.3), (0.3, 0.95), (0.95, 1.0)]
+    jobs = []
+    for i in range(16):
+        q = rng.uniform(*bands[i % 3])
+        c, a1, f0 = rng.uniform(0.3, 3), rng.uniform(0.3, 3), rng.uniform(-2, 2)
+        drive = f"const:{f0!r}" if i % 2 else f"pulse:{f0!r},{rng.uniform(0, 1)!r},0.3"
+        jobs.append((["evolve", "--q", repr(q), "--c", repr(c), "--a1", repr(a1),
+                      "--levels", str(rng.randint(3, 30)), "--drive", drive, "--t-max", "0.5",
+                      "--dt", rng.choice(["0.001", "0.004"])], "--out", "e.csv"))
+    # exit 1 here: a drive the truncation cannot hold, or a dt above the stability budget
+    codes = _sweep(tmp_path, jobs)
+    for i, code in enumerate(codes):
+        if code == 0 and float(jobs[i][0][2]) < 1:
+            res = read_strict_json(tmp_path / f"job{i}" / "e.csv.manifest.json")["results"]
+            assert res["best_fit_error"] is None, jobs[i][0]
+            assert all(map(np.isfinite, res["best_fit_z"])), jobs[i][0]
+            assert 0 < res["best_fit_coherent_overlap"] <= 1, jobs[i][0]
+    assert codes.count(0) >= 8
+
+
+def test_coherent_sweep_contract(tmp_path):
+    rng = random.Random(1614)
+    bands = [(0.05, 0.3), (0.3, 0.95), (0.95, 1.0)]
+    jobs = []
+    for i in range(24):
+        q = rng.uniform(*bands[i % 3])
+        c, a1 = rng.uniform(0.3, 3), rng.uniform(0.3, 3)
+        jobs.append((["coherent", "--q", repr(q), "--c", repr(c), "--a1", repr(a1),
+                      "--levels", str(rng.randint(2, 40)), "--z-re", repr(rng.uniform(-2, 2)),
+                      "--z-im", repr(rng.uniform(-2, 2))], "--out", "h.csv"))
     _sweep(tmp_path, jobs)
 
 

@@ -5,7 +5,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.linalg import expm
 
-from siqm import (DriveProfile, StepInstabilityError,
+from siqm import (DriveProfile, ForcedEvolution, StepInstabilityError,
                   TruncationOverflowError, coherent_recursive, energy_levels,
                   evolve_forced, Harmonic, Morse, SelfSimilar)
 from siqm.dynamics import TOP_BUDGET
@@ -93,8 +93,11 @@ def test_truncation_overflow_guard():
     traj, _ = dense_rk4(tab, drive, 5.0, 0.002, "conjugate")
     first = next(i for i, psi in enumerate(traj) if abs(psi[-1]) ** 2 > TOP_BUDGET)
     t_fire = np.linspace(0.0, 5.0, 2501)[first]
-    with pytest.raises(TruncationOverflowError, match=rf"at t = {t_fire:.3f}$"):
+    with pytest.raises(TruncationOverflowError, match=rf"at t = {t_fire:.3f}$") as info:
         evolve_forced(tab, drive, t_max=5.0, dt=0.002)
+    # a ValueError, so the CLI exits 1; the message names the remedy
+    assert isinstance(info.value, ValueError)
+    assert str(info.value).startswith("more levels or a weaker drive needed")
 
 
 def test_zero_horizon_is_the_initial_state():
@@ -264,6 +267,17 @@ def test_q_below_one_trajectory_matches_an_independent_integrator(q, n, drive, t
     assert np.max(np.abs(ev.trajectory - ref)) <= tol
 
 
+def lowering_eigenstate(b_minus, z):
+    """c with c_0 = 1 and rows 0 .. N-2 of (B- - z) c = 0, solved on the dense B-:
+    a lower bidiagonal system for c_1 .. c_{N-1}."""
+    shifted = b_minus - z * np.eye(len(b_minus))
+    return np.append(1, np.linalg.solve(shifted[:-1, 1:], -shifted[:-1, 0]))
+
+
+def overlap_with(psi, coh):
+    return abs(np.vdot(psi, coh)) / (np.linalg.norm(coh) * np.linalg.norm(psi))
+
+
 @pytest.mark.parametrize("family, drive", [
     (Q1, "const:0.1"),
     (SelfSimilar(q=0.8, c=1.0, a1=1.0), "pulse:0.2,0.4,0.5"),
@@ -276,18 +290,53 @@ def test_best_fit_equals_the_dense_lowering_matrix_bitwise(family, drive):
     tab = energy_levels(family, n)
     ev = evolve_forced(tab, DriveProfile.parse(drive), t_max=1.0, dt=0.002)
     z, overlap = ev.best_fit_coherent(tab)
-    # the route the fit took before: the dense B- with sqrt(E_k) above its diagonal
+    # z bitwise as the moment of the dense B- with sqrt(E_k) above its diagonal,
+    # and the comparison state as that same matrix's eigenstate
     psi = ev.trajectory[-1]
     b_minus = np.diag(tab.raising_weights(n), 1)
     z_ref = complex(np.vdot(psi, b_minus @ psi) / np.vdot(psi, psi))
-    if z_ref == 0:
-        overlap_ref = float(abs(psi[0]) / np.linalg.norm(psi))
-    else:
-        coh = coherent_recursive(tab, z_ref, n + 1)
-        coh = coh / np.linalg.norm(coh)
-        overlap_ref = float(abs(np.vdot(psi, coh)) / np.linalg.norm(psi))
-    assert bitwise_equal(np.array([z.real, z.imag, overlap]),
-                         np.array([z_ref.real, z_ref.imag, overlap_ref]))
+    assert bitwise_equal(np.array([z.real, z.imag]), np.array([z_ref.real, z_ref.imag]))
+    assert overlap == pytest.approx(overlap_with(psi, lowering_eigenstate(b_minus, z_ref)),
+                                    rel=1e-14, abs=0)
+
+
+def test_deformed_best_fit_is_the_eigenstate_of_the_evolution_lowering_matrix():
+    # the default evolve run at q = 0.5: 23 levels, const:0.1, t_max 5, dt 0.002
+    n = 23
+    tab = energy_levels(Q5, n)
+    ev = evolve_forced(tab, DriveProfile("const", 0.1), t_max=5.0, dt=0.002)
+    z, overlap = ev.best_fit_coherent(tab)
+    assert overlap == pytest.approx(0.9917, abs=1e-4)
+    w = tab.raising_weights(n)
+    coh = lowering_eigenstate(np.diag(w, 1), z)
+    # sqrt(E_n) c_n = z c_{n-1}: an eigenstate of the same sqrt(E_n) B- that gives z
+    assert np.max(np.abs(w * coh[1:] - z * coh[:-1]) / np.abs(z * coh[:-1])) <= 1e-14
+    assert overlap == pytest.approx(overlap_with(ev.trajectory[-1], coh), rel=1e-14, abs=0)
+
+
+@pytest.mark.parametrize("family", [Q1, Harmonic(a1=1.3)])
+def test_best_fit_at_q_1_equals_the_chain_weighted_fit(family):
+    # at q = 1 the chain-weighted lowering N_n / N_{n-1} is sqrt(E_n), so z^n / N_n
+    # is the same state
+    tab = energy_levels(family, 12)
+    ev = evolve_forced(tab, DriveProfile("const", 0.1), t_max=1.0, dt=0.002)
+    z, overlap = ev.best_fit_coherent(tab)
+    psi = ev.trajectory[-1]
+    assert overlap == pytest.approx(overlap_with(psi, coherent_recursive(tab, z, 13)),
+                                    rel=1e-12, abs=0)
+
+
+def test_best_fit_refuses_coefficients_outside_the_floats():
+    # a coherent end state of mean occupation 1600 on 2000 levels E_n = n:
+    # c_n = z^n / sqrt(n!) peaks near e^800, beyond the floats
+    from math import lgamma
+    n = np.arange(2000)
+    psi = np.exp(n * np.log(40.0) - 800.0 - np.array([lgamma(k + 1) for k in n]) / 2)
+    ev = ForcedEvolution(DriveProfile("const", 0.0), "conjugate", np.zeros(1),
+                         psi[None, :].astype(complex), psi[None, :], np.ones(1), np.ones(1))
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(ValueError, match="coherent coefficients overflow for z = "):
+        ev.best_fit_coherent(energy_levels(Harmonic(a1=0.5), 1999))
 
 
 def test_best_fit_refuses_a_short_table():

@@ -83,6 +83,9 @@ def test_morse_tower_terminates():
     # exact zeros: a_3 = 0.5 gives R = 0, and a_9 = 0 leaves the domain
     (Morse(a1=2.5), 3, "remainder R(a_3) = 0 is not positive: level 3 is not bound"),
     (Morse(a1=8.0), 8, "a_9 = 0 is outside the family's domain: level 8 is not bound"),
+    # a_1075 = 2^-1074 is a float, but its remainder c a_1075 at c = 0.5 rounds to 0
+    (SelfSimilar(q=0.5, c=0.5), 1075,
+     "remainder R(a_1075) = 0 underflows the floats at level 1075"),
 ])
 def test_underflow_is_not_reported_as_an_unbound_level(family, n_max, message):
     with pytest.raises(ValueError) as info:
