@@ -27,7 +27,7 @@ from .lattice import (LatticeContext, packet_state, commutator_residual,
                       applicable_relations, RELATIONS, UnknownRelationError,
                       WindowTooSmallError)
 from .ladder_matrices import LadderMatrices, matrix_identities, SingularSpectrumError
-from .coherent import (q_pochhammer, coherent_recursive, coherent_closed_scaling,
+from .coherent import (coherent_recursive, coherent_closed_scaling,
                        coherent_property_residuals, DegenerateLevelsError)
 from .dynamics import (DriveProfile, ForcedEvolution, evolve_forced,
                        TruncationOverflowError, StepInstabilityError)

@@ -37,7 +37,7 @@ from .grid import _lagrange
 _RADIUS_TAIL = 6
 
 
-class HorizonExceededError(RuntimeError):
+class HorizonExceededError(ValueError):
     """Outward continuation left the built table or diverged."""
 
 

@@ -96,7 +96,9 @@ def energy_levels(family: PotentialFamily, n_max: int) -> SpectrumTable:
     the family's domain; a request above the top bound level (Morse has
     only the levels n < a_1) is rejected. A scaling chain value a1 q^k, or its
     remainder c a1 q^k (c > 0), that rounds to 0 is named float underflow
-    instead. The sums are checked against the family's closed form to 1e-12.
+    instead. The sums are checked against the family's closed form to 1e-12
+    (relative to the top level, at least 1); a larger deviation is refused,
+    naming its level.
     """
     if n_max < 0:
         raise ValueError(f"need n_max >= 0, got {n_max}")
@@ -110,8 +112,12 @@ def energy_levels(family: PotentialFamily, n_max: int) -> SpectrumTable:
                       "is outside the family's domain")
     levels = np.concatenate([[0.0], np.cumsum(incs)]) if n_max else np.zeros(1)
     closed = family.closed_levels(n_max)
-    if not np.allclose(levels, closed, rtol=0, atol=1e-12 * max(1.0, closed[-1])):
-        raise AssertionError("partial sums disagree with the closed form")
+    atol = 1e-12 * max(1.0, closed[-1])
+    if not np.allclose(levels, closed, rtol=0, atol=atol):
+        off = np.abs(levels - closed)
+        n = int(np.argmax(off))
+        raise ValueError(f"partial sums disagree with the closed form by {off[n]:.3g} "
+                         f"at level {n}, above {atol:.3g}")
     return SpectrumTable(levels)
 
 
@@ -198,10 +204,12 @@ def fd_diagonalize(family: PotentialFamily, grid: Grid,
     sits below the spectrum (the factorized Hamiltonian is positive
     semi-definite), and a fixed start vector keeps runs bitwise
     reproducible. Warns when an eigenvector has visible weight at the walls.
-    Bands that are not finite (W^2 overflows) are refused, naming the family.
+    Bands that are not finite (W^2 overflows) are refused, naming the family,
+    and so is a k that is not below the number of grid points.
     """
-    if k < 1:
-        raise ValueError("need k >= 1")
+    if not 1 <= k < grid.n_points:
+        raise ValueError(f"need 1 <= k < n_points: {k} levels asked of a "
+                         f"{grid.n_points}-point grid")
     import scipy.sparse as sp
     from scipy.sparse.linalg import ArpackError
     eigsh = sys.modules[__name__].eigsh

@@ -279,6 +279,33 @@ def test_coherent_at_z_zero_writes_a_strict_manifest(tmp_path):
     assert json.loads(text, parse_constant=refuse)["results"]["closed_vs_recursive"] == 0.0
 
 
+def test_coherent_refuses_exactly_where_closed_and_recursive_disagree(tmp_path, capsys):
+    # c, a1 != 1: the gap is taken against the command's own level table
+    rng = random.Random(1617)
+    refused = []
+    for i in range(16):
+        q, c, a1 = rng.uniform(0.4, 0.95), rng.uniform(0.3, 3), rng.uniform(0.3, 3)
+        N, z = rng.randint(10, 40), complex(rng.uniform(-1.5, 1.5), rng.uniform(-1.5, 1.5))
+        table = siqm.energy_levels(siqm.SelfSimilar(q=q, c=c, a1=a1), N - 1)
+        h = siqm.coherent_recursive(table, z, N)
+        gap = np.max(np.abs(siqm.coherent_closed_scaling(q, c * a1, z, N) - h) / np.abs(h))
+        bound = max(1e-12, 100 * np.finfo(float).eps / (1 - q))
+        out = tmp_path / f"job{i}" / "h.csv"
+        out.parent.mkdir()
+        code = run_command(["coherent", "--q", repr(q), "--c", repr(c), "--a1", repr(a1),
+                            "--levels", str(N), "--z-re", repr(z.real), "--z-im", repr(z.imag),
+                            "--out", str(out)])
+        assert (code == 1) == (gap > bound), (q, c, a1, N, z)
+        if code == 1:
+            assert "closed form disagrees with the recursive product" in capsys.readouterr().err
+            assert not list(out.parent.iterdir())
+        else:
+            res = read_strict_json(out.with_name("h.csv.manifest.json"))["results"]
+            assert res["closed_vs_recursive"] == gap
+        refused.append(code == 1)
+    assert 4 <= sum(refused) <= 12
+
+
 def test_eigenstates_command(tmp_path):
     out = tmp_path / "eig.csv"
     code = run_command(["eigenstates", "--family", "harmonic", "--levels", "3",
@@ -422,10 +449,19 @@ def test_arithmetic_outside_the_floats_exits_1_without_files(tmp_path, monkeypat
      "more levels or a weaker drive needed: top-level population"),
     (["coherent", "--q", "0.7", "--levels", "30"], "by 1.08e-12 relative at level 25"),
     (["coherent", "--q", "0.3", "--levels", "20"], "by 1.04e-07 relative at level 19"),
+    # float partial sums that drift from the closed levels, a W continuation
+    # that diverges, and an oracle asked for as many levels as grid points
+    (["verify", "--suite", "matrix-identities", "--family", "harmonic", "--a1", "0.7",
+      "--levels", "100000"], "by 2.61e-07 at level 100000, above 1.4e-07"),
+    (["coeffs", "--q", "0.5", "--c0", "-1", "--grid-min", "-40", "--grid-max", "40",
+      "--grid-points", "801"], "continuation diverged near x = 1.700"),
+    (["spectrum", "--family", "harmonic", "--levels", "15", "--grid-min", "-1",
+      "--grid-max", "1", "--grid-points", "16"], "16 levels asked of a 16-point grid"),
 ])
 def test_numerical_refusal_exits_1_without_files(tmp_path, monkeypatch, capsys, argv, named):
     monkeypatch.chdir(tmp_path)
-    assert run_command([*argv, "--out", str(tmp_path / "o.csv")]) == 1
+    target = "--report" if argv[0] == "verify" else "--out"
+    assert run_command([*argv, target, str(tmp_path / "o.csv")]) == 1
     assert named in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
 
@@ -660,6 +696,45 @@ def test_coherent_sweep_contract(tmp_path):
                       "--levels", str(rng.randint(2, 40)), "--z-re", repr(rng.uniform(-2, 2)),
                       "--z-im", repr(rng.uniform(-2, 2))], "--out", "h.csv"))
     _sweep(tmp_path, jobs)
+
+
+SMALL_GRID = ["--grid-min", "-10", "--grid-max", "10", "--grid-points", "16"]
+
+
+def test_spectrum_sweep_contract(tmp_path):
+    rng = random.Random(1615)
+    bands = [(0.05, 0.3), (0.3, 0.95), (0.95, 1.0)]
+    jobs = []
+    for i in range(16):
+        q = rng.uniform(*bands[i % 3])
+        c, a1 = rng.uniform(0.3, 3), rng.uniform(0.3, 3)
+        jobs.append((["spectrum", "--q", repr(q), "--c", repr(c), "--a1", repr(a1),
+                      "--levels", str(rng.randint(1, 8))], "--out", "s.csv"))
+    # 21 oracle levels cannot come from 16 grid points
+    jobs.append((["spectrum", "--q", "0.6", "--levels", "20", *SMALL_GRID], "--out", "s.csv"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        codes = _sweep(tmp_path, jobs)
+    # exit 1 only for the grid the user can enlarge; exit 2 is the small-q oracle
+    # on the fixed box (ROADMAP item 3)
+    assert [code == 1 for code in codes] == [False] * 16 + [True]
+
+
+def test_eigenstates_sweep_contract(tmp_path):
+    rng = random.Random(1616)
+    bands = [(0.05, 0.3), (0.3, 0.95), (0.95, 1.0)]
+    jobs = []
+    for i in range(12):
+        q = rng.uniform(*bands[i % 3])
+        c, a1 = rng.uniform(0.3, 3), rng.uniform(0.3, 3)
+        jobs.append((["eigenstates", "--q", repr(q), "--c", repr(c), "--a1", repr(a1),
+                      "--levels", str(rng.randint(0, 4))], "--out", "e.csv"))
+    # 16 points on [-10, 10] do not resolve level 4: the prenorm gate fails
+    jobs.append((["eigenstates", "--q", "0.6", "--levels", "4", *SMALL_GRID], "--out", "e.csv"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        codes = _sweep(tmp_path, jobs)
+    assert codes[-1] == 2 and codes.count(0) >= 8
 
 
 def test_cli_import_leaves_out_scipy_interpolate():

@@ -8,16 +8,9 @@ import pytest
 from siqm import (DegenerateLevelsError,
                   coherent_closed_scaling, coherent_property_residuals,
                   coherent_recursive, energy_levels, Harmonic,
-                  q_pochhammer, SelfSimilar, SpectrumTable)
+                  SelfSimilar, SpectrumTable)
 
 Q5 = SelfSimilar(q=0.5, c=1.0, a1=1.0)
-
-
-def test_q_pochhammer_values():
-    assert q_pochhammer(0.3, 0.5, 0) == 1.0
-    assert q_pochhammer(0.5, 0.5, 2) == pytest.approx(0.375, abs=1e-15)
-    for n in (1, 3, 7):
-        assert q_pochhammer(1.0, 0.42, n) == 0.0
 
 
 def test_recursive_coefficients_scaling_values():
@@ -32,6 +25,51 @@ def test_closed_form_values():
     cc = coherent_closed_scaling(0.5, 1.0, 1.0, 4)
     assert cc[1].real == pytest.approx(1.0, rel=1e-12)
     assert cc[2].real == pytest.approx(1.1547005383792517, rel=1e-12)
+
+
+def reference_closed_scaling(q, R1, z, N):
+    """The closed form as coherent_closed_scaling computed it with a
+    q_pochhammer loop per level, before the cumulative product."""
+    def q_pochhammer(a, q, n):
+        out = 1.0
+        for j in range(n):
+            out *= 1.0 - a * q ** j
+        return out
+
+    n = np.arange(N)
+    poch = np.array([q_pochhammer(q, q, int(k)) for k in n])
+    mag = (1 - q) ** (n / 2) * q ** (-n * (n - 1) / 4.0) / (R1 ** (n / 2) * np.sqrt(poch))
+    return np.asarray(z, dtype=complex) ** n * mag
+
+
+def test_closed_form_equals_the_pochhammer_loop_bitwise():
+    rng = np.random.default_rng(2357)
+    for _ in range(300):
+        q = float(rng.choice([rng.uniform(0.01, 0.3), rng.uniform(0.3, 0.95),
+                              1 - 10 ** rng.uniform(-8, -1.3)]))
+        R1 = float(10 ** rng.uniform(-2, 2))
+        z = complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
+        N = int(rng.integers(1, 80))
+        with np.errstate(all="ignore"):
+            got, ref = coherent_closed_scaling(q, R1, z, N), reference_closed_scaling(q, R1, z, N)
+        assert got.tobytes() == ref.tobytes(), (q, R1, z, N)
+
+
+def test_closed_form_computes_where_the_recursion_disagrees():
+    # the recursion's level gaps cancel here (1.08e-12 relative at level 25);
+    # the closed form has no gaps to cancel and only computes
+    cc = coherent_closed_scaling(0.7, 1.0, 1.0, 30)
+    assert cc.shape == (30,) and np.all(np.isfinite(cc))
+    assert cc.tobytes() == reference_closed_scaling(0.7, 1.0, 1.0, 30).tobytes()
+
+
+@pytest.mark.parametrize("q, R1, N, named", [(1.0, 1.0, 5, "0 < q < 1"),
+                                             (0.0, 1.0, 5, "0 < q < 1"),
+                                             (0.5, 0.0, 5, "R1 > 0"),
+                                             (0.5, 1.0, 0, "N >= 1")])
+def test_closed_form_refuses_its_domain(q, R1, N, named):
+    with pytest.raises(ValueError, match=named):
+        coherent_closed_scaling(q, R1, 1.0, N)
 
 
 def test_closed_equals_recursive_to_1e12():

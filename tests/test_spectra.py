@@ -127,6 +127,14 @@ def test_norms_refuse_a_short_table():
         energy_levels(Q5, 3).norms(5)
 
 
+def test_partial_sums_that_drift_from_the_closed_form_are_refused_naming_the_level():
+    # float partial sums of 1.4 drift past 1e-12 * E_max from about 73 000 levels
+    assert energy_levels(Harmonic(a1=0.7), 72000).n_max == 72000
+    with pytest.raises(ValueError, match=r"partial sums disagree with the closed form "
+                                         r"by 2\.61e-07 at level 100000, above 1\.4e-07"):
+        energy_levels(Harmonic(a1=0.7), 100000)
+
+
 def test_fd_diagonalize_refuses_bands_that_are_not_finite():
     # W = a1 x with a1 = 1e300: W^2 overflows, and the factorization would fail
     with pytest.raises(ValueError, match=r"'a1': 1e\+300\} is not finite"):
