@@ -13,9 +13,10 @@ lattice
     (B- psi)_k    = A(a_k) psi_{k-1}
 
 and every commutation relation of the algebra becomes a concrete block
-identity checkable to grid accuracy. Content shifted outside the window is
-dropped, so test states live in the middle levels and residual norms are
-restricted to interior levels.
+identity checkable to grid accuracy. T itself is notation: it shows only
+as the level offsets of the other actions. Content shifted outside the
+window is dropped, so test states live in the middle levels and residual
+norms are restricted to interior levels.
 
 A lattice state is a plain (window, n_points) complex array, row k being
 level k. Each relation is one residual action c -> (LHS - RHS)(c) that
@@ -28,6 +29,7 @@ S- S+ - q S+ S- = 1, the deformed SO(2,1) form c*exp(-p J3) of the
 commutator, and the J3 ladder property [J3, B+-] = +-B+-.
 """
 
+from functools import cached_property
 from math import comb
 
 import numpy as np
@@ -66,10 +68,12 @@ def _interior_norm(grid: Grid, comps: np.ndarray) -> float:
 
 
 class LatticeContext:
-    """Per-level superpotentials and primitive operator actions.
+    """Per-level superpotentials, chain tables and primitive operator actions.
 
-    The actions take (window, n) arrays. Chain values come from the
-    family, and so do the W samples of the ladder levels.
+    The tables a[m] = a_m and r[m] = R(a_m), m = 0 .. window+2, and the W
+    samples of the ladder levels are built once from the family's chain. A
+    level-diagonal action scales level k by table entry k + offset; the S
+    pair's 1/sqrt(R) and J3's log(q), scaling-only, are computed on use.
     """
 
     def __init__(self, family: PotentialFamily, grid: Grid, window: int):
@@ -78,9 +82,11 @@ class LatticeContext:
         self.family = family
         self.grid = grid
         self.window = window
+        chain = [family.chain_value(m) for m in range(window + 3)]
+        self.a = np.array(chain)
+        self.r = np.array([family.R(a) for a in chain])
         # W(x; a_k) for k = 1 .. window-1: B+ at level k - 1 and B- at level k
-        self.level_W = [eval_W(family, family.chain_value(k), grid)
-                        for k in range(1, window)]
+        self.level_W = [eval_W(family, a, grid) for a in chain[1:window]]
 
     # primitive actions on raw (window, n) arrays
 
@@ -96,35 +102,15 @@ class LatticeContext:
             out[k] = apply_ladder(W, below, self.grid, "lower")
         return out
 
-    def t_shift(self, comps: np.ndarray) -> np.ndarray:
-        out = np.zeros_like(comps)
-        out[:-1] = comps[1:]
-        return out
-
-    def t_shift_dag(self, comps: np.ndarray) -> np.ndarray:
-        out = np.zeros_like(comps)
-        out[1:] = comps[:-1]
-        return out
-
-    def diag(self, comps: np.ndarray, f, offset: int) -> np.ndarray:
-        """Level-diagonal parameter function: level k is multiplied by f(a_{k+offset})."""
-        vals = np.array([f(self.family.chain_value(k + offset))
-                         for k in range(comps.shape[0])])
-        return comps * vals[:, None]
-
     def rem(self, comps: np.ndarray, offset: int) -> np.ndarray:
         """Level k multiplied by R(a_{k+offset})."""
-        return self.diag(comps, self.family.R, offset)
+        return comps * self.r[offset:offset + self.window, None]
 
     def rem_difference(self, depth: int, comps: np.ndarray) -> np.ndarray:
         """Level k multiplied by the depth-th forward difference of R at a_k."""
-        out = np.zeros_like(comps)
-        for k in range(comps.shape[0]):
-            acc = sum((-1) ** (depth - j) * comb(depth, j)
-                      * self.family.R(self.family.chain_value(k + j))
-                      for j in range(depth + 1))
-            out[k] = acc * comps[k]
-        return out
+        diff = sum((-1) ** (depth - j) * comb(depth, j) * self.r[j:j + self.window]
+                   for j in range(depth + 1))
+        return comps * diff[:, None]
 
     def scaled_rem(self, depth: int, comps: np.ndarray) -> np.ndarray:
         """Level k multiplied by (q - 1)^depth R(a_{k+1})."""
@@ -136,21 +122,22 @@ class LatticeContext:
     def k_minus(self, comps):
         return np.sqrt(self.family.q) * self.b_minus(comps)
 
+    @cached_property
+    def _r_inv_sqrt(self):  # level k's 1/sqrt(R(a_{k+1})): S+ = K+ R^(-1/2), S- = R^(-1/2) K-
+        return 1.0 / np.sqrt(self.r[1:self.window + 1, None])
+
     def s_plus(self, comps):
-        rinv = lambda a: 1.0 / np.sqrt(self.family.R(a))
-        return self.k_plus(self.diag(comps, rinv, 1))
+        return self.k_plus(comps * self._r_inv_sqrt)
 
     def s_minus(self, comps):
-        rinv = lambda a: 1.0 / np.sqrt(self.family.R(a))
-        return self.diag(self.k_minus(comps), rinv, 1)
+        return self.k_minus(comps) * self._r_inv_sqrt
 
     def j3(self, comps):
-        p = np.log(self.family.q)
-        return self.diag(comps, lambda a: -np.log(a) / p, 0)
+        return comps * (-np.log(self.a[:self.window, None]) / np.log(self.family.q))
 
     def exp_minus_p_j3(self, comps):
         # exp(-p J3) = a_0 as a level-diagonal operator
-        return self.diag(comps, lambda a: a, 0)
+        return comps * self.a[:self.window, None]
 
 
 def _bracket(X, Y, rhs):

@@ -71,9 +71,10 @@ def series_coefficients(q: float, c0: float, K: int) -> SeriesCoefficients:
         raise ValueError(f"need K >= 1, got {K}")
     c = np.zeros(K + 1)
     c[0] = c0
-    for k in range(K):
-        conv = float(np.dot(c[:k + 1], c[k::-1]))
-        c[k + 1] = -(1.0 - q ** (k + 2)) / ((2 * k + 3) * (1.0 + q ** (k + 2))) * conv
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):  # refused below
+        for k in range(K):
+            conv = float(np.dot(c[:k + 1], c[k::-1]))
+            c[k + 1] = -(1.0 - q ** (k + 2)) / ((2 * k + 3) * (1.0 + q ** (k + 2))) * conv
     bad = np.flatnonzero(~np.isfinite(c))
     if bad.size:
         raise ValueError(f"the series recursion at q = {q}, c0 = {c0} overflows "

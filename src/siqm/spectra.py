@@ -46,7 +46,7 @@ class LevelNotBoundError(ValueError):
     """The requested level does not exist as a bound state."""
 
 
-class EigensolverError(RuntimeError):
+class EigensolverError(ValueError):
     """The banded symmetric eigensolver failed."""
 
 
@@ -80,7 +80,8 @@ class SpectrumTable:
         """N_0 .. N_{N-1}, N_n = sqrt(E_n (E_n - E_{n-1}) ... (E_n - E_1)), N_0 = 1;
         a product that is inf, 0 or NaN in floats is refused, naming its level."""
         self.upto(N - 1)
-        out = np.array([np.sqrt(np.prod(self.gaps(n))) for n in range(N)])
+        with np.errstate(over="ignore", under="ignore", invalid="ignore"):  # refused below
+            out = np.array([np.sqrt(np.prod(self.gaps(n))) for n in range(N)])
         bad = ~(np.isfinite(out) & (out > 0))
         if bad.any():
             n = int(np.argmax(bad))  # the first
@@ -110,7 +111,7 @@ def energy_levels(family: PotentialFamily, n_max: int) -> SpectrumTable:
     if not family.in_domain(a_next):
         _refuse_level(family, n_max + 1, n_max, f"a_{n_max + 1} = {a_next:g}",
                       "is outside the family's domain")
-    levels = np.concatenate([[0.0], np.cumsum(incs)]) if n_max else np.zeros(1)
+    levels = np.concatenate([[0.0], np.cumsum(incs)])
     closed = family.closed_levels(n_max)
     atol = 1e-12 * max(1.0, closed[-1])
     if not np.allclose(levels, closed, rtol=0, atol=atol):
@@ -228,7 +229,7 @@ def fd_diagonalize(family: PotentialFamily, grid: Grid,
     v0 = np.full(n, 1.0 / np.sqrt(n))
     try:
         vals, vecs = eigsh(matrix, k=k, sigma=sigma, which="LM", v0=v0)
-    except (ArpackError, RuntimeError) as exc:  # pragma: no cover
+    except (ArpackError, RuntimeError) as exc:
         raise EigensolverError(str(exc)) from exc
     order_idx = np.argsort(vals)
     vals = vals[order_idx]

@@ -402,12 +402,17 @@ def test_non_finite_float_exits_1_without_files(tmp_path, monkeypatch, capsys,
     (["coeffs", "--q", "0.5", "--c0", "1e200"], "c0 = 1e+200"),
     (["spectrum", "--c", "1e300", "--levels", "2"], "c0 = 6.666666666666667e+299"),
     (["coherent", "--z-re", "1e100", "--levels", "5"], "z = (1e+100+0j) at 5 levels"),
+    (["coherent", "--family", "harmonic", "--levels", "200"], "N_151 = inf"),
 ])
 def test_finite_overflow_exits_1_naming_the_value(tmp_path, monkeypatch, capsys,
                                                    argv, named):
+    # the refusal is the one stderr line: numpy's overflow warnings used to precede it
     monkeypatch.chdir(tmp_path)
-    assert run_command([*argv, "--out", str(tmp_path / "o.csv")]) == 1
-    assert named in capsys.readouterr().err
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_command([*argv, "--out", str(tmp_path / "o.csv")]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and named in err[0]
     assert not list(tmp_path.iterdir())
 
 
@@ -463,6 +468,19 @@ def test_numerical_refusal_exits_1_without_files(tmp_path, monkeypatch, capsys, 
     target = "--report" if argv[0] == "verify" else "--out"
     assert run_command([*argv, target, str(tmp_path / "o.csv")]) == 1
     assert named in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+def test_eigensolver_failure_exits_1_without_files(tmp_path, monkeypatch, capsys):
+    # EigensolverError was a RuntimeError and escaped run_command as a traceback
+    def failing_eigsh(*args, **kwargs):
+        raise RuntimeError("ARPACK did not converge")
+
+    monkeypatch.setattr(siqm.spectra, "eigsh", failing_eigsh)
+    monkeypatch.chdir(tmp_path)
+    assert run_command(["spectrum", "--family", "harmonic", "--levels", "2",
+                        "--out", str(tmp_path / "o.csv")]) == 1
+    assert "error: ARPACK did not converge" in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
 
 

@@ -1,6 +1,7 @@
 """Operator-identity checks on the parameter lattice and the dilation forms."""
 
 import warnings
+from math import comb
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ import pytest
 from siqm import (RELATIONS, UnknownRelationError, WindowTooSmallError,
                   adjoint_pair_residual, applicable_relations,
                   commutator_residual, dilation_identity_residual, Grid, Harmonic,
-                  packet_state, SelfSimilar)
+                  Morse, packet_state, SelfSimilar)
 import siqm.lattice
 from siqm.families import worst_residual
 from siqm.lattice import LatticeContext
@@ -149,17 +150,54 @@ def test_scaling_only_relations_guarded():
         commutator_residual("no-such-relation", Q5, grid=GRID)
 
 
-def test_shift_then_unshift_is_identity_on_interior():
-    state = packet_state(GRID, 8)
-    ctx = LatticeContext(Q5, GRID, 8)
-    out = ctx.t_shift_dag(ctx.t_shift(state))
-    assert np.array_equal(out[1:-1], state[1:-1])
-
-
 def test_shift_rule_equality():
     # f(a_1) B+ equals B+ f(a_0) applied to a Gaussian lattice state
     res = commutator_residual("shift-rule-raise", Q5, grid=GRID, window=12)
     assert res <= 1e-10
+
+
+def _per_level(ctx, f, offset, comps):
+    """Level k times the scalar f(a_{k+offset}), one chain value at a time."""
+    vals = np.array([f(ctx.family.chain_value(k + offset)) for k in range(comps.shape[0])])
+    return comps * vals[:, None]
+
+
+def _per_level_rem_difference(ctx, depth, comps):
+    """Level k times the depth-th forward difference of R at a_k, a scalar sum per level."""
+    out = np.zeros_like(comps)
+    for k in range(comps.shape[0]):
+        acc = sum((-1) ** (depth - j) * comb(depth, j)
+                  * ctx.family.R(ctx.family.chain_value(k + j)) for j in range(depth + 1))
+        out[k] = acc * comps[k]
+    return out
+
+
+@pytest.mark.parametrize("window", (6, 12))
+@pytest.mark.parametrize("fam", [Q5, SelfSimilar(q=0.93, c=1.2, a1=0.8),
+                                 SelfSimilar(q=1.0, c=1.0, a1=1.0), Harmonic(a1=1.0),
+                                 Morse(a1=8.0)], ids=repr)
+def test_level_diagonal_actions_equal_the_per_level_scalars_bitwise(fam, window):
+    # every level is nonzero, so the top table entries, up to a_{window+2}, are read
+    grid = Grid(-8, 8, 401)
+    ctx = LatticeContext(fam, grid, window)
+    rng = np.random.default_rng(window)
+    c = rng.standard_normal((window, grid.n_points)) + 1j * rng.standard_normal(
+        (window, grid.n_points))
+    pairs = [(ctx.rem(c, m), _per_level(ctx, fam.R, m, c)) for m in (0, 1, 2)]
+    pairs += [(ctx.rem_difference(d, c), _per_level_rem_difference(ctx, d, c))
+              for d in (1, 2, 3)]
+    pairs.append((ctx.exp_minus_p_j3(c), _per_level(ctx, lambda a: a, 0, c)))
+    if fam.q is not None:
+        rinv = lambda a: 1.0 / np.sqrt(fam.R(a))
+        pairs += [(ctx.scaled_rem(d, c), (fam.q - 1.0) ** d * _per_level(ctx, fam.R, 1, c))
+                  for d in range(4)]
+        pairs += [(ctx.s_plus(c), ctx.k_plus(_per_level(ctx, rinv, 1, c))),
+                  (ctx.s_minus(c), _per_level(ctx, rinv, 1, ctx.k_minus(c)))]
+    if fam.q is not None and fam.q < 1.0:
+        p = np.log(fam.q)
+        pairs.append((ctx.j3(c), _per_level(ctx, lambda a: -np.log(a) / p, 0, c)))
+    for got, want in pairs:
+        assert got.tobytes() == want.tobytes()
 
 
 def test_hamiltonian_block_is_shifted_factorization():
