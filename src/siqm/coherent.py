@@ -85,7 +85,8 @@ def coherent_property_residuals(levels: SpectrumTable, z: complex,
     to the z-derivative of |z>, obtained by a central difference with step
     1e-5, minus |z> itself. A state needs N >= 2 coefficients: with one,
     the restricted window is empty and there is no property to check. A
-    residual that is not finite (||h|| can overflow) is refused.
+    residual that is not finite is refused, and so is every residual when
+    the restricted norm of |z> overflows.
     """
     N = len(h)
     if N < 2:
@@ -93,14 +94,15 @@ def coherent_property_residuals(levels: SpectrumTable, z: complex,
     z = complex(z)
     norms = levels.norms(N)
     beta = norms[1:] / norms[:-1]   # N_n / N_{n-1}, n = 1 .. N-1
-    scale = np.linalg.norm(h[:N - 1])
+    with np.errstate(all="ignore"):  # a residual that is not finite is refused
+        scale = np.linalg.norm(h[:N - 1])
+        scale = scale if np.isfinite(scale) else np.nan  # x / inf would read 0
+        lowered = beta * h[1:]          # component n-1 of B_minus |z>
+        eigen = worst_residual("coherent_eigen", np.linalg.norm(lowered - z * h[:N - 1]) / scale)
 
-    lowered = beta * h[1:]          # component n-1 of B_minus |z>
-    eigen = worst_residual("coherent_eigen", np.linalg.norm(lowered - z * h[:N - 1]) / scale)
-
-    dz = 1e-5
-    hp = (coherent_recursive(levels, z + dz, N)
-          - coherent_recursive(levels, z - dz, N)) / (2 * dz)
-    deriv_combo = beta * hp[1:] - z * hp[:N - 1] - h[:N - 1]
-    derivative = worst_residual("coherent_derivative", np.linalg.norm(deriv_combo) / scale)
+        dz = 1e-5
+        hp = (coherent_recursive(levels, z + dz, N)
+              - coherent_recursive(levels, z - dz, N)) / (2 * dz)
+        deriv_combo = beta * hp[1:] - z * hp[:N - 1] - h[:N - 1]
+        derivative = worst_residual("coherent_derivative", np.linalg.norm(deriv_combo) / scale)
     return eigen, derivative

@@ -86,15 +86,20 @@ class DriveProfile:
         for name in ("f0", "t0", "sigma"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"drive {name} = {getattr(self, name)} is not finite")
-        if self.kind == "pulse" and self.sigma <= 0:
-            raise ValueError("pulse needs sigma > 0")
+        # f(t) divides by 2 sigma^2; sigma ** 2 raises OverflowError from 1.34e154
+        if self.kind == "pulse" and not (0 < self.sigma < 1e154
+                                         and 0 < 2 * self.sigma ** 2 < math.inf):
+            raise ValueError(f"pulse needs sigma > 0 whose 2 sigma^2 is a positive finite "
+                             f"float, got sigma = {self.sigma}")
 
     def __call__(self, t):
         """f at a time or, elementwise, at an array of times."""
         if self.kind == "const":
             return np.full(np.shape(t), self.f0)[()]
-        # float_power rounds like the scalar ** 2; numpy's array ** can differ in the last bit
-        return self.f0 * np.exp(-np.float_power(t - self.t0, 2.0) / (2 * self.sigma ** 2))
+        # float_power rounds like the scalar ** 2; numpy's array ** can differ in the last
+        # bit. An exponent past the floats is -inf, whose exp is the 0 it rounds to.
+        with np.errstate(over="ignore"):
+            return self.f0 * np.exp(-np.float_power(t - self.t0, 2.0) / (2 * self.sigma ** 2))
 
     def integral(self, t):
         """F(t) = int_0^t f dt', exactly, at a time or, elementwise, at an array of times."""

@@ -157,6 +157,18 @@ def apply_ladder(W_values: np.ndarray, psi: np.ndarray, grid: Grid, mode: str) -
     raise ValueError(f"mode must be 'lower' or 'raise', got {mode!r}")
 
 
+def _partner(W_values: np.ndarray, psi: np.ndarray, grid: Grid, first: str) -> np.ndarray:
+    """The partner product A A_dag psi (first 'raise') or A_dag A psi (first 'lower')."""
+    then = "lower" if first == "raise" else "raise"
+    return apply_ladder(W_values, apply_ladder(W_values, psi, grid, first), grid, then)
+
+
+def _packet(grid: Grid, x0: float, w: float, k: float) -> np.ndarray:
+    """The unnormalized probe packet exp(-(x - x0)^2 / w) e^{ikx}; w = 2 sigma^2."""
+    x = grid.x
+    return np.exp(-((x - x0) ** 2) / w) * np.exp(1j * k * x)
+
+
 # 6-point Lagrange stencil: offsets j of the stencil, and for each j the
 # other offsets m in ascending order with the denominators j - m
 _STENCIL = np.arange(-2, 4)

@@ -38,7 +38,8 @@ class LadderMatrices:
         if np.any(E <= 0):
             raise SingularSpectrumError("levels above the ground state must be positive")
         self.weights = levels.raising_weights(dimension)
-        self.inverse_levels = 1.0 / E
+        with np.errstate(over="ignore"):  # refused by matrix_identities as a deviation
+            self.inverse_levels = 1.0 / E
 
 
 def matrix_identities(levels: SpectrumTable, N: int) -> dict:

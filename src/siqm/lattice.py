@@ -34,8 +34,8 @@ from math import comb
 
 import numpy as np
 
-from .families import PotentialFamily, eval_W, worst_residual
-from .grid import Grid, apply_ladder, dilate, normalized
+from .families import PotentialFamily, _worst_interior_residual, eval_W
+from .grid import Grid, _packet, _partner, apply_ladder, dilate, normalized
 
 
 class WindowTooSmallError(ValueError):
@@ -50,21 +50,13 @@ def packet_state(grid: Grid, window: int, levels: tuple[int, ...] | None = None,
                  x0: float = 0.0, sigma: float = 1.0,
                  momentum: float = 0.0) -> np.ndarray:
     """(window, n_points) Gaussian packet in the given levels (default: the two middle ones)."""
-    if levels is None:
-        mid = window // 2
-        levels = (mid - 1, mid)
-    x = grid.x
-    amps = np.exp(-((x - x0) ** 2) / (2 * sigma ** 2)) * np.exp(1j * momentum * x)
+    levels = (window // 2 - 1, window // 2) if levels is None else levels
+    amps = _packet(grid, x0, 2 * sigma ** 2, momentum)
     comps = np.zeros((window, grid.n_points), dtype=complex)
     for lev in levels:
         comps[lev] = amps
     comps /= np.linalg.norm(comps)
     return comps
-
-
-def _interior_norm(grid: Grid, comps: np.ndarray) -> float:
-    """Norm over the interior levels and the interior of the grid."""
-    return float(np.linalg.norm(comps[1:-1, grid.interior_slice()]))
 
 
 class LatticeContext:
@@ -218,22 +210,16 @@ def commutator_residual(relation_id: str, family: PotentialFamily, grid: Grid,
     if not holds(family):
         raise UnknownRelationError(f"{relation_id} is defined for {scope} only")
     ctx = LatticeContext(family, grid, window)
-    residual = build(ctx)
-    states = (packet_state(grid, window, x0=0.0, sigma=1.0),
+    states = [packet_state(grid, window, x0=0.0, sigma=1.0),
               packet_state(grid, window, x0=-1.0, sigma=1.3),
-              packet_state(grid, window, x0=0.8, sigma=0.9, momentum=0.6))
-    return worst_residual(relation_id, [_interior_norm(grid, residual(state))
-                                         / _interior_norm(grid, state) for state in states])
+              packet_state(grid, window, x0=0.8, sigma=0.9, momentum=0.6)]
+    return _worst_interior_residual(relation_id, build(ctx), states, grid)
 
 
 def adjoint_pair_residual(family: PotentialFamily, grid: Grid, window: int,
                           pair: str = "B") -> float:
-    """|<phi, Op+ psi> - <Op- phi, psi>| over packet states, normalized.
-
-    For the dilation-built pair C, C_dag the pairing carries the Jacobian
-    factor sqrt(q) of the non-unitary argument scaling; that factor is
-    included here so the identity is exact (see dilation_identity_residual).
-    """
+    """|<phi, Op+ psi> - <Op- phi, psi>| over two packet states, normalized, for
+    the pair B+/B- (every family), K+/K- or S+/S- (scaling families)."""
     ctx = LatticeContext(family, grid, window)
     ups = {"B": ctx.b_plus, "K": ctx.k_plus, "S": ctx.s_plus}
     downs = {"B": ctx.b_minus, "K": ctx.k_minus, "S": ctx.s_minus}
@@ -264,37 +250,24 @@ def dilation_identity_residual(family: PotentialFamily, grid: Grid,
     """
     if family.q is None:
         raise ValueError("dilation identities require a scaling family")
+    if which not in ("yy3", "yy6"):
+        raise ValueError("which must be 'yy3' or 'yy6'")
     q = family.q
     sq = np.sqrt(q)
     W = eval_W(family, family.a1, grid)
     R = family.R(family.a1)
-    sl = grid.interior_slice()
-    residuals = []
-    for f in _dilation_test_functions(grid, sq):
-        if which == "yy3":
-            # A_dag(sqrt(q) x) A(sqrt(q) x) = D_sqrt(q) A_dag A D_{1/sqrt(q)}
-            inner = dilate(f, grid, 1.0 / sq, unitary=True)
-            inner = apply_ladder(W, apply_ladder(W, inner, grid, "lower"), grid, "raise")
-            conj = dilate(inner, grid, sq, unitary=True)
-            lhs = apply_ladder(W, apply_ladder(W, f, grid, "raise"), grid, "lower")
-            diff = lhs - q * conj - R * f
-        elif which == "yy6":
-            # C C_dag f = A S S^{-1} A_dag f = A A_dag f exactly
-            cc = apply_ladder(W, apply_ladder(W, f, grid, "raise"), grid, "lower")
-            sf = dilate(f, grid, 1.0 / sq, unitary=False)
-            asf = apply_ladder(W, sf, grid, "lower")
-            # C_dag C f = S^{-1} A_dag A S f
-            cdc = dilate(apply_ladder(W, asf, grid, "raise"), grid, sq, unitary=False)
-            diff = cc - q * cdc - R * f
-        else:
-            raise ValueError("which must be 'yy3' or 'yy6'")
-        residuals.append(float(np.linalg.norm(diff[sl]) / np.linalg.norm(f[sl])))
-    return worst_residual(f"dilation-{which}", residuals)
 
+    # the forms differ only in the dilation: D (unitary) for yy3, S (plain) for yy6,
+    # where C C_dag f = A S S^{-1} A_dag f = A A_dag f and C_dag C f = S^{-1} A_dag A S f
+    unitary = which == "yy3"
 
-def _dilation_test_functions(grid: Grid, sq: float) -> list[np.ndarray]:
+    def residual(f):
+        stretched = dilate(f, grid, 1.0 / sq, unitary=unitary)
+        conj = dilate(_partner(W, stretched, grid, "lower"), grid, sq, unitary=unitary)
+        return _partner(W, f, grid, "raise") - q * conj - R * f
+
     # support must stay inside the grid after the 1/sqrt(q) argument stretch
     span = min(abs(grid.x_min), abs(grid.x_max)) * sq * 0.6
-    x = grid.x
-    return [normalized(np.exp(-((x - x0) ** 2) / (2 * sig ** 2)), grid)
-            for x0, sig in ((0.0, span / 4), (span / 8, span / 5), (-span / 10, span / 4.5))]
+    probes = [normalized(_packet(grid, x0, 2 * sig ** 2, 0.0), grid)
+              for x0, sig in ((0.0, span / 4), (span / 8, span / 5), (-span / 10, span / 4.5))]
+    return _worst_interior_residual(f"dilation-{which}", residual, probes, grid)

@@ -30,8 +30,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .families import PotentialFamily, eval_W, ground_state
-from .grid import (BoundaryDecayWarning, Grid, apply_ladder, hamiltonian_bands, norm,
-                   normalized)
+from .grid import (BoundaryDecayWarning, Grid, _partner, apply_ladder, hamiltonian_bands,
+                   norm, normalized)
 
 
 def __getattr__(name):
@@ -252,8 +252,5 @@ def eigen_residual(family: PotentialFamily, psi: np.ndarray, grid: Grid,
                    energy: float) -> float:
     """Interior norm of (H - E) psi for a unit-norm candidate eigenstate."""
     W = eval_W(family, family.a1, grid)
-    Ad_A = apply_ladder(W, apply_ladder(W, psi, grid, "lower"), grid, "raise")
-    diff = Ad_A - energy * psi
-    sl = grid.interior_slice()
-    h = grid.spacing
-    return float(np.sqrt(h * np.sum(np.abs(diff[sl]) ** 2)))
+    diff = _partner(W, psi, grid, "lower") - energy * psi
+    return float(np.sqrt(grid.spacing * np.sum(np.abs(diff[grid.interior_slice()]) ** 2)))

@@ -403,6 +403,14 @@ def test_non_finite_float_exits_1_without_files(tmp_path, monkeypatch, capsys,
     (["spectrum", "--c", "1e300", "--levels", "2"], "c0 = 6.666666666666667e+299"),
     (["coherent", "--z-re", "1e100", "--levels", "5"], "z = (1e+100+0j) at 5 levels"),
     (["coherent", "--family", "harmonic", "--levels", "200"], "N_151 = inf"),
+    # f(t) divides by 2 sigma^2: inf raised OverflowError, 0 ran to a NaN norm drift
+    (["evolve", "--q", "0.5", "--levels", "6", "--drive", "pulse:0.1,1,1e200"],
+     "got sigma = 1e+200"),
+    (["evolve", "--q", "0.5", "--levels", "6", "--drive", "pulse:0.1,1,1e-200"],
+     "got sigma = 1e-200"),
+    # every h_n is a float, but ||h|| was written to the manifest as Infinity
+    (["coherent", "--q", "0.9", "--levels", "11", "--z-re", "1e16"],
+     "norm of the coherent coefficients overflows for z = (1e+16+0j) at 11 levels"),
 ])
 def test_finite_overflow_exits_1_naming_the_value(tmp_path, monkeypatch, capsys,
                                                    argv, named):
@@ -440,10 +448,12 @@ def test_arithmetic_outside_the_floats_exits_1_without_files(tmp_path, monkeypat
                                                              argv, named):
     monkeypatch.chdir(tmp_path)
     target = ["--report", "r.json"] if argv[0] == "verify" else ["--out", "o.csv"]
+    # the refusal is the one stderr line: no numpy warning precedes it
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
+        warnings.simplefilter("error")
         assert run_command([*argv, *target]) == 1
-    assert named in capsys.readouterr().err
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and named in err[0]
     assert not list(tmp_path.iterdir())
 
 

@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 
 from siqm import (RELATIONS, UnknownRelationError, WindowTooSmallError,
-                  adjoint_pair_residual, applicable_relations,
-                  commutator_residual, dilation_identity_residual, Grid, Harmonic,
-                  Morse, packet_state, SelfSimilar)
+                  adjoint_pair_residual, apply_ladder, applicable_relations,
+                  commutator_residual, dilate, dilation_identity_residual, eigen_residual,
+                  eval_W, Grid, Harmonic, Morse, normalized, packet_state,
+                  shape_invariance_residual, SelfSimilar)
 import siqm.lattice
 from siqm.families import worst_residual
 from siqm.lattice import LatticeContext
@@ -310,3 +311,114 @@ def test_worst_residual():
     for bad in (float("nan"), float("inf")):
         with pytest.raises(ValueError, match=f"c: residual {bad} is not finite"):
             worst_residual("c", [1e-9, bad, 2e-8])
+
+
+# The per-check probe builders and loops that the shared packet builder,
+# partner product and interior reduction replaced, kept as the reference.
+
+def _old_default_test_functions(grid):
+    x = grid.x
+    span = min(abs(grid.x_min), abs(grid.x_max))
+    packets = [normalized(np.exp(-((x - x0) ** 2) / (2 * sig ** 2)), grid)
+               for x0, sig in ((0.0, 1.0), (-0.15 * span, 1.4), (0.1 * span, 0.8))]
+    return packets + [normalized(np.exp(-x ** 2 / 2.5) * np.exp(0.7j * x), grid)]
+
+
+def _old_dilation_test_functions(grid, sq):
+    span = min(abs(grid.x_min), abs(grid.x_max)) * sq * 0.6
+    x = grid.x
+    return [normalized(np.exp(-((x - x0) ** 2) / (2 * sig ** 2)), grid)
+            for x0, sig in ((0.0, span / 4), (span / 8, span / 5), (-span / 10, span / 4.5))]
+
+
+def _old_packet_state(grid, window, x0, sigma, momentum=0.0):
+    mid = window // 2
+    x = grid.x
+    amps = np.exp(-((x - x0) ** 2) / (2 * sigma ** 2)) * np.exp(1j * momentum * x)
+    comps = np.zeros((window, grid.n_points), dtype=complex)
+    for lev in (mid - 1, mid):
+        comps[lev] = amps
+    comps /= np.linalg.norm(comps)
+    return comps
+
+
+def _old_shape_invariance(fam, grid):
+    W1 = eval_W(fam, fam.a1, grid)
+    W2 = eval_W(fam, fam.chain_value(2), grid)
+    R = fam.R(fam.a1)
+    sl = grid.interior_slice()
+    residuals = []
+    for f in _old_default_test_functions(grid):
+        lhs = apply_ladder(W1, apply_ladder(W1, f, grid, "raise"), grid, "lower")
+        rhs = apply_ladder(W2, apply_ladder(W2, f, grid, "lower"), grid, "raise")
+        diff = lhs - rhs - R * f
+        residuals.append(float(np.linalg.norm(diff[sl]) / np.linalg.norm(f[sl])))
+    return worst_residual("shape-invariance", residuals)
+
+
+def _old_dilation(fam, grid, which):
+    q = fam.q
+    sq = np.sqrt(q)
+    W = eval_W(fam, fam.a1, grid)
+    R = fam.R(fam.a1)
+    sl = grid.interior_slice()
+    residuals = []
+    for f in _old_dilation_test_functions(grid, sq):
+        if which == "yy3":
+            inner = dilate(f, grid, 1.0 / sq, unitary=True)
+            inner = apply_ladder(W, apply_ladder(W, inner, grid, "lower"), grid, "raise")
+            conj = dilate(inner, grid, sq, unitary=True)
+            lhs = apply_ladder(W, apply_ladder(W, f, grid, "raise"), grid, "lower")
+            diff = lhs - q * conj - R * f
+        else:
+            cc = apply_ladder(W, apply_ladder(W, f, grid, "raise"), grid, "lower")
+            sf = dilate(f, grid, 1.0 / sq, unitary=False)
+            asf = apply_ladder(W, sf, grid, "lower")
+            cdc = dilate(apply_ladder(W, asf, grid, "raise"), grid, sq, unitary=False)
+            diff = cc - q * cdc - R * f
+        residuals.append(float(np.linalg.norm(diff[sl]) / np.linalg.norm(f[sl])))
+    return worst_residual(f"dilation-{which}", residuals)
+
+
+def _old_commutator(relation, fam, grid, window):
+    residual = siqm.lattice._RELATIONS[relation][1](LatticeContext(fam, grid, window))
+    sl = grid.interior_slice()
+    states = (_old_packet_state(grid, window, 0.0, 1.0),
+              _old_packet_state(grid, window, -1.0, 1.3),
+              _old_packet_state(grid, window, 0.8, 0.9, momentum=0.6))
+    return worst_residual(relation, [float(np.linalg.norm(residual(c)[1:-1, sl]))
+                                     / float(np.linalg.norm(c[1:-1, sl])) for c in states])
+
+
+def _old_eigen_residual(fam, psi, grid, energy):
+    W = eval_W(fam, fam.a1, grid)
+    diff = apply_ladder(W, apply_ladder(W, psi, grid, "lower"), grid, "raise") - energy * psi
+    sl = grid.interior_slice()
+    return float(np.sqrt(grid.spacing * np.sum(np.abs(diff[sl]) ** 2)))
+
+
+@pytest.mark.parametrize("fam", [
+    SelfSimilar(q=0.3), SelfSimilar(q=0.5), SelfSimilar(q=0.93, c=1.2, a1=0.8),
+    SelfSimilar(q=1.0), Harmonic(a1=1.0), Harmonic(a1=2.7), Morse(a1=2.5), Morse(a1=8.0),
+], ids=repr)
+@pytest.mark.parametrize("grid", [Grid(-8, 8, 401), Grid(-10, 10, 1201)], ids=repr)
+def test_shared_probes_and_reduction_equal_the_per_check_loops_bitwise(fam, grid):
+    pairs = [(shape_invariance_residual(fam, grid), _old_shape_invariance(fam, grid))]
+    pairs += [(eigen_residual(fam, f, grid, fam.R(fam.a1)),
+               _old_eigen_residual(fam, f, grid, fam.R(fam.a1)))
+              for f in _old_default_test_functions(grid)]
+    if fam.q is not None:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # the probes stay inside the grid when dilated
+            pairs += [(dilation_identity_residual(fam, grid, which),
+                       _old_dilation(fam, grid, which)) for which in ("yy3", "yy6")]
+    for window in (6, 12):
+        pairs += [(commutator_residual(rel, fam, grid, window),
+                   _old_commutator(rel, fam, grid, window))
+                  for rel in applicable_relations(fam)]
+        for x0, sigma, momentum in ((0.0, 1.0, 0.0), (-1.0, 1.3, 0.0), (0.8, 0.9, 0.6)):
+            got = packet_state(grid, window, x0=x0, sigma=sigma, momentum=momentum)
+            assert got.tobytes() == _old_packet_state(grid, window, x0, sigma,
+                                                      momentum).tobytes()
+    for got, want in pairs:
+        assert type(got) is float and got.hex() == want.hex()
