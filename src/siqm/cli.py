@@ -146,7 +146,9 @@ def _build_parser() -> _Parser:
     # verify writes its JSON report to --report and takes no --out
     sp = add_command("verify", "operator-identity suites", out=False)
     sp.add_argument("--suite", choices=VERIFY_SUITES)
-    sp.add_argument("--levels", type=int)
+    sp.add_argument("--levels", type=int, help="matrix-identities: from E = 8192 one ulp "
+                    "exceeds the absolute 1e-12 of factorized-hamiltonian, so --family "
+                    "harmonic --levels 5000 exits 2 on rounding alone")
     sp.add_argument("--report", type=Path)
 
     sp = add_command("coherent", "coherent-state coefficients", grid=False)
@@ -333,14 +335,10 @@ def _cmd_coherent(params: dict, outputs: list) -> tuple[dict, int]:
     table = energy_levels(fam, max(N - 1, 1))
     h = coherent_recursive(table, z, N)
     eig_res, der_res = coherent_property_residuals(table, z, h)
-    with np.errstate(over="ignore"):  # refused right below
-        partial_norm = float(np.linalg.norm(h))
-    if not np.isfinite(partial_norm):
-        raise ValueError(f"norm of the coherent coefficients overflows for z = {z} at {N} levels")
     results = {"eigen_residual": eig_res, "eigen_tolerance": COHERENT_EIGEN_TOL,
                "derivative_residual": der_res,
                "derivative_tolerance": COHERENT_DERIVATIVE_TOL,
-               "partial_norm": partial_norm}
+               "partial_norm": float(np.linalg.norm(h))}
     if fam.q is not None and fam.q < 1.0:
         closed = coherent_closed_scaling(fam.q, fam.c * fam.a1, z, N)
         # relative where |h_n| > 0, absolute at the zeros (z = 0 gives h_n = 0, n >= 1)

@@ -41,8 +41,8 @@ class DegenerateLevelsError(ValueError):
 def coherent_recursive(levels: SpectrumTable, z: complex, N: int) -> np.ndarray:
     """The complex coefficients h_n = z^n / N_n, n = 0 .. N-1, with h_0 = 1.
 
-    The table must reach level N - 1 and rise strictly up to it. A
-    coefficient that overflows the floats is refused, naming z and N.
+    The table must reach level N - 1 and rise strictly up to it. Coefficients
+    or a norm ||h|| outside the floats are refused, naming z and N.
     """
     if N < 1:
         raise ValueError("need N >= 1")
@@ -52,12 +52,12 @@ def coherent_recursive(levels: SpectrumTable, z: complex, N: int) -> np.ndarray:
     norms = levels.norms(N).tolist()
     try:
         coeff = np.array([1.0] + [z ** n / norms[n] for n in range(1, N)], dtype=complex)
-        finite = np.all(np.isfinite(coeff))
+        with np.errstate(over="ignore", invalid="ignore"):  # refused right below
+            finite = np.isfinite(np.linalg.norm(coeff))  # inf or NaN in any h_n too
     except OverflowError:  # complex z ** n
         finite = False
     if not finite:
-        raise ValueError(f"coherent coefficients z^n / N_n overflow for z = {z} "
-                         f"at {N} levels")
+        raise ValueError(f"norm of the coherent coefficients overflows for z = {z} at {N} levels")
     return coeff
 
 
@@ -76,17 +76,24 @@ def coherent_closed_scaling(q: float, R1: float, z: complex, N: int) -> np.ndarr
     return np.asarray(z, dtype=complex) ** n * mag
 
 
+def _z_derivative(norms: np.ndarray, z: complex) -> np.ndarray:
+    """h'_n = n z^(n-1) / N_n, the exact z-derivative of h_n = z^n / N_n (h'_0 = 0)."""
+    n = np.arange(1, len(norms))
+    return np.concatenate(([0j], n * z ** (n - 1) / norms[1:]))
+
+
 def coherent_property_residuals(levels: SpectrumTable, z: complex,
                                 h: np.ndarray) -> tuple[float, float]:
     """(eigen_residual, derivative_residual) of the coefficients h of |z> on 0 .. N-2.
 
     eigen: ||(B_minus - z)|z>|| with the chain-weighted lowering, relative
     to the restricted norm of |z>. derivative: the same combination applied
-    to the z-derivative of |z>, obtained by a central difference with step
-    1e-5, minus |z> itself. A state needs N >= 2 coefficients: with one,
+    to the exact z-derivative h'_n = n z^(n-1) / N_n of |z>, minus |z>
+    itself. Both restate h_n = z^n / N_n, so they check h against z and the
+    table, not the table itself. A state needs N >= 2 coefficients: with one,
     the restricted window is empty and there is no property to check. A
     residual that is not finite is refused, and so is every residual when
-    the restricted norm of |z> overflows.
+    the restricted norm of the given h overflows.
     """
     N = len(h)
     if N < 2:
@@ -100,9 +107,7 @@ def coherent_property_residuals(levels: SpectrumTable, z: complex,
         lowered = beta * h[1:]          # component n-1 of B_minus |z>
         eigen = worst_residual("coherent_eigen", np.linalg.norm(lowered - z * h[:N - 1]) / scale)
 
-        dz = 1e-5
-        hp = (coherent_recursive(levels, z + dz, N)
-              - coherent_recursive(levels, z - dz, N)) / (2 * dz)
+        hp = _z_derivative(norms, z)
         deriv_combo = beta * hp[1:] - z * hp[:N - 1] - h[:N - 1]
         derivative = worst_residual("coherent_derivative", np.linalg.norm(deriv_combo) / scale)
     return eigen, derivative

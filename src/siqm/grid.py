@@ -229,30 +229,26 @@ def dilate(psi: np.ndarray, grid: Grid, s: float, unitary: bool = True) -> np.nd
     return amps
 
 
-def second_derivative_bands(grid: Grid) -> np.ndarray:
-    """Banded form (lower storage) of -d2/dx2 with Dirichlet walls.
+def hamiltonian_bands(W_values: np.ndarray, grid: Grid) -> np.ndarray:
+    """Banded symmetric matrix of H = -d2/dx2 + W^2 - W' (W' by the FD stencil).
 
-    Row 0 is the diagonal, row j the j-th subdiagonal. Truncating the
-    symmetric stencil at the walls keeps the matrix exactly symmetric;
-    all targeted states decay before the boundary so the lost accuracy
-    there is immaterial.
+    Lower storage: row 0 is the diagonal, row j the j-th subdiagonal.
+    Truncating the symmetric stencil at the Dirichlet walls keeps the matrix
+    exactly symmetric; all targeted states decay before the boundary so the
+    lost accuracy there is immaterial. A W^2 that overflows leaves inf on the
+    diagonal, without a warning; the caller refuses it.
     """
+    W = np.asarray(W_values, dtype=float)
+    if W.shape != (grid.n_points,):
+        raise GridMismatchError("W sampled on a different grid")
+    Wp = first_derivative(W, grid.spacing)
     h2 = grid.spacing ** 2
     bands = np.zeros((len(_D2_OFFS) + 1, grid.n_points))
     bands[0] = -_D2_DIAG / h2
     for j, c in enumerate(_D2_OFFS, start=1):
         bands[j, :grid.n_points - j] = -c / h2
-    return bands
-
-
-def hamiltonian_bands(W_values: np.ndarray, grid: Grid) -> np.ndarray:
-    """Banded symmetric matrix of H = -d2/dx2 + W^2 - W' (W' by the FD stencil)."""
-    W = np.asarray(W_values, dtype=float)
-    if W.shape != (grid.n_points,):
-        raise GridMismatchError("W sampled on a different grid")
-    Wp = first_derivative(W, grid.spacing)
-    bands = second_derivative_bands(grid)
-    bands[0] += W * W - Wp
+    with np.errstate(over="ignore", invalid="ignore"):
+        bands[0] += W * W - Wp
     return bands
 
 

@@ -258,6 +258,16 @@ def test_coherent_command(tmp_path):
     assert float(rows[3].split(",")[1]) == pytest.approx(1.1547005383792517)
 
 
+@pytest.mark.parametrize("z_re", ["1e6", "1e10", "1e12"])
+def test_coherent_at_large_z_passes_its_derivative_gate(tmp_path, z_re):
+    # the derivative residual stays at rounding however large z is
+    out = tmp_path / "coh.csv"
+    assert run_command(["coherent", "--q", "0.9", "--levels", "5", "--z-re", z_re,
+                        "--out", str(out)]) == 0
+    assert read_manifest(tmp_path / "coh.csv.manifest.json")["results"][
+        "derivative_residual"] <= 1e-14
+
+
 def test_single_level_coherent_exits_1_without_outputs(tmp_path, capsys):
     # one coefficient leaves no component window to check the properties on
     code = run_command(["coherent", "--levels", "1", "--out", str(tmp_path / "coh.csv")])
@@ -440,9 +450,10 @@ def test_finite_overflow_exits_1_naming_the_value(tmp_path, monkeypatch, capsys,
     # 1/E of subnormal levels is inf, so Q Q_dag carries inf on its diagonal
     (["verify", "--suite", "matrix-identities", "--family", "harmonic", "--a1", "1e-310",
       "--levels", "5"], "qqdag-identity: residual inf"),
-    # the coefficients are floats, but the norm of |z> overflows
+    # the coefficients are floats, but the norm of |z> overflows: coherent_recursive
+    # refuses it before the residuals
     (["coherent", "--q", "0.5", "--levels", "10", "--z-re", "1e30"],
-     "coherent_eigen: residual nan"),
+     "norm of the coherent coefficients overflows for z = (1e+30+0j) at 10 levels"),
 ])
 def test_arithmetic_outside_the_floats_exits_1_without_files(tmp_path, monkeypatch, capsys,
                                                              argv, named):

@@ -116,11 +116,48 @@ def test_eigen_and_derivative_residuals():
     assert der <= 1e-6
 
 
+Q9 = SelfSimilar(q=0.9, c=1.0, a1=1.0)
+
+
+@pytest.mark.parametrize("z", [1.0, 1e5, 1e10, 1e12])
+def test_derivative_residual_is_exact_at_large_z(z):
+    # the derivative is exact, so only rounding of size eps * ||h|| is left at any z
+    tab = energy_levels(Q9, 4)
+    _, der = coherent_property_residuals(tab, z, coherent_recursive(tab, z, 5))
+    assert der <= 1e-14
+
+
+def test_derivative_residual_sweep():
+    for q in (0.5, 0.7, 1.0):
+        for N in (2, 5, 10, 20, 40):
+            tab = energy_levels(SelfSimilar(q=q, c=1.0, a1=1.0), N - 1)
+            for z in (0.3, 1.5 - 0.5j, -2j, 4 + 3j):
+                _, der = coherent_property_residuals(tab, z, coherent_recursive(tab, z, N))
+                assert der <= 1e-13, (q, N, z)
+
+
+@pytest.mark.parametrize("z", [1.0, 1e5, 1e12, 0.7 - 1.3j])
+def test_z_derivative_matches_mpmath(z):
+    import mpmath
+    from siqm.coherent import _z_derivative
+    norms = energy_levels(Q9, 4).norms(5)
+    hp = _z_derivative(norms, z)
+    with mpmath.workdps(40):
+        ref = [complex(mpmath.diff(lambda w: w ** n / mpmath.mpf(N_n), mpmath.mpc(z)))
+               for n, N_n in enumerate(norms)]
+    assert hp[0] == 0
+    for n in range(1, 5):
+        assert abs(hp[n] - ref[n]) <= 4 * np.finfo(float).eps * abs(ref[n]), n
+
+
 def test_residuals_whose_norm_overflows_are_refused():
-    # every h_n is a float, but ||h|| is not
+    # every h_n is a float, but ||h|| is not: coherent_recursive refuses such
+    # an h, so it is built here as a caller could pass it
     tab = energy_levels(Q5, 9)
-    state = coherent_recursive(tab, 1e30, 10)
+    state = np.array([1e30 ** n / N_n for n, N_n in enumerate(tab.norms(10))], dtype=complex)
     assert np.all(np.isfinite(state))
+    with pytest.raises(ValueError, match=r"overflows for z = 1e\+30 at 10 levels"):
+        coherent_recursive(tab, 1e30, 10)
     with np.errstate(all="ignore"), \
             pytest.raises(ValueError, match="coherent_eigen: residual nan is not finite"):
         coherent_property_residuals(tab, 1e30, state)

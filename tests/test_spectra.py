@@ -136,8 +136,11 @@ def test_partial_sums_that_drift_from_the_closed_form_are_refused_naming_the_lev
 
 
 def test_fd_diagonalize_refuses_bands_that_are_not_finite():
-    # W = a1 x with a1 = 1e300: W^2 overflows, and the factorization would fail
-    with pytest.raises(ValueError, match=r"'a1': 1e\+300\} is not finite"):
+    # W = a1 x with a1 = 1e300: W^2 overflows, and the factorization would fail;
+    # the refusal comes without numpy's overflow warning
+    with warnings.catch_warnings(), \
+            pytest.raises(ValueError, match=r"'a1': 1e\+300\} is not finite"):
+        warnings.simplefilter("error")
         fd_diagonalize(Harmonic(a1=1e300), Grid(-5, 5, 501), 2)
 
 
