@@ -25,7 +25,7 @@ print("the conjugate convention realizes the interaction-picture cancellation;")
 print("the phases as printed leave an e^{2 i R1 t} modulation behind")
 
 ev1 = evolve_forced(tab1, drive, t_max=5.0, dt=0.002)
-z1, ov1 = ev1.best_fit_coherent(tab1)
+z1, ov1 = ev1.best_fit_coherent()
 print(f"  end state vs best-fit coherent state: overlap {ov1:.10f} "
       f"at z = {z1:.4f}")
 
@@ -33,7 +33,7 @@ print()
 print("=== q = 0.5: the deformed algebra breaks both statements ===")
 tab5 = energy_levels(SelfSimilar(q=0.5, c=1.0, a1=1.0), 23)
 ev5 = evolve_forced(tab5, drive, t_max=5.0, dt=0.002)
-z5, ov5 = ev5.best_fit_coherent(tab5)
+z5, ov5 = ev5.best_fit_coherent()
 print(f"  final overlap with the (now approximate) closed form: "
       f"{ev5.final_overlap:.6f}")
 print(f"  end state vs best-fit coherent state: overlap {ov5:.6f} "

@@ -21,13 +21,13 @@ from .families import (ParameterRule, PotentialFamily, Harmonic, Morse,
                        shape_invariance_residual, family_from_config,
                        suggested_grid, NonNormalizableError, OutOfDomainError)
 from .spectra import (SpectrumTable, energy_levels, eigenstate_with_prenorm,
-                      fd_diagonalize, eigen_residual, LevelNotBoundError)
+                      fd_diagonalize, eigen_residual, LevelNotBoundError,
+                      DegenerateLevelsError)
 from .lattice import (LatticeContext, packet_state, commutator_residual,
                       dilation_identity_residual, adjoint_pair_residual,
                       applicable_relations, RELATIONS, UnknownRelationError,
                       WindowTooSmallError)
 from .ladder_matrices import LadderMatrices, matrix_identities, SingularSpectrumError
-from .coherent import (coherent_recursive, coherent_closed_scaling,
-                       coherent_property_residuals, DegenerateLevelsError)
+from .coherent import coherent_recursive, coherent_closed_scaling, coherent_property_residuals
 from .dynamics import (DriveProfile, ForcedEvolution, evolve_forced,
                        TruncationOverflowError, StepInstabilityError)

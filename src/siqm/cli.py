@@ -275,10 +275,11 @@ def _cmd_eigenstates(params: dict, outputs: list) -> tuple[dict, int]:
     fam = _family_from(params)
     n_max = params["levels"]
     grid = _grid_from(params) or suggested_grid(fam)
-    expected = energy_levels(fam, n_max).norms(n_max + 1).tolist()
+    table = energy_levels(fam, n_max)
+    expected = table.norms(n_max + 1).tolist()
     states, prenorm_errs = [], []
     for n in range(n_max + 1):
-        psi, prenorm = eigenstate_with_prenorm(fam, n, grid)
+        psi, prenorm = eigenstate_with_prenorm(fam, table, n, grid)
         states.append(psi)
         prenorm_errs.append(abs(prenorm - expected[n]) / max(expected[n], 1e-300))
     worst = worst_residual("prenorm", prenorm_errs)
@@ -332,15 +333,16 @@ def _cmd_coherent(params: dict, outputs: list) -> tuple[dict, int]:
     fam = _family_from(params)
     N = params["levels"]
     z = complex(params["z_re"], params["z_im"])
-    table = energy_levels(fam, max(N - 1, 1))
-    h = coherent_recursive(table, z, N)
-    eig_res, der_res = coherent_property_residuals(table, z, h)
+    table = energy_levels(fam, max(N - 1, 1))  # level 1 is the closed form's R1
+    norms = table.norms(N)
+    h = coherent_recursive(norms, z)
+    eig_res, der_res = coherent_property_residuals(norms, z, h)
     results = {"eigen_residual": eig_res, "eigen_tolerance": COHERENT_EIGEN_TOL,
                "derivative_residual": der_res,
                "derivative_tolerance": COHERENT_DERIVATIVE_TOL,
                "partial_norm": float(np.linalg.norm(h))}
     if fam.q is not None and fam.q < 1.0:
-        closed = coherent_closed_scaling(fam.q, fam.c * fam.a1, z, N)
+        closed = coherent_closed_scaling(fam.q, float(table.levels[1]), z, N)
         # relative where |h_n| > 0, absolute at the zeros (z = 0 gives h_n = 0, n >= 1)
         scale = np.abs(h)
         rel = np.abs(closed - h) / np.where(scale > 0, scale, 1.0)
@@ -369,7 +371,7 @@ def _cmd_evolve(params: dict, outputs: list) -> tuple[dict, int]:
     # the best fit is a diagnostic: one whose coefficients leave the floats
     # is reported, and the finished run still writes its outputs
     try:
-        z_fit, coh_overlap = ev.best_fit_coherent(table)
+        z_fit, coh_overlap = ev.best_fit_coherent()
         best_fit = {"best_fit_z": [z_fit.real, z_fit.imag],
                     "best_fit_coherent_overlap": coh_overlap, "best_fit_error": None}
     except ValueError as exc:

@@ -13,8 +13,8 @@ telescopes into the closed form
     h_n = z^n (1-q)^{n/2} q^{-n(n-1)/4} / ( R1^{n/2} sqrt((q; q)_n) )
 
 with the q-shifted factorial (q; q)_n = prod_{j=0}^{n-1} (1 - q q^j). The
-module computes both; `siqm coherent` compares them on its own level table
-and holds the tolerance and the verdict. For q < 1 the factor
+module computes both; `siqm coherent` compares them, computing N_n once from
+its level table, and holds the tolerance and the verdict. For q < 1 the factor
 q^{-n(n-1)/4} grows super-geometrically, so |z> is treated as a formal
 truncated object: properties are verified termwise on restricted components
 and partial norms are reported rather than asserted.
@@ -31,33 +31,23 @@ of an evolved state, ForcedEvolution.best_fit_coherent, uses sqrt(E_n) B- alone.
 import numpy as np
 
 from .families import worst_residual
-from .spectra import SpectrumTable
 
 
-class DegenerateLevelsError(ValueError):
-    """Two levels coincide, so a coefficient denominator vanishes."""
+def coherent_recursive(norms: np.ndarray, z: complex) -> np.ndarray:
+    """The complex coefficients h_n = z^n / N_n, n = 0 .. N-1, with h_0 = 1,
+    from the N normalization products N_0 .. N_{N-1} (SpectrumTable.norms).
 
-
-def coherent_recursive(levels: SpectrumTable, z: complex, N: int) -> np.ndarray:
-    """The complex coefficients h_n = z^n / N_n, n = 0 .. N-1, with h_0 = 1.
-
-    The table must reach level N - 1 and rise strictly up to it. Coefficients
-    or a norm ||h|| outside the floats are refused, naming z and N.
+    Coefficients or a norm ||h|| outside the floats are refused, naming z and N.
     """
-    if N < 1:
-        raise ValueError("need N >= 1")
-    flat = np.flatnonzero(np.diff(levels.upto(N - 1)) <= 0)
-    if flat.size:
-        raise DegenerateLevelsError(f"level {flat[0] + 1} is not above all lower levels")
-    norms = levels.norms(N).tolist()
     try:
-        coeff = np.array([1.0] + [z ** n / norms[n] for n in range(1, N)], dtype=complex)
+        coeff = np.array([z ** n / N_n for n, N_n in enumerate(norms.tolist())], dtype=complex)
         with np.errstate(over="ignore", invalid="ignore"):  # refused right below
             finite = np.isfinite(np.linalg.norm(coeff))  # inf or NaN in any h_n too
     except OverflowError:  # complex z ** n
         finite = False
     if not finite:
-        raise ValueError(f"norm of the coherent coefficients overflows for z = {z} at {N} levels")
+        raise ValueError(f"norm of the coherent coefficients overflows for z = {z} "
+                         f"at {len(norms)} levels")
     return coeff
 
 
@@ -82,24 +72,26 @@ def _z_derivative(norms: np.ndarray, z: complex) -> np.ndarray:
     return np.concatenate(([0j], n * z ** (n - 1) / norms[1:]))
 
 
-def coherent_property_residuals(levels: SpectrumTable, z: complex,
+def coherent_property_residuals(norms: np.ndarray, z: complex,
                                 h: np.ndarray) -> tuple[float, float]:
     """(eigen_residual, derivative_residual) of the coefficients h of |z> on 0 .. N-2.
 
     eigen: ||(B_minus - z)|z>|| with the chain-weighted lowering, relative
     to the restricted norm of |z>. derivative: the same combination applied
     to the exact z-derivative h'_n = n z^(n-1) / N_n of |z>, minus |z>
-    itself. Both restate h_n = z^n / N_n, so they check h against z and the
-    table, not the table itself. A state needs N >= 2 coefficients: with one,
-    the restricted window is empty and there is no property to check. A
+    itself. Both restate h_n = z^n / N_n with `norms` = N_0 .. N_{N-1}, so
+    they check h against z and the products, not the products themselves.
+    A state needs N >= 2 coefficients: with one, the restricted window is
+    empty and there is no property to check. A
     residual that is not finite is refused, and so is every residual when
     the restricted norm of the given h overflows.
     """
     N = len(h)
     if N < 2:
         raise ValueError(f"coherent-state residuals need at least 2 levels, got {N}")
+    if len(norms) != N:
+        raise ValueError(f"need {N} normalization products, got {len(norms)}")
     z = complex(z)
-    norms = levels.norms(N)
     beta = norms[1:] / norms[:-1]   # N_n / N_{n-1}, n = 1 .. N-1
     with np.errstate(all="ignore"):  # a residual that is not finite is refused
         scale = np.linalg.norm(h[:N - 1])

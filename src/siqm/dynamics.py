@@ -135,6 +135,7 @@ class ForcedEvolution:
     closed_trajectory: np.ndarray = field(repr=False)   # (n_times, N)
     norms: np.ndarray = field(repr=False)
     overlaps: np.ndarray = field(repr=False)            # |<direct | closed>|
+    weights: np.ndarray = field(repr=False)             # sqrt(E_1) .. sqrt(E_{N-1})
 
     @property
     def norm_drift(self) -> float:
@@ -144,15 +145,14 @@ class ForcedEvolution:
     def final_overlap(self) -> float:
         return float(self.overlaps[-1])
 
-    def best_fit_coherent(self, levels: SpectrumTable) -> tuple[complex, float]:
+    def best_fit_coherent(self) -> tuple[complex, float]:
         """Moment-matched z and the final-state overlap with that |z>.
 
-        z is the expectation of sqrt(E_n) B- in the final state; |z> is that matrix's
-        truncated eigenstate c_n = c_{n-1} z / sqrt(E_n), c_0 = 1, normalized on the N
-        levels. The table must reach level N - 1; coefficients outside the floats are refused.
+        z is the expectation in the final state of sqrt(E_n) B-, weighted as the run
+        evolved; |z> is that matrix's truncated eigenstate c_n = c_{n-1} z / sqrt(E_n),
+        c_0 = 1, normalized on the N levels. Coefficients outside the floats are refused.
         """
-        psi = self.trajectory[-1]
-        weights = levels.raising_weights(len(psi) - 1)
+        psi, weights = self.trajectory[-1], self.weights
         # B- psi: the sqrt(E) shift down by one level, as in the RK4 rhs
         z = complex(np.vdot(psi, np.append(weights * psi[1:], 0)) / np.vdot(psi, psi))
         coh = np.cumprod(np.append(1, z / weights))
@@ -255,4 +255,4 @@ def evolve_forced(levels: SpectrumTable, drive: DriveProfile, t_max: float,
         (np.linalg.norm(traj, axis=1) * np.linalg.norm(closed, axis=1))
     return ForcedEvolution(drive=drive, sign_convention=sign_convention, t_grid=t_grid,
                            trajectory=traj, closed_trajectory=closed, norms=norms,
-                           overlaps=overlaps)
+                           overlaps=overlaps, weights=weights)

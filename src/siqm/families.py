@@ -195,6 +195,8 @@ class SelfSimilar(PotentialFamily):
         self.rule = ParameterRule("scaling", factor_q=self.q)
         if not self.in_domain(self.a1):
             raise OutOfDomainError("scaling family needs a1 > 0")
+        if self.series_order < 1:
+            raise ValueError(f"scaling family needs series order >= 1, got {self.series_order}")
 
     def engine(self) -> SelfSimilarW:
         """Lazily built series/continuation evaluator of W(x; a1)."""

@@ -27,7 +27,7 @@ saturates at W_inf = sqrt(R / (1 - q)) with a slow power-law tail ~ 1/x^2.
 """
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -48,9 +48,12 @@ class SeriesCoefficients:
     q: float
     c0: float
     coeffs: np.ndarray = field(repr=False)
-    # ratio-test radius; +inf when fewer than 6 coefficients are nonzero,
+    # ratio-test radius of the coefficients; +inf when fewer than 6 are nonzero,
     # for a polynomial (q = 1) and for a series too short to estimate
-    radius_estimate: float = 0.0
+    radius_estimate: float = field(init=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "radius_estimate", _ratio_radius(ratio_sequence(self)))
 
     @property
     def remainder(self) -> float:
@@ -79,8 +82,7 @@ def series_coefficients(q: float, c0: float, K: int) -> SeriesCoefficients:
     if bad.size:
         raise ValueError(f"the series recursion at q = {q}, c0 = {c0} overflows "
                          f"at c_{bad[0]} of order {K}")
-    sc = SeriesCoefficients(q=q, c0=c0, coeffs=c)
-    return replace(sc, radius_estimate=_ratio_radius(ratio_sequence(sc)))
+    return SeriesCoefficients(q=q, c0=c0, coeffs=c)
 
 
 def ratio_sequence(coeffs: SeriesCoefficients) -> np.ndarray:

@@ -7,7 +7,7 @@ Levels are partial sums of the remainder along the parameter chain,
 which for the scaling chain a_n = q^(n-1) a_1 collapses to the closed form
 E_n = (1 - q^n)/(1 - q) * c a_1. Excited states are built recursively in
 x-space: psi_n(x; a_1) is A_dag(a_1) applied to psi_{n-1}(x; a_2), seeded
-with the ground state at the n-th chain parameter. Run without intermediate
+with the ground state at a_{n+1}. Run without intermediate
 normalization this construction accumulates exactly the magnitude
 
     E_n (E_n - E_{n-1}) (E_n - E_{n-2}) ... (E_n - E_1), square-rooted,
@@ -50,10 +50,14 @@ class EigensolverError(ValueError):
     """The banded symmetric eigensolver failed."""
 
 
+class DegenerateLevelsError(ValueError):
+    """Two levels coincide, so a normalization product vanishes."""
+
+
 @dataclass(frozen=True)
 class SpectrumTable:
     """Energies E_0 ... E_{n_max} measured from E_0 = 0: the one source of
-    levels, raising weights, gaps and normalization products N_n."""
+    levels, raising weights and normalization products N_n."""
 
     levels: np.ndarray
 
@@ -72,16 +76,18 @@ class SpectrumTable:
         """sqrt(E_1) .. sqrt(E_n): B+ |k-1> = sqrt(E_k) |k>, and B- the reverse."""
         return np.sqrt(self.upto(n)[1:])
 
-    def gaps(self, n: int) -> np.ndarray:
-        """E_n - E_j for j = 0 .. n-1, the factors of the normalization product."""
-        return self.levels[n] - self.levels[:n]
-
     def norms(self, N: int) -> np.ndarray:
-        """N_0 .. N_{N-1}, N_n = sqrt(E_n (E_n - E_{n-1}) ... (E_n - E_1)), N_0 = 1;
-        a product that is inf, 0 or NaN in floats is refused, naming its level."""
-        self.upto(N - 1)
+        """N_0 .. N_{N-1}, N_n = sqrt(E_n (E_n - E_{n-1}) ... (E_n - E_1)), N_0 = 1.
+        Levels 0 .. N-1 that do not rise strictly are refused first (DegenerateLevelsError),
+        then a product that is inf, 0 or NaN in floats, each naming its level."""
+        if N < 1:
+            raise ValueError("need N >= 1")
+        E = self.upto(N - 1)
+        flat = np.flatnonzero(np.diff(E) <= 0)
+        if flat.size:
+            raise DegenerateLevelsError(f"level {flat[0] + 1} is not above all lower levels")
         with np.errstate(over="ignore", under="ignore", invalid="ignore"):  # refused below
-            out = np.array([np.sqrt(np.prod(self.gaps(n))) for n in range(N)])
+            out = np.array([np.sqrt(np.prod(E[n] - E[:n])) for n in range(N)])
         bad = ~(np.isfinite(out) & (out > 0))
         if bad.any():
             n = int(np.argmax(bad))  # the first
@@ -158,7 +164,7 @@ def _lowpass(psi: np.ndarray, grid: Grid, k_cut: float) -> np.ndarray:
     return np.fft.ifft(np.fft.fft(amps) * damp)
 
 
-def eigenstate_with_prenorm(family: PotentialFamily, n: int,
+def eigenstate_with_prenorm(family: PotentialFamily, levels: SpectrumTable, n: int,
                             grid: Grid) -> tuple[np.ndarray, float]:
     """The raising recursion, returning (normalized state, pre-normalization norm).
 
@@ -166,13 +172,13 @@ def eigenstate_with_prenorm(family: PotentialFamily, n: int,
     result is restricted afterwards: the inter-raise filter tapers the
     domain edges, and the sharp spectral cutoff spreads that edge
     information over a kernel-tail length, so both artifacts are kept
-    inside the discarded pad. The low-pass wavenumber is a safe multiple of
-    the physical bandwidth. A pre-normalization norm far from N_n
-    (SpectrumTable.norms) means the grid does not resolve the state.
+    inside the discarded pad. The low-pass wavenumber is a safe multiple of the
+    bandwidth set by E_n of `levels`, which must reach level n. A prenorm far
+    from N_n (SpectrumTable.norms) means the grid does not resolve the state.
     """
     if n < 0:
         raise ValueError("need n >= 0")
-    e_top = energy_levels(family, n).levels[-1]  # raises if level n is not bound
+    e_top = levels.upto(n)[-1]
     seed_param = family.chain_value(n + 1)
     filter_cutoff = max(12.0, 6.0 * np.sqrt(e_top + abs(family.R(family.a1))))
     h = grid.spacing
@@ -201,10 +207,10 @@ def fd_diagonalize(family: PotentialFamily, grid: Grid,
 
     Independent of the ladder machinery: the potential W^2 - W' is formed
     from W samples and the symmetric band matrix is diagonalized by
-    shift-inverted Lanczos iteration with a banded factorization. The shift
-    sits below the spectrum (the factorized Hamiltonian is positive
-    semi-definite), and a fixed start vector keeps runs bitwise
-    reproducible. Warns when an eigenvector has visible weight at the walls.
+    shift-inverted Lanczos iteration through a sparse LU factorization (splu)
+    of the CSC matrix. The shift sits below the spectrum (the factorized
+    Hamiltonian is positive semi-definite), and a fixed start vector keeps
+    runs bitwise reproducible. Warns when an eigenvector has visible weight at the walls.
     Bands that are not finite (W^2 overflows) are refused, naming the family,
     and so is a k that is not below the number of grid points.
     """

@@ -170,10 +170,11 @@ def test_criterion_6_matrix_identities():
 
 def test_criterion_7_coherent_states():
     table = energy_levels(Q5, 21)
-    rec = coherent_recursive(table, 1.0, 21)
+    rec = coherent_recursive(table.norms(21), 1.0)
     clo = coherent_closed_scaling(0.5, 1.0, 1.0, 21)
     agree = float(np.max(np.abs(rec - clo) / np.abs(rec)))
-    eig, der = coherent_property_residuals(table, 0.3, coherent_recursive(table, 0.3, 20))
+    norms = table.norms(20)
+    eig, der = coherent_property_residuals(norms, 0.3, coherent_recursive(norms, 0.3))
     ok = agree <= 1e-12 and eig <= 1e-10 and der <= 1e-6
     report(7, "closed form equals recursion to 1e-12; eigen and derivative "
               "conditions hold", ok,
@@ -188,7 +189,7 @@ def test_criterion_8_forced_dynamics():
     tab5 = energy_levels(Q5, 23)
     ev5 = evolve_forced(tab5, drive, t_max=5.0, dt=0.002,
                         sign_convention="conjugate")
-    _, coh_overlap = ev5.best_fit_coherent(tab5)
+    _, coh_overlap = ev5.best_fit_coherent()
     drift = max(ev1.norm_drift, ev5.norm_drift)
     ok = (ev1.final_overlap >= 1 - 1e-6 and coh_overlap < 0.999
           and drift <= 1e-8)

@@ -297,7 +297,7 @@ def test_coherent_refuses_exactly_where_closed_and_recursive_disagree(tmp_path, 
         q, c, a1 = rng.uniform(0.4, 0.95), rng.uniform(0.3, 3), rng.uniform(0.3, 3)
         N, z = rng.randint(10, 40), complex(rng.uniform(-1.5, 1.5), rng.uniform(-1.5, 1.5))
         table = siqm.energy_levels(siqm.SelfSimilar(q=q, c=c, a1=a1), N - 1)
-        h = siqm.coherent_recursive(table, z, N)
+        h = siqm.coherent_recursive(table.norms(N), z)
         gap = np.max(np.abs(siqm.coherent_closed_scaling(q, c * a1, z, N) - h) / np.abs(h))
         bound = max(1e-12, 100 * np.finfo(float).eps / (1 - q))
         out = tmp_path / f"job{i}" / "h.csv"
@@ -643,6 +643,64 @@ def test_order_flag_for_a_translation_family_exits_1(tmp_path, capsys):
     assert code == 1
     assert "order" in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("argv", [
+    # coherent, evolve and the matrix identities never build W, and ran with the order
+    ["coherent", "--order", "-5", "--levels", "3", "--out", "o.csv"],
+    ["coherent", "--order", "0", "--levels", "3", "--out", "o.csv"],
+    ["evolve", "--order", "-5", "--levels", "4", "--t-max", "0.1", "--out", "o.csv"],
+    ["verify", "--suite", "matrix-identities", "--order", "-5", "--levels", "4",
+     "--report", "r.json"],
+    # spectrum was refused by the series recursion, as "need K >= 1, got 0"
+    ["spectrum", "--order", "0", "--levels", "2", "--out", "o.csv"],
+])
+def test_series_order_below_1_exits_1_without_files(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    assert run_command(argv) == 1
+    order = argv[argv.index("--order") + 1]
+    assert capsys.readouterr().err == \
+        f"error: scaling family needs series order >= 1, got {order}\n"
+    assert not list(tmp_path.iterdir())
+
+
+GRID_801 = ["--grid-min", "-8", "--grid-max", "8", "--grid-points", "801"]
+
+
+@pytest.mark.parametrize("argv, tables, norm_tables", [
+    (["spectrum", "--family", "harmonic", "--levels", "2", *GRID_801], 1, 0),
+    (["coeffs", "--q", "0.5", "--order", "20"], 0, 0),
+    (["eigenstates", "--family", "harmonic", "--levels", "3", *GRID_801], 1, 1),
+    (["verify", "--suite", "matrix-identities", "--levels", "5"], 1, 0),
+    (["verify", "--suite", "shape-invariance", "--family", "harmonic"], 0, 0),
+    (["coherent", "--levels", "5"], 1, 1),
+    (["evolve", "--levels", "4", "--t-max", "0.1"], 1, 0),
+])
+def test_each_command_builds_its_level_table_once(tmp_path, monkeypatch, argv, tables,
+                                                  norm_tables):
+    # energy_levels counted at every module attribute that binds it, and the
+    # O(N^2) normalization products N_n counted on the one method that makes them
+    calls = []
+    energy_levels, norms = siqm.spectra.energy_levels, siqm.SpectrumTable.norms
+
+    def counted_levels(*args):
+        calls.append("levels")
+        return energy_levels(*args)
+
+    def counted_norms(*args):
+        calls.append("norms")
+        return norms(*args)
+
+    for name, module in list(sys.modules.items()):
+        if name == "siqm" or name.startswith("siqm."):
+            for attr, value in list(vars(module).items()):
+                if value is energy_levels:
+                    monkeypatch.setattr(module, attr, counted_levels)
+    monkeypatch.setattr(siqm.SpectrumTable, "norms", counted_norms)
+    monkeypatch.chdir(tmp_path)
+    target = "--report" if argv[0] == "verify" else "--out"
+    assert run_command([*argv, target, "o.csv"]) == 0
+    assert (calls.count("levels"), calls.count("norms")) == (tables, norm_tables)
 
 
 @pytest.mark.parametrize("command, text, flag", [

@@ -5,17 +5,15 @@ import math
 import numpy as np
 import pytest
 
-from siqm import (DegenerateLevelsError,
-                  coherent_closed_scaling, coherent_property_residuals,
-                  coherent_recursive, energy_levels, Harmonic,
-                  SelfSimilar, SpectrumTable)
+from siqm import (coherent_closed_scaling, coherent_property_residuals,
+                  coherent_recursive, energy_levels, Harmonic, SelfSimilar)
 
 Q5 = SelfSimilar(q=0.5, c=1.0, a1=1.0)
 
 
 def test_recursive_coefficients_scaling_values():
     tab = energy_levels(Q5, 6)
-    cs = coherent_recursive(tab, 1.0, 4)
+    cs = coherent_recursive(tab.norms(4), 1.0)
     assert cs[0] == 1.0
     assert cs[1].real == pytest.approx(1.0)
     assert cs[2].real == pytest.approx(2.0 / np.sqrt(3.0), rel=1e-12)
@@ -75,7 +73,7 @@ def test_closed_form_refuses_its_domain(q, R1, N, named):
 def test_closed_equals_recursive_to_1e12():
     tab = energy_levels(Q5, 21)
     for z in (1.0, 0.3 + 0.2j):
-        rec = coherent_recursive(tab, z, 21)
+        rec = coherent_recursive(tab.norms(21), z)
         clo = coherent_closed_scaling(0.5, 1.0, z, 21)
         assert np.max(np.abs(rec - clo) / np.abs(rec)) <= 1e-12
 
@@ -84,14 +82,14 @@ def test_termwise_lowering_cancellation():
     # h_n * (N_n / N_{n-1}) = z h_{n-1} termwise; at q = 1 the weight is sqrt(E_n)
     tab = energy_levels(Q5, 21)
     z = 0.7 - 0.4j
-    h = coherent_recursive(tab, z, 21)
     norms = tab.norms(21)
+    h = coherent_recursive(norms, z)
     for n in range(1, 21):
         beta = norms[n] / norms[n - 1]
         assert abs(h[n] * beta - z * h[n - 1]) <= 1e-14 * abs(h[n - 1]) * max(1.0, abs(z))
     tab1 = energy_levels(Harmonic(a1=1.0), 12)
-    h1 = coherent_recursive(tab1, 0.5, 12)
     norms1 = tab1.norms(12)
+    h1 = coherent_recursive(norms1, 0.5)
     for n in range(1, 12):
         beta = norms1[n] / norms1[n - 1]
         assert beta == pytest.approx(np.sqrt(tab1.levels[n]), rel=1e-14)
@@ -103,15 +101,15 @@ def test_closed_equals_recursive_random_z_sweep():
     tab = energy_levels(Q5, 21)
     for _ in range(6):
         z = complex(rng.uniform(-1.5, 1.5), rng.uniform(-1.5, 1.5))
-        rec = coherent_recursive(tab, z, 21)
+        rec = coherent_recursive(tab.norms(21), z)
         clo = coherent_closed_scaling(0.5, 1.0, z, 21)
         assert np.max(np.abs(rec - clo) / np.abs(rec)) <= 1e-12
 
 
 def test_eigen_and_derivative_residuals():
-    tab = energy_levels(Q5, 21)
-    state = coherent_recursive(tab, 0.3, 20)
-    eig, der = coherent_property_residuals(tab, 0.3, state)
+    norms = energy_levels(Q5, 21).norms(20)
+    state = coherent_recursive(norms, 0.3)
+    eig, der = coherent_property_residuals(norms, 0.3, state)
     assert eig <= 1e-10
     assert der <= 1e-6
 
@@ -122,17 +120,17 @@ Q9 = SelfSimilar(q=0.9, c=1.0, a1=1.0)
 @pytest.mark.parametrize("z", [1.0, 1e5, 1e10, 1e12])
 def test_derivative_residual_is_exact_at_large_z(z):
     # the derivative is exact, so only rounding of size eps * ||h|| is left at any z
-    tab = energy_levels(Q9, 4)
-    _, der = coherent_property_residuals(tab, z, coherent_recursive(tab, z, 5))
+    norms = energy_levels(Q9, 4).norms(5)
+    _, der = coherent_property_residuals(norms, z, coherent_recursive(norms, z))
     assert der <= 1e-14
 
 
 def test_derivative_residual_sweep():
     for q in (0.5, 0.7, 1.0):
         for N in (2, 5, 10, 20, 40):
-            tab = energy_levels(SelfSimilar(q=q, c=1.0, a1=1.0), N - 1)
+            norms = energy_levels(SelfSimilar(q=q, c=1.0, a1=1.0), N - 1).norms(N)
             for z in (0.3, 1.5 - 0.5j, -2j, 4 + 3j):
-                _, der = coherent_property_residuals(tab, z, coherent_recursive(tab, z, N))
+                _, der = coherent_property_residuals(norms, z, coherent_recursive(norms, z))
                 assert der <= 1e-13, (q, N, z)
 
 
@@ -153,21 +151,21 @@ def test_z_derivative_matches_mpmath(z):
 def test_residuals_whose_norm_overflows_are_refused():
     # every h_n is a float, but ||h|| is not: coherent_recursive refuses such
     # an h, so it is built here as a caller could pass it
-    tab = energy_levels(Q5, 9)
-    state = np.array([1e30 ** n / N_n for n, N_n in enumerate(tab.norms(10))], dtype=complex)
+    norms = energy_levels(Q5, 9).norms(10)
+    state = np.array([1e30 ** n / N_n for n, N_n in enumerate(norms)], dtype=complex)
     assert np.all(np.isfinite(state))
     with pytest.raises(ValueError, match=r"overflows for z = 1e\+30 at 10 levels"):
-        coherent_recursive(tab, 1e30, 10)
+        coherent_recursive(norms, 1e30)
     with np.errstate(all="ignore"), \
             pytest.raises(ValueError, match="coherent_eigen: residual nan is not finite"):
-        coherent_property_residuals(tab, 1e30, state)
+        coherent_property_residuals(norms, 1e30, state)
 
 
 def test_z_zero_is_ground_state():
-    tab = energy_levels(Q5, 8)
-    state = coherent_recursive(tab, 0.0, 8)
+    norms = energy_levels(Q5, 8).norms(8)
+    state = coherent_recursive(norms, 0.0)
     assert np.array_equal(state[1:], np.zeros(7, dtype=complex))
-    eig, _ = coherent_property_residuals(tab, 0.0, state)
+    eig, _ = coherent_property_residuals(norms, 0.0, state)
     assert eig == 0.0
 
 
@@ -181,66 +179,17 @@ def test_harmonic_limit_coefficients():
 def test_partial_norms_grow_superfast_for_small_q():
     # the truncated object is formal: partial norms blow up with N for q < 1
     tab = energy_levels(Q5, 25)
-    n8 = np.linalg.norm(coherent_recursive(tab, 1.0, 8))
-    n25 = np.linalg.norm(coherent_recursive(tab, 1.0, 25))
+    n8 = np.linalg.norm(coherent_recursive(tab.norms(8), 1.0))
+    n25 = np.linalg.norm(coherent_recursive(tab.norms(25), 1.0))
     assert n25 > 1e3 * n8
 
 
-def test_degenerate_levels_rejected():
-    tab = energy_levels(Q5, 8)
-    flat = type(tab)(levels=np.concatenate([tab.levels[:3], [tab.levels[2]]]))
-    with pytest.raises(DegenerateLevelsError):
-        coherent_recursive(flat, 1.0, 4)
-
-
-def test_short_table_refused_not_rebuilt():
-    tab = energy_levels(Q5, 6)
-    assert coherent_recursive(tab, 0.5, 7).shape == (7,)
-    with pytest.raises(ValueError, match="n_max >= 7, got n_max = 6"):
-        coherent_recursive(tab, 0.5, 8)
-
-
-def first_degenerate_level(table, N):
-    """The O(N^2) scan coherent_recursive ran before its one np.diff test."""
-    for n in range(1, N):
-        if np.any(table.gaps(n) <= 0):
-            return n
-    return None
-
-
-def test_degeneracy_refusals_match_the_pairwise_scan(level_tables):
-    # the family sweep, plus tables whose levels dip below an earlier level
-    rng = np.random.default_rng(23)
-    dipped = []
-    for _ in range(60):
-        N = int(rng.integers(2, 42))
-        levels = np.concatenate([[0.0], np.cumsum(rng.uniform(-0.2, 1.0, N - 1))])
-        dipped.append((SpectrumTable(levels), N))
-    refused = 0
-    for tab, N in level_tables + dipped:
-        n = first_degenerate_level(tab, N)
-        if n is None:
-            try:
-                coherent_recursive(tab, 0.5, N)
-            except DegenerateLevelsError:
-                pytest.fail(f"refused a table the scan accepts (N = {N})")
-            except ValueError:
-                pass  # a product or a coefficient outside the floats
-        else:
-            with pytest.raises(DegenerateLevelsError) as exc:
-                coherent_recursive(tab, 0.5, N)
-            assert str(exc.value) == f"level {n} is not above all lower levels"
-            refused += 1
-    assert refused >= 20
-
-
-@pytest.mark.parametrize("a1, named", [(1e300, "N_2 = inf of level 2"),
-                                       (1e-300, "N_2 = 0.0 of level 2")])
-def test_coefficients_refuse_a_normalization_outside_the_floats(a1, named):
-    tab = energy_levels(Harmonic(a1=a1), 3)
-    with pytest.raises(ValueError, match=named):
-        coherent_recursive(tab, 1.0, 4)
-    # the degeneracy test still runs first
-    flat = SpectrumTable(np.array([0.0, 2 * a1, 2 * a1, 6 * a1]))
-    with pytest.raises(DegenerateLevelsError, match="level 2"):
-        coherent_recursive(flat, 1.0, 4)
+def test_one_coefficient_per_normalization_product():
+    norms = energy_levels(Q5, 6).norms(7)
+    assert coherent_recursive(norms, 0.5).shape == (7,)
+    assert coherent_recursive(norms[:1], 0.5).tolist() == [1.0]
+    h = coherent_recursive(norms, 0.5)
+    with pytest.raises(ValueError, match="need 7 normalization products, got 6"):
+        coherent_property_residuals(norms[:6], 0.5, h)
+    with pytest.raises(ValueError, match="need 6 normalization products, got 7"):
+        coherent_property_residuals(norms, 0.5, h[:6])

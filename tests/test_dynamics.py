@@ -57,14 +57,14 @@ def test_printed_phases_break_the_cancellation():
 def test_oscillator_endpoint_is_coherent():
     tab = energy_levels(Q1, 23)
     ev = evolve_forced(tab, DriveProfile("const", 0.1), t_max=5.0, dt=0.002)
-    _, overlap = ev.best_fit_coherent(tab)
+    _, overlap = ev.best_fit_coherent()
     assert overlap >= 1.0 - 1e-8
 
 
 def test_deformed_endpoint_is_not_coherent():
     tab = energy_levels(Q5, 23)
     ev = evolve_forced(tab, DriveProfile("const", 0.1), t_max=5.0, dt=0.002)
-    z_fit, overlap = ev.best_fit_coherent(tab)
+    z_fit, overlap = ev.best_fit_coherent()
     assert overlap < 0.999
     assert abs(z_fit) > 0
     assert ev.norm_drift <= 1e-8
@@ -289,7 +289,7 @@ def test_best_fit_equals_the_dense_lowering_matrix_bitwise(family, drive):
     n = 12
     tab = energy_levels(family, n)
     ev = evolve_forced(tab, DriveProfile.parse(drive), t_max=1.0, dt=0.002)
-    z, overlap = ev.best_fit_coherent(tab)
+    z, overlap = ev.best_fit_coherent()
     # z bitwise as the moment of the dense B- with sqrt(E_k) above its diagonal,
     # and the comparison state as that same matrix's eigenstate
     psi = ev.trajectory[-1]
@@ -305,7 +305,7 @@ def test_deformed_best_fit_is_the_eigenstate_of_the_evolution_lowering_matrix():
     n = 23
     tab = energy_levels(Q5, n)
     ev = evolve_forced(tab, DriveProfile("const", 0.1), t_max=5.0, dt=0.002)
-    z, overlap = ev.best_fit_coherent(tab)
+    z, overlap = ev.best_fit_coherent()
     assert overlap == pytest.approx(0.9917, abs=1e-4)
     w = tab.raising_weights(n)
     coh = lowering_eigenstate(np.diag(w, 1), z)
@@ -320,9 +320,9 @@ def test_best_fit_at_q_1_equals_the_chain_weighted_fit(family):
     # is the same state
     tab = energy_levels(family, 12)
     ev = evolve_forced(tab, DriveProfile("const", 0.1), t_max=1.0, dt=0.002)
-    z, overlap = ev.best_fit_coherent(tab)
+    z, overlap = ev.best_fit_coherent()
     psi = ev.trajectory[-1]
-    assert overlap == pytest.approx(overlap_with(psi, coherent_recursive(tab, z, 13)),
+    assert overlap == pytest.approx(overlap_with(psi, coherent_recursive(tab.norms(13), z)),
                                     rel=1e-12, abs=0)
 
 
@@ -332,14 +332,21 @@ def test_best_fit_refuses_coefficients_outside_the_floats():
     from math import lgamma
     n = np.arange(2000)
     psi = np.exp(n * np.log(40.0) - 800.0 - np.array([lgamma(k + 1) for k in n]) / 2)
+    weights = energy_levels(Harmonic(a1=0.5), 1999).raising_weights(1999)
     ev = ForcedEvolution(DriveProfile("const", 0.0), "conjugate", np.zeros(1),
-                         psi[None, :].astype(complex), psi[None, :], np.ones(1), np.ones(1))
+                         psi[None, :].astype(complex), psi[None, :], np.ones(1), np.ones(1),
+                         weights)
     with np.errstate(over="ignore", invalid="ignore"), \
             pytest.raises(ValueError, match="coherent coefficients overflow for z = "):
-        ev.best_fit_coherent(energy_levels(Harmonic(a1=0.5), 1999))
+        ev.best_fit_coherent()
 
 
-def test_best_fit_refuses_a_short_table():
-    ev = evolve_forced(energy_levels(Q5, 6), DriveProfile("const", 0.1), t_max=0.1, dt=0.002)
-    with pytest.raises(ValueError, match="n_max >= 6, got n_max = 5"):
-        ev.best_fit_coherent(energy_levels(Q5, 5))
+def test_best_fit_reads_the_weights_it_evolved_with():
+    # the fit takes no table, so it cannot be handed a spectrum the run never evolved
+    tab = energy_levels(Q5, 4)
+    ev = evolve_forced(tab, DriveProfile("const", 0.1), t_max=0.1, dt=0.002)
+    assert ev.weights.tobytes() == tab.raising_weights(4).tobytes()
+    psi = ev.trajectory[-1]
+    z, overlap = ev.best_fit_coherent()
+    coh = lowering_eigenstate(np.diag(tab.raising_weights(4), 1), z)
+    assert overlap == pytest.approx(overlap_with(psi, coh), rel=1e-14, abs=0)

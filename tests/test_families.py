@@ -193,9 +193,10 @@ def test_scaling_family_at_q1_has_the_harmonic_eigenstates(c, a1):
     scaling = SelfSimilar(q=1.0, c=c, a1=a1)
     harmonic = Harmonic(a1=c * a1 / 2)
     g = Grid(-10, 10, 2001)
+    tab_s, tab_h = energy_levels(scaling, 4), energy_levels(harmonic, 4)
     for n in range(5):
-        psi_s, norm_s = eigenstate_with_prenorm(scaling, n, g)
-        psi_h, norm_h = eigenstate_with_prenorm(harmonic, n, g)
+        psi_s, norm_s = eigenstate_with_prenorm(scaling, tab_s, n, g)
+        psi_h, norm_h = eigenstate_with_prenorm(harmonic, tab_h, n, g)
         assert np.array_equal(psi_s, psi_h)
         assert norm_s == norm_h
 
@@ -318,6 +319,16 @@ def test_morse_refuses_an_a1_whose_square_overflows(a1):
         family_from_config({"family": "morse", "a1": a1})
 
 
+@pytest.mark.parametrize("order", [0, -5])
+def test_scaling_family_refuses_a_series_order_below_1(order):
+    # refused where the family is built, not only by the series it may never build
+    with pytest.raises(ValueError, match=f"needs series order >= 1, got {order}"):
+        SelfSimilar(series_order=order)
+    with pytest.raises(ValueError, match=f"got {order}"):
+        family_from_config({"family": "selfsimilar", "order": order})
+    assert SelfSimilar(series_order=1).series_order == 1
+
+
 def test_morse_at_a_large_finite_a1_is_unchanged():
     fam = Morse(a1=1e150)
     a = fam.a1
@@ -367,10 +378,10 @@ def test_closed_spectrum_family_levels_oracle_and_prenorm(fam, levels):
         energy_levels(fam, top + 1)
     e, _ = fd_diagonalize(fam, TANH_GRID, top + 1)
     assert np.max(np.abs(e - tab.levels)) <= 1e-6
+    norms = tab.norms(top + 1)
     for n in range(top + 1):
-        _, prenorm = eigenstate_with_prenorm(fam, n, TANH_GRID)
-        expected = tab.norms(top + 1)[n]
-        assert abs(prenorm - expected) <= 1e-7 * expected
+        _, prenorm = eigenstate_with_prenorm(fam, tab, n, TANH_GRID)
+        assert abs(prenorm - norms[n]) <= 1e-7 * norms[n]
 
 
 def test_unknown_family_rejected():

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from siqm import SelfSimilarW, series_coefficients
+from siqm import SeriesCoefficients, SelfSimilarW, series_coefficients
 from siqm.series import ratio_sequence
 
 # Taylor series of tanh x (exact rationals), the q = 0 one-soliton limit
@@ -44,6 +44,21 @@ def test_remainder_identity():
 
 def test_radius_polynomial_is_infinite():
     assert series_coefficients(1.0, 1.0, 10).radius_estimate == np.inf
+
+
+def test_directly_built_coefficients_place_the_same_break_point():
+    # the radius is worked out from the coefficients, never a placeholder of 0,
+    # which put the break point at x = 0 and failed the first W evaluation
+    sc = series_coefficients(0.5, 1 / 1.5, 60)
+    direct = SeriesCoefficients(q=0.5, c0=1 / 1.5, coeffs=sc.coeffs)
+    assert direct.radius_estimate == sc.radius_estimate > 0
+    x = np.linspace(-30, 30, 1201)
+    built, ref = SelfSimilarW(direct), SelfSimilarW(sc)
+    assert built.x_break == ref.x_break
+    assert built.w(x).tobytes() == ref.w(x).tobytes()
+    assert built.wp(x).tobytes() == ref.wp(x).tobytes()
+    with pytest.raises(TypeError):
+        SeriesCoefficients(q=0.5, c0=1.0, coeffs=sc.coeffs, radius_estimate=1.0)
 
 
 def test_radius_tanh_poles():

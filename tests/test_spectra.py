@@ -5,10 +5,10 @@ import warnings
 import numpy as np
 import pytest
 
-from siqm import (BoundaryDecayWarning, LevelNotBoundError,
+from siqm import (BoundaryDecayWarning, DegenerateLevelsError, LevelNotBoundError,
                   Grid, eigen_residual, eigenstate_with_prenorm,
                   energy_levels, fd_diagonalize, Harmonic, inner,
-                  Morse, SelfSimilar)
+                  Morse, SelfSimilar, SpectrumTable)
 
 Q5 = SelfSimilar(q=0.5, c=1.0, a1=1.0)
 
@@ -29,7 +29,8 @@ def q5_oracle(wide_grid):
 
 @pytest.fixture(scope="module")
 def q5_ladder_states(wide_grid):
-    return [eigenstate_with_prenorm(Q5, n, wide_grid) for n in range(7)]
+    tab = energy_levels(Q5, 6)
+    return [eigenstate_with_prenorm(Q5, tab, n, wide_grid) for n in range(7)]
 
 
 def test_energy_levels_scaling_values():
@@ -106,7 +107,7 @@ def test_norms_equal_per_level_products_bitwise(level_tables):
     checked = 0
     for tab, N in level_tables:
         if np.any(np.diff(tab.levels) <= 0):
-            continue  # degenerate: coherent_recursive refuses these first
+            continue  # degenerate: refused before the products
         ref = np.array([np.sqrt(np.prod(tab.levels[n] - tab.levels[:n])) for n in range(N)])
         assert np.array_equal(tab.norms(N), ref)
         checked += 1
@@ -120,11 +121,61 @@ def test_norms_refuse_a_product_outside_the_floats(a1, level, value):
     assert tab.norms(2)[1] > 0
     with pytest.raises(ValueError, match=f"N_{level} = {value} of level {level}"):
         tab.norms(4)
+    # the degeneracy test runs first
+    flat = SpectrumTable(np.array([0.0, 2 * a1, 2 * a1, 6 * a1]))
+    with pytest.raises(DegenerateLevelsError, match="level 2"):
+        flat.norms(4)
 
 
 def test_norms_refuse_a_short_table():
+    tab = energy_levels(Q5, 3)
+    assert tab.norms(4).shape == (4,)
     with pytest.raises(ValueError, match="n_max >= 4, got n_max = 3"):
-        energy_levels(Q5, 3).norms(5)
+        tab.norms(5)
+    with pytest.raises(ValueError, match="need N >= 1"):
+        tab.norms(0)
+
+
+def test_norms_refuse_degenerate_levels():
+    tab = energy_levels(Q5, 8)
+    flat = SpectrumTable(np.concatenate([tab.levels[:3], [tab.levels[2]]]))
+    with pytest.raises(DegenerateLevelsError, match="level 3 is not above all lower levels"):
+        flat.norms(4)
+    assert flat.norms(3).shape == (3,)  # the levels below rise
+
+
+def first_degenerate_level(table, N):
+    """The O(N^2) pairwise scan of levels 1 .. N - 1."""
+    for n in range(1, N):
+        if np.any(table.levels[n] - table.levels[:n] <= 0):
+            return n
+    return None
+
+
+def test_degeneracy_refusals_match_the_pairwise_scan(level_tables):
+    # the family sweep, plus tables whose levels dip below an earlier level
+    rng = np.random.default_rng(23)
+    dipped = []
+    for _ in range(60):
+        N = int(rng.integers(2, 42))
+        levels = np.concatenate([[0.0], np.cumsum(rng.uniform(-0.2, 1.0, N - 1))])
+        dipped.append((SpectrumTable(levels), N))
+    refused = 0
+    for tab, N in level_tables + dipped:
+        n = first_degenerate_level(tab, N)
+        if n is None:
+            try:
+                tab.norms(N)
+            except DegenerateLevelsError:
+                pytest.fail(f"refused a table the scan accepts (N = {N})")
+            except ValueError:
+                pass  # a product outside the floats
+        else:
+            with pytest.raises(DegenerateLevelsError) as exc:
+                tab.norms(N)
+            assert str(exc.value) == f"level {n} is not above all lower levels"
+            refused += 1
+    assert refused >= 20
 
 
 def test_partial_sums_that_drift_from_the_closed_form_are_refused_naming_the_level():
@@ -146,7 +197,7 @@ def test_fd_diagonalize_refuses_bands_that_are_not_finite():
 
 def test_eigenstate_n0_is_ground_state(wide_grid):
     from siqm import ground_state
-    psi = eigenstate_with_prenorm(Q5, 0, wide_grid)[0]
+    psi = eigenstate_with_prenorm(Q5, energy_levels(Q5, 0), 0, wide_grid)[0]
     ref = ground_state(Q5, 1.0, wide_grid)
     assert np.max(np.abs(psi - ref)) == 0.0
 
@@ -154,7 +205,7 @@ def test_eigenstate_n0_is_ground_state(wide_grid):
 def test_harmonic_second_state_matches_oracle():
     g = Grid(-12, 12, 2401)
     fam = Harmonic(a1=1.0)
-    psi = eigenstate_with_prenorm(fam, 2, g)[0]
+    psi = eigenstate_with_prenorm(fam, energy_levels(fam, 2), 2, g)[0]
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         _, states = fd_diagonalize(fam, g, 3)
@@ -212,13 +263,20 @@ def test_orthonormality(wide_grid, q5_ladder_states):
             assert abs(val - (1.0 if m == n else 0.0)) <= 1e-6
 
 
-def test_morse_level_not_bound(wide_grid):
+def test_morse_level_not_bound():
     for A in (2.5, 2.8):
         with pytest.raises(LevelNotBoundError):
-            eigenstate_with_prenorm(Morse(a1=A), 3, Grid(-5, 32, 3701))
+            energy_levels(Morse(a1=A), 3)
+
+
+def test_eigenstate_refuses_a_table_short_of_its_level():
+    fam = Morse(a1=2.5)
+    with pytest.raises(ValueError, match="n_max >= 3, got n_max = 2"):
+        eigenstate_with_prenorm(fam, energy_levels(fam, 2), 3, Grid(-5, 32, 3701))
 
 
 def test_truncated_domain_warns():
     from siqm import BoundaryDecayWarning
     with pytest.warns(BoundaryDecayWarning):
-        eigenstate_with_prenorm(Harmonic(a1=1.0), 6, Grid(-3.5, 3.5, 701))
+        fam = Harmonic(a1=1.0)
+        eigenstate_with_prenorm(fam, energy_levels(fam, 6), 6, Grid(-3.5, 3.5, 701))
