@@ -26,7 +26,6 @@ territory, so an explicit outward march is well posed. The far field
 saturates at W_inf = sqrt(R / (1 - q)) with a slow power-law tail ~ 1/x^2.
 """
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -114,13 +113,15 @@ class SelfSimilarW:
     the table beyond, for w(), wp() and the march's delayed terms at the
     contracted arguments sqrt(q) x and sqrt(q) (x + h/2).
 
-    The march runs in blocks. A block starts at the current table length L
-    and takes every following step whose interpolation stencils lie inside
-    those L points, so the delayed terms q W(u)^2 and q W'(u) of all its
-    stages are evaluated at once; only the Riccati update W' = -W^2 + ...
-    runs step by step. A step whose stencil would reach past the table is
-    a block of its own and reads the table clamped at its end, as it stands
-    at that point of the step.
+    The march runs in blocks of one plan, one loop and one commit. The plan
+    takes, from the current table length L, each following step while x_max
+    is not reached, sqrt(q)(x + h) stays below x and the step's stencils lie
+    inside those L points, and evaluates the delayed terms q W(u)^2 and
+    q W'(u) of all its stages at once. The loop runs only the Riccati update
+    W' = -W^2 + ... The commit keeps the steps before the first W that
+    diverged and refuses that one. A step whose stencil would reach past the
+    table is a block of its own and reads the table clamped at its end, as
+    it stands at that point of the step.
     """
 
     def __init__(self, coeffs: SeriesCoefficients, step: float = 0.005):
@@ -199,78 +200,75 @@ class SelfSimilarW:
             xs = np.arange(n) * h
             self._table = np.vstack((xs, self._series(xs, slice(1, 3))))
             self._n = n
-        sq, R, cap = self._sqrtq, self.R, self._w_cap
-
-        def past_table(u):
-            # a stencil at u would reach past the n points built so far
-            return u > self.x_break and int(u / h) > n - 4
-
+        sq, R = self._sqrtq, self.R
         x, w = self._table[:2, n - 1].tolist()
         while x < x_max:
             # the contracted argument must stay inside the built table
             if sq * (x + h) > x and x > 0:
                 raise HorizonExceededError(
                     "step too large for the contracted argument near the series edge")
-            # the block: steps whose stencils all end inside the first n points;
-            # a first step that reads past them runs alone, on the clamped table
-            xs = [x, x + h]
-            clamped = past_table(sq * xs[1])
-            while not clamped and xs[-1] < x_max:
-                u = sq * (xs[-1] + h)
-                if u > xs[-1] or past_table(u):
-                    break
-                xs.append(xs[-1] + h)
-            steps = len(xs) - 1
-            xb = np.array(xs)
+            # the plan: x + h + h + ... as one ordered sum (bitwise the repeated x + h)
+            # up to x_max, or to where sqrt(q) x leaves the reach of the n points
+            reach = max(self.x_break, (n - 3) * h)
+            far = x_max if sq * x_max <= reach else reach / sq
+            xb = np.cumsum(np.append(x, np.full(max(int((far - x) / h), 0) + 3, h)))
+            u = sq * xb
+            past = (u > self.x_break) & (u / h >= n - 3)  # the stencil at u ends past point n - 1
+            go = (xb[1:-1] < x_max) & (u[2:] <= xb[1:-1]) & ~past[2:]
+            clamped = past[1]
+            steps = 1 if clamped else 1 + int(np.logical_and.accumulate(go).sum())
+            xb = xb[:steps + 1]
             inner = self._at(np.concatenate((sq * xb, sq * (xb[:-1] + h / 2))), n, slice(1, 3))
             # float_power rounds like Python's scalar ** 2; numpy's ** can differ in the last bit
             a = self.q * np.float_power(inner[0], 2.0)
             b = self.q * inner[1]
             a0, ah = a[:steps + 1].tolist(), a[steps + 1:].tolist()
             b0, bh = b[:steps + 1].tolist(), b[steps + 1:].tolist()
-            self._reserve(n + steps)
-            new_w, new_wp = [], []
-            try:
-                for s in range(steps):
-                    k1 = -w * w + a0[s] - b0[s] + R
-                    v = w + h * k1 / 2
-                    k2 = -v * v + ah[s] - bh[s] + R
-                    v = w + h * k2 / 2
-                    k3 = -v * v + ah[s] - bh[s] + R
-                    v = w + h * k3
-                    k4 = -v * v + a0[s + 1] - b0[s + 1] + R
-                    w = w + h * (k1 + 2 * k2 + 2 * k3 + k4) / 6
-                    x = xs[s + 1]
-                    if not math.isfinite(w) or abs(w) > cap:
-                        raise HorizonExceededError(f"continuation diverged near x = {x:.3f}")
-                    new_w.append(w)
-                    new_wp.append(-w * w + a0[s + 1] - b0[s + 1] + R)
-            finally:
-                m = len(new_w)
-                self._table[:, n:n + m] = xs[1:m + 1], new_w, new_wp
-                self._n = n = n + m
+            ws = []
+            for ak, bk, am, bm, al, bl in zip(a0, b0, ah, bh, a0[1:], b0[1:]):
+                k1 = -w * w + ak - bk + R
+                v = w + h * k1 / 2
+                k2 = -v * v + am - bm + R
+                v = w + h * k2 / 2
+                k3 = -v * v + am - bm + R
+                v = w + h * k3
+                k4 = -v * v + al - bl + R
+                w = w + h * (k1 + 2 * k2 + 2 * k3 + k4) / 6
+                ws.append(w)
+            # the commit: the steps before the first W that is not finite or above the
+            # cap (NaN and inf fail |W| <= cap), and W' at their points
+            m = int(np.logical_and.accumulate(np.abs(ws) <= self._w_cap).sum())
+            wb = np.array(ws[:m])
+            self._reserve(n + m)
+            self._table[:, n:n + m] = xb[1:m + 1], wb, -wb * wb + a[1:m + 1] - b[1:m + 1] + R
+            self._n = n = n + m
+            if m < steps:
+                raise HorizonExceededError(f"continuation diverged near x = {xb[m + 1]:.3f}")
             if clamped:
                 # W' at the new point sees W with that point already appended
                 a1 = self.q * np.float_power(self._at(sq * xb[1:], n, 1)[0], 2.0)
                 self._table[2, n - 1] = -w * w + a1 - b0[1] + R
+            x = float(xb[-1])
+
+    def _read(self, x, row) -> np.ndarray:
+        """W (row 1) or W' (row 2) at |x|, the table extended to reach it."""
+        a = np.abs(x)
+        self.ensure(float(np.max(a)) + 2 * self.step)
+        return self._at(a, self._n, row)
 
     def w(self, x) -> np.ndarray:
         """W(x), vectorized; odd extension for negative arguments."""
         x = np.atleast_1d(np.asarray(x, dtype=float))
         if self.q == 1.0:
             return self.coeffs.c0 * x
-        a = np.abs(x)
-        self.ensure(float(np.max(a)) + 2 * self.step)
-        return np.sign(x) * self._at(a, self._n, 1)
+        return np.sign(x) * self._read(x, 1)
 
     def wp(self, x) -> np.ndarray:
         """W'(x), vectorized; even in x."""
         x = np.atleast_1d(np.asarray(x, dtype=float))
         if self.q == 1.0:
             return np.full_like(x, self.coeffs.c0)
-        a = np.abs(x)
-        self.ensure(float(np.max(a)) + 2 * self.step)
-        return self._at(a, self._n, 2)
+        return self._read(x, 2)
 
     def defining_residual(self, x) -> np.ndarray:
         """|W^2 + W' - q W(sqrt(q)x)^2 + q W'(sqrt(q)x) - R| pointwise.

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from siqm import SeriesCoefficients, SelfSimilarW, series_coefficients
+from siqm import HorizonExceededError, SeriesCoefficients, SelfSimilarW, series_coefficients
 from siqm.series import ratio_sequence
 
 # Taylor series of tanh x (exact rationals), the q = 0 one-soliton limit
@@ -153,15 +153,6 @@ def test_defining_residual_random_parameter_sweep():
         assert np.max(eng.defining_residual(x)) <= 1e-6 * max(1.0, eng.R)
 
 
-def test_negative_remainder_branch_diverges():
-    # c0 < 0 gives R < 0: no saturation value exists and the outward march
-    # blows up in finite x, which the divergence guard reports
-    from siqm import HorizonExceededError
-    eng = SelfSimilarW(series_coefficients(0.5, -1.0, 40))
-    with pytest.raises(HorizonExceededError):
-        eng.ensure(10.0)
-
-
 def _lagrange6(table, u, h):
     # 6-point Lagrange on the uniform table, clamped to its last six points
     i = max(2, min(int(u / h), len(table) - 4))
@@ -180,19 +171,32 @@ def _reference_march(eng, x_max):
     """The pantograph march one scalar RK4 step at a time, as lists.
 
     Each right-hand side reads the table as it stands at that moment, so a
-    stencil past the end is clamped to the points built so far. Returns the
-    table (x, W, W') and the number of such clamped reads.
+    stencil past the end is clamped to the points built so far. The march
+    stops at the first W that is not finite or exceeds the engine's cap.
+    Returns the table (x, W, W') of the steps before it, the number of
+    clamped reads, and the x of the diverged step (None if none diverged).
     """
     q, R, h, sq = eng.q, eng.R, eng.step, np.sqrt(eng.q)
     xs = np.arange(int(min(eng.x_break, x_max + 4 * h) / h) + 1) * h
     X, W, Wp = list(xs), list(eng._series(xs, 1)), list(eng._series(xs, 2))
+    terms = eng._terms[1:].T.tolist()  # the (W, W') coefficient of each series term
     clamped = 0
+
+    def series(u):
+        # the engine's partial sums at one point, in the same order of operations
+        iw = iwp = 0.0
+        uw, uwp, u2 = u, 1.0, u * u
+        for tw, twp in terms:
+            iw += tw * uw
+            iwp += twp * uwp
+            uw, uwp = uw * u2, uwp * u2
+        return iw, iwp
 
     def rhs(x, w):
         nonlocal clamped
         u = sq * x
         if u <= eng.x_break:
-            iw, iwp = eng._series(np.array([u]), slice(1, 3))[:, 0].tolist()
+            iw, iwp = series(u)
         else:
             clamped += int(u / h) > len(Wp) - 4
             iw, iwp = _lagrange6(W, u, h), _lagrange6(Wp, u, h)
@@ -206,17 +210,39 @@ def _reference_march(eng, x_max):
         k4 = rhs(x + h, w + h * k3)
         w = w + h * (k1 + 2 * k2 + 2 * k3 + k4) / 6
         x = x + h
+        if not np.isfinite(w) or abs(w) > eng._w_cap:
+            return np.array([X, W, Wp]), clamped, x
         X.append(x)
         W.append(w)
         Wp.append(rhs(x, w))
-    return np.array([X, W, Wp]), clamped
+    return np.array([X, W, Wp]), clamped, None
 
 
-@pytest.mark.parametrize("q, step", [(0.3, 0.005), (0.7, 0.005), (0.95, 0.005),
-                                     (0.99, 0.005), (0.99, 0.02)])
+@pytest.mark.parametrize("q, c0, near, points", [(0.5, -1.0, "1.700", 340),
+                                                  (0.3, -0.5, "2.200", 440),
+                                                  (0.9, -2.0, "2.260", 452)])
+def test_negative_remainder_branch_diverges(q, c0, near, points):
+    # c0 < 0 gives R < 0: no saturation value exists and the outward march
+    # blows up in finite x. The guard names the x of the first diverged step
+    # and keeps the steps before it, exactly as a scalar march stops.
+    eng = SelfSimilarW(series_coefficients(q, c0, 40))
+    ref, _, x_ref = _reference_march(eng, 10.0)
+    with pytest.raises(HorizonExceededError) as err:
+        eng.ensure(10.0)
+    assert str(err.value) == f"continuation diverged near x = {x_ref:.3f}"
+    assert f"{x_ref:.3f}" == near
+    assert eng._n == ref.shape[1] == points
+    assert np.array_equal(eng._table[:, :eng._n], ref)
+
+
+# q = 0 has sqrt(q) = 0: an error filter fails any division by it
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("q, step", [(0.0, 0.005), (0.05, 0.005), (0.3, 0.005), (0.7, 0.005),
+                                     (0.95, 0.005), (0.99, 0.005), (0.99, 0.02)])
 def test_blocked_march_matches_scalar_reference(q, step):
     eng = SelfSimilarW(series_coefficients(q, 1.0, 60), step=step)
-    ref, clamped = _reference_march(eng, 12.0)
+    ref, clamped, diverged = _reference_march(eng, 12.0)
+    assert diverged is None
     eng.ensure(12.0)
     assert np.array_equal(eng._table[:, :eng._n], ref)
     if step == 0.02:
@@ -233,20 +259,28 @@ def test_blocked_march_matches_scalar_reference(q, step):
     assert eng._n == ref.shape[1]  # evaluation inside the table did not extend it
 
 
-@pytest.mark.parametrize("q", [0.3, 0.7, 0.95, 0.99])
-def test_grown_table_equals_fresh_table(q):
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("step", [0.005, 0.02])
+@pytest.mark.parametrize("q", [0.0, 0.05, 0.3, 0.7, 0.95, 0.99])
+def test_grown_table_equals_fresh_table(q, step):
+    # where the march is cut into blocks cannot move a bit: x_max just past
+    # the break point, between grid points and mid-block, and step 0.02,
+    # whose q = 0.99 march takes clamped single steps
     sc = series_coefficients(q, 1.0, 60)
-    grown, fresh = SelfSimilarW(sc), SelfSimilarW(sc)
-    for x_max in (5.0, 12.0, 40.0):
-        grown.ensure(x_max)
+    fresh = SelfSimilarW(sc, step=step)
     fresh.ensure(40.0)
-    assert np.array_equal(grown._table[:, :grown._n], fresh._table[:, :fresh._n])
+    edge = fresh.x_break
+    for x_maxes in ((5.0, 12.0, 40.0), (edge + step / 2, edge + 2 * step, 3.1, 7.77, 40.0)):
+        grown = SelfSimilarW(sc, step=step)
+        for x_max in x_maxes:
+            grown.ensure(x_max)
+        assert np.array_equal(grown._table[:, :grown._n], fresh._table[:, :fresh._n])
 
 
-def _mp_coefficients(q, c0, K):
-    """The recursion at 50 digits on the float inputs, as mpf values."""
+def _mp_coefficients(q, c0, K, dps=50):
+    """The recursion at dps digits on the float inputs, as mpf values."""
     import mpmath
-    with mpmath.workdps(50):
+    with mpmath.workdps(dps):
         q, c = mpmath.mpf(q), [mpmath.mpf(c0)]
         for k in range(K):
             conv = mpmath.fsum(c[i] * c[k - i] for i in range(k + 1))
@@ -266,3 +300,64 @@ def test_series_recursion_matches_mpmath(q, c0):
         for k in np.flatnonzero(got):
             bound = 4 * (k + 1) * np.finfo(float).eps * abs(ref[k])
             assert abs(mpmath.mpf(got[k]) - ref[k]) <= bound, k
+
+
+def _method_of_steps(q, c0, x_max, K=120, dps=40, deg=60):
+    """W and W' on [0, x_max] by the method of steps, independent of SelfSimilarW.
+
+    Shell 0 is [0, r0], r0 half the ratio-test radius of a K-term series
+    summed in mpmath. Shell k is [r, r/sqrt(q)], where the delayed terms at
+    sqrt(q) x fall in shell k - 1, so W' = -W^2 + q W(sqrt(q) x)^2
+    - q W'(sqrt(q) x) + R is an ordinary ODE there, solved by DOP853 from
+    the end value of the shell before. Each shell is frozen into degree-deg
+    Chebyshev fits of W and W'. Returns an evaluator f(x, d) of W (d = 0)
+    and W' (d = 1) at x >= 0.
+    """
+    import mpmath
+    from numpy.polynomial import Chebyshev
+    from scipy.integrate import solve_ivp
+
+    R, sq = (1 + q) * c0, np.sqrt(q)
+    c = _mp_coefficients(q, c0, K, dps)
+    with mpmath.workdps(dps):
+        def series(xs, d):
+            return np.array([float(mpmath.fsum((2 * j + 1) ** d * cj * mpmath.mpf(x) ** (2 * j + 1 - d)
+                                               for j, cj in enumerate(c))) for x in xs])
+
+        edges = [0.0, float(mpmath.sqrt(abs(c[-2] / c[-1]))) / 2]
+        fits = [tuple(Chebyshev.interpolate(lambda xs: series(xs, d), deg, edges) for d in (0, 1))]
+        w0 = float(series(edges[1:], 0)[0])
+    while edges[-1] < x_max:
+        a, b = edges[-1], edges[-1] / sq
+        inner_w, inner_wp = fits[-1]
+
+        def rhs(x, w):
+            u = sq * x
+            return -w * w + q * inner_w(u) ** 2 - q * inner_wp(u) + R
+
+        sol = solve_ivp(rhs, (a, b), [w0], method="DOP853", rtol=1e-13, atol=1e-15,
+                        dense_output=True)
+        fits.append((Chebyshev.interpolate(lambda xs: sol.sol(xs)[0], deg, (a, b)),
+                     Chebyshev.interpolate(lambda xs: rhs(xs, sol.sol(xs)[0]), deg, (a, b))))
+        w0 = sol.y[0, -1]
+        edges.append(b)
+
+    def evaluate(x, d):
+        shell = np.searchsorted(edges, x, side="right") - 1
+        out = np.empty_like(x)
+        for k, fit in enumerate(fits):
+            at = np.minimum(shell, len(fits) - 1) == k
+            out[at] = fit[d](x[at])
+        return out
+    return evaluate
+
+
+def test_continuation_matches_a_method_of_steps_reference():
+    # the engine's RK4 step h = 0.005 and its 60-term series; the reference
+    # fits agree with themselves to about 1e-14
+    q, c0 = 0.5, 1 / 1.5
+    ref = _method_of_steps(q, c0, 40.0)
+    eng = SelfSimilarW(series_coefficients(q, c0, 60))
+    x = np.linspace(0.0, 40.0, 4001)
+    assert np.max(np.abs(eng.w(x) - ref(x, 0))) <= 1e-10
+    assert np.max(np.abs(eng.wp(x) - ref(x, 1))) <= 1e-9
