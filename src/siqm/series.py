@@ -207,8 +207,9 @@ class SelfSimilarW:
             if sq * (x + h) > x and x > 0:
                 raise HorizonExceededError(
                     "step too large for the contracted argument near the series edge")
-            # the plan: x + h + h + ... as one ordered sum (bitwise the repeated x + h)
-            # up to x_max, or to where sqrt(q) x leaves the reach of the n points
+            # the plan: x + h + h + ... as one ordered sum (bitwise the repeated x + h),
+            # cut where `go` first fails; `far` only sizes the sum, and a sum that falls
+            # short just ends the block early, the next block resuming from its last x
             reach = max(self.x_break, (n - 3) * h)
             far = x_max if sq * x_max <= reach else reach / sq
             xb = np.cumsum(np.append(x, np.full(max(int((far - x) / h), 0) + 3, h)))

@@ -277,10 +277,10 @@ def test_grown_table_equals_fresh_table(q, step):
         assert np.array_equal(grown._table[:, :grown._n], fresh._table[:, :fresh._n])
 
 
-def _mp_coefficients(q, c0, K, dps=50):
-    """The recursion at dps digits on the float inputs, as mpf values."""
+def _mp_coefficients(q, c0, K):
+    """The recursion at 50 digits on the float inputs, as mpf values."""
     import mpmath
-    with mpmath.workdps(dps):
+    with mpmath.workdps(50):
         q, c = mpmath.mpf(q), [mpmath.mpf(c0)]
         for k in range(K):
             conv = mpmath.fsum(c[i] * c[k - i] for i in range(k + 1))
@@ -302,14 +302,14 @@ def test_series_recursion_matches_mpmath(q, c0):
             assert abs(mpmath.mpf(got[k]) - ref[k]) <= bound, k
 
 
-def _method_of_steps(q, c0, x_max, K=120, dps=40, deg=60):
+def _method_of_steps(q, c0, x_max):
     """W and W' on [0, x_max] by the method of steps, independent of SelfSimilarW.
 
-    Shell 0 is [0, r0], r0 half the ratio-test radius of a K-term series
-    summed in mpmath. Shell k is [r, r/sqrt(q)], where the delayed terms at
-    sqrt(q) x fall in shell k - 1, so W' = -W^2 + q W(sqrt(q) x)^2
+    Shell 0 is [0, r0], r0 half the ratio-test radius of a 120-term series
+    summed in 50-digit mpmath. Shell k is [r, r/sqrt(q)], where the delayed
+    terms at sqrt(q) x fall in shell k - 1, so W' = -W^2 + q W(sqrt(q) x)^2
     - q W'(sqrt(q) x) + R is an ordinary ODE there, solved by DOP853 from
-    the end value of the shell before. Each shell is frozen into degree-deg
+    the end value of the shell before. Each shell is frozen into degree-60
     Chebyshev fits of W and W'. Returns an evaluator f(x, d) of W (d = 0)
     and W' (d = 1) at x >= 0.
     """
@@ -317,9 +317,9 @@ def _method_of_steps(q, c0, x_max, K=120, dps=40, deg=60):
     from numpy.polynomial import Chebyshev
     from scipy.integrate import solve_ivp
 
-    R, sq = (1 + q) * c0, np.sqrt(q)
-    c = _mp_coefficients(q, c0, K, dps)
-    with mpmath.workdps(dps):
+    R, sq, deg = (1 + q) * c0, np.sqrt(q), 60
+    c = _mp_coefficients(q, c0, 120)
+    with mpmath.workdps(50):
         def series(xs, d):
             return np.array([float(mpmath.fsum((2 * j + 1) ** d * cj * mpmath.mpf(x) ** (2 * j + 1 - d)
                                                for j, cj in enumerate(c))) for x in xs])
