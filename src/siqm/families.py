@@ -23,6 +23,7 @@ family_from_config and the CLI.
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import ClassVar
 
 import numpy as np
@@ -66,13 +67,13 @@ class ParameterRule:
         return a1 + (index - 1) * self.shift_delta
 
 
-@dataclass
+@dataclass(frozen=True)
 class PotentialFamily(ABC):
     """A superpotential family: W(x; a), its parameter rule and remainder R(a).
 
     A subclass sets `name`, `rule` and `box` and defines W, R and
     closed_levels; it may narrow the parameter domain (in_domain) and extend
-    the config keys.
+    the config keys. A family is frozen: new fields need @dataclass(frozen=True).
     """
 
     name: ClassVar[str]
@@ -123,7 +124,7 @@ class PotentialFamily(ABC):
                       in cls.config_keys.items() if key in cfg})
 
 
-@dataclass
+@dataclass(frozen=True)
 class Harmonic(PotentialFamily):
     """W = lam*x with the identity parameter map and constant remainder 2*lam."""
 
@@ -143,7 +144,7 @@ class Harmonic(PotentialFamily):
         return 2.0 * self.a1 * np.arange(n_max + 1)
 
 
-@dataclass
+@dataclass(frozen=True)
 class Morse(PotentialFamily):
     """W = A - exp(-x) in the alpha = B = 1 convention; a -> a - 1 per step.
 
@@ -172,7 +173,7 @@ class Morse(PotentialFamily):
         return self.a1 ** 2 - (self.a1 - np.arange(n_max + 1)) ** 2
 
 
-@dataclass
+@dataclass(frozen=True)
 class SelfSimilar(PotentialFamily):
     """W from the power-series solver, a -> q a, R(a) = c a.
 
@@ -189,29 +190,26 @@ class SelfSimilar(PotentialFamily):
     c: float = 1.0
     a1: float = 1.0
     series_order: int = 60
-    _engine: SelfSimilarW | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        self.rule = ParameterRule("scaling", factor_q=self.q)
+        object.__setattr__(self, "rule", ParameterRule("scaling", factor_q=self.q))
         if not self.in_domain(self.a1):
             raise OutOfDomainError("scaling family needs a1 > 0")
         if self.series_order < 1:
             raise ValueError(f"scaling family needs series order >= 1, got {self.series_order}")
 
+    @cached_property
     def engine(self) -> SelfSimilarW:
-        """Lazily built series/continuation evaluator of W(x; a1)."""
-        if self._engine is None:
-            c0 = self.c * self.a1 / (1.0 + self.q)
-            coeffs = series_coefficients(self.q, c0, self.series_order)
-            self._engine = SelfSimilarW(coeffs)
-        return self._engine
+        """Series/continuation evaluator of W(x; a1), built from the fields on first use."""
+        c0 = self.c * self.a1 / (1.0 + self.q)
+        return SelfSimilarW(series_coefficients(self.q, c0, self.series_order))
 
     def W(self, x, a):
         # scaling law: W(x; a) = s * W(s x; a1) with s = sqrt(a / a1)
         if not self.in_domain(a):
             raise OutOfDomainError(f"scaling family needs a > 0, got {a}")
         s = np.sqrt(a / self.a1)
-        return s * self.engine().w(s * x)
+        return s * self.engine.w(s * x)
 
     def R(self, a):
         return self.c * a

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import _lagrange
+from .grid import _STENCIL, _lagrange
 
 # nonzero coefficients the ratio test needs before it estimates a radius
 _RADIUS_TAIL = 6
@@ -173,6 +173,10 @@ class SelfSimilarW:
         ser = u <= self.x_break
         if ser.all():
             return self._series(u, row)
+        if n < len(_STENCIL):
+            raise HorizonExceededError(
+                f"interpolation needs a W table of {len(_STENCIL)} points; "
+                f"at step {self.step} it holds {n}")
         rows = self._table[row]
         if not ser.any():
             return _lagrange(u / self.step, n, rows)

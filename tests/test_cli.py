@@ -483,6 +483,18 @@ def test_arithmetic_outside_the_floats_exits_1_without_files(tmp_path, monkeypat
       "--grid-points", "801"], "continuation diverged near x = 1.700"),
     (["spectrum", "--family", "harmonic", "--levels", "15", "--grid-min", "-1",
       "--grid-max", "1", "--grid-points", "16"], "16 levels asked of a 16-point grid"),
+    # a large c a1 leaves a W table shorter than the 6-point stencil (an IndexError
+    # escaped as a traceback), and a step too coarse for the contracted argument
+    (["coeffs", "--q", "0.5", "--c0", "1e6", "--grid-min", "-1", "--grid-max", "1",
+      "--grid-points", "101"], "a W table of 6 points; at step 0.005 it holds 1"),
+    (["coeffs", "--q", "0.3", "--c0", "1e4", "--order", "60", "--grid-min", "-0.5",
+      "--grid-max", "1e3", "--grid-points", "101"], "at step 0.005 it holds 5"),
+    (["spectrum", "--q", "0.3", "--c", "50", "--a1", "1e5", "--order", "8", "--levels", "1",
+      "--grid-min", "-3", "--grid-max", "3", "--grid-points", "17"], "it holds 1"),
+    (["verify", "--suite", "lattice-algebra", "--q", "0.5", "--c", "1e4", "--a1", "1e5",
+      "--order", "5"], "it holds 1"),
+    (["coeffs", "--q", "0.5", "--c0", "1e4", "--grid-min", "-1", "--grid-max", "1",
+      "--grid-points", "101"], "step too large for the contracted argument near the series edge"),
 ])
 def test_numerical_refusal_exits_1_without_files(tmp_path, monkeypatch, capsys, argv, named):
     monkeypatch.chdir(tmp_path)
@@ -490,6 +502,13 @@ def test_numerical_refusal_exits_1_without_files(tmp_path, monkeypatch, capsys, 
     assert run_command([*argv, target, str(tmp_path / "o.csv")]) == 1
     assert named in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
+
+
+def test_a_run_without_out_writes_only_its_manifest(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert run_command(["coherent", "--levels", "5"]) == 0
+    assert [p.name for p in tmp_path.iterdir()] == ["coherent.manifest.json"]
+    assert read_strict_json(tmp_path / "coherent.manifest.json")["outputs"] == []
 
 
 def test_eigensolver_failure_exits_1_without_files(tmp_path, monkeypatch, capsys):

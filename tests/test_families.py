@@ -2,7 +2,7 @@
 
 import json
 import re
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass, fields, replace
 
 import numpy as np
 import pytest
@@ -44,7 +44,7 @@ class PoschlTeller(PotentialFamily):
 PT_GRID = Grid(-20, 20, 4001)
 
 
-@dataclass
+@dataclass(frozen=True)
 class RosenMorseII(PotentialFamily):
     """W = a tanh x + B/a, a -> a - 1; bound while a^2 > |B|.
 
@@ -72,7 +72,7 @@ class RosenMorseII(PotentialFamily):
         return self.a1 ** 2 - a ** 2 + self.B ** 2 / self.a1 ** 2 - self.B ** 2 / a ** 2
 
 
-@dataclass
+@dataclass(frozen=True)
 class ScarfII(PotentialFamily):
     """W = a tanh x + B sech x, a -> a - 1, R(a) = a^2 - (a-1)^2, E_n = a1^2 - (a1-n)^2."""
 
@@ -146,8 +146,35 @@ def test_eval_w_selfsimilar_scaling_law():
     g = Grid(-8, 8, 401)
     W2 = eval_W(fam, 0.5, g)
     sq = np.sqrt(0.5)
-    ref = sq * fam.engine().w(sq * g.x)
+    ref = sq * fam.engine.w(sq * g.x)
     assert np.max(np.abs(W2 - ref)) < 1e-12
+
+
+@pytest.mark.parametrize("fam, name, value", [
+    (Harmonic(a1=1.0), "a1", 2.0), (Morse(a1=2.5), "a1", 3.5),
+    (SelfSimilar(q=0.5), "q", 0.9), (SelfSimilar(q=0.5), "q", 2.0),
+    (SelfSimilar(q=0.5), "series_order", 30), (RosenMorseII(a1=4.0, B=2.0), "B", 1.0)])
+def test_family_fields_cannot_be_assigned(fam, name, value):
+    # rule, the engine and the W samples derive from the fields, which therefore stay fixed
+    with pytest.raises(FrozenInstanceError):
+        setattr(fam, name, value)
+    assert getattr(fam, name) != value
+
+
+def test_selfsimilar_derives_its_engine_from_its_fields():
+    assert "_engine" not in {f.name for f in fields(SelfSimilar)}
+    with pytest.raises(TypeError):
+        SelfSimilar(q=0.5, _engine=None)
+    # the replaced family keeps neither the engine nor the W samples of q = 0.5
+    g = Grid(-3, 3, 61)
+    fam = SelfSimilar(q=0.5)
+    eval_W(fam, fam.a1, g)
+    other = replace(fam, q=0.9)
+    assert other.rule.factor_q == 0.9
+    assert other.engine is not fam.engine
+    assert eval_W(other, 1.0, g).tobytes() == eval_W(SelfSimilar(q=0.9), 1.0, g).tobytes()
+    with pytest.raises(ValueError):
+        replace(fam, q=2.0)
 
 
 @pytest.mark.parametrize("fam", [Harmonic(a1=1.0), Morse(a1=2.5),

@@ -16,6 +16,14 @@ def test_q1_series_is_linear():
     sc = series_coefficients(1.0, 1.0, 12)
     assert sc.coeffs[0] == 1.0
     assert np.all(sc.coeffs[1:] == 0.0)
+    # W = c0 x everywhere: no saturation value, no table, W' = c0
+    eng = SelfSimilarW(sc)
+    assert eng.w_infinity == np.inf
+    eng.ensure(40.0)
+    assert eng._n == 0
+    x = np.linspace(-40.0, 40.0, 81)
+    assert np.array_equal(eng.w(x), x)
+    assert np.array_equal(eng.wp(x), np.ones_like(x))
 
 
 def test_q0_series_is_tanh():
@@ -235,6 +243,14 @@ def test_negative_remainder_branch_diverges(q, c0, near, points):
     assert np.array_equal(eng._table[:, :eng._n], ref)
 
 
+def test_a_table_shorter_than_the_interpolation_stencil_is_refused():
+    # x_break 1.27 at step 2.0: the march reads a 2-point table with a 6-point stencil
+    eng = SelfSimilarW(series_coefficients(0.2, 1.0, 60), step=2.0)
+    with pytest.raises(HorizonExceededError,
+                       match="interpolation needs a W table of 6 points; at step 2.0 it holds 2"):
+        eng.ensure(40.0)
+
+
 # q = 0 has sqrt(q) = 0: an error filter fails any division by it
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("q, step", [(0.0, 0.005), (0.05, 0.005), (0.3, 0.005), (0.7, 0.005),
@@ -352,10 +368,11 @@ def _method_of_steps(q, c0, x_max):
     return evaluate
 
 
-def test_continuation_matches_a_method_of_steps_reference():
+@pytest.mark.parametrize("q", [0.3, 0.5, 0.9])
+def test_continuation_matches_a_method_of_steps_reference(q):
     # the engine's RK4 step h = 0.005 and its 60-term series; the reference
     # fits agree with themselves to about 1e-14
-    q, c0 = 0.5, 1 / 1.5
+    c0 = 1 / (1 + q)
     ref = _method_of_steps(q, c0, 40.0)
     eng = SelfSimilarW(series_coefficients(q, c0, 60))
     x = np.linspace(0.0, 40.0, 4001)
