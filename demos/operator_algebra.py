@@ -11,14 +11,10 @@ come out at rounding level, relations that encode the factorization
 condition carry the superpotential solver's accuracy (~1e-8).
 """
 
-import warnings
-
 from siqm import (RELATIONS, adjoint_pair_residual, commutator_residual,
                   dilation_identity_residual, energy_levels, Grid,
                   matrix_identities, SelfSimilar)
 from siqm.cli import MATRIX_TOL
-
-warnings.filterwarnings("ignore")
 
 fam = SelfSimilar(q=0.5, c=1.0, a1=1.0)
 grid = Grid(-15, 15, 3001)

@@ -20,7 +20,7 @@ from siqm import (BoundaryDecayWarning, Grid, energy_levels,
                   fd_diagonalize, Harmonic, Morse,
                   SelfSimilar)
 
-warnings.filterwarnings("ignore")
+warnings.filterwarnings("ignore", category=BoundaryDecayWarning)
 
 print("=== harmonic fixture (lambda = 1): E_n = 2 n ===")
 fam = Harmonic(a1=1.0)

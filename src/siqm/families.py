@@ -249,8 +249,8 @@ def eval_W(family: PotentialFamily, a: float, grid: Grid) -> np.ndarray:
     return W
 
 
-def suggested_grid(family: PotentialFamily, spacing: float = 0.01) -> Grid:
-    """The family's box hint sampled at the given spacing.
+def suggested_grid(family: PotentialFamily) -> Grid:
+    """The family's box hint sampled at spacing 0.01.
 
     The box is a fixed default and is not sized for the requested levels:
     at q = 0.5, c = a1 = 1 the scaling box [-40, 40] holds levels up to
@@ -259,7 +259,7 @@ def suggested_grid(family: PotentialFamily, spacing: float = 0.01) -> Grid:
     box from the physics instead.
     """
     lo, hi = family.box
-    n = int(round((hi - lo) / spacing)) + 1
+    n = int(round((hi - lo) / 0.01)) + 1
     return Grid(lo, hi, n)
 
 

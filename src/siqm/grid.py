@@ -176,20 +176,20 @@ _STENCIL_M = np.array([[m for m in _STENCIL if m != j] for j in _STENCIL])
 _STENCIL_DEN = (_STENCIL[:, None] - _STENCIL_M).astype(float)
 
 
-def _lagrange(pos: np.ndarray, n: int, tables: np.ndarray) -> np.ndarray:
-    """6-point Lagrange interpolation of the first n points of each table row.
+def _lagrange(pos: np.ndarray, tables: np.ndarray) -> np.ndarray:
+    """6-point Lagrange interpolation of each table row, read whole.
 
     pos holds fractional indices into the rows. The high order keeps the
     pointwise interpolation noise near machine level, which matters because
     downstream ladder recursions amplify any grid-scale noise. A stencil
-    that would reach past point n is clamped to the last six points, and
-    one before point 0 to the first six.
+    that would reach past the last point is clamped to the last six points,
+    and one before point 0 to the first six.
     """
-    i = np.maximum(np.minimum(pos.astype(np.intp), n - 4), 2)
+    i = np.maximum(np.minimum(pos.astype(np.intp), tables.shape[-1] - 4), 2)
     t = pos - i
     f = (t[:, None, None] - _STENCIL_M) / _STENCIL_DEN
     weights = f[..., 0] * f[..., 1] * f[..., 2] * f[..., 3] * f[..., 4]
-    terms = weights * tables[..., :n][..., i[:, None] + _STENCIL]
+    terms = weights * tables[..., i[:, None] + _STENCIL]
     # summed left to right from 0.0 like the scalar form, so tables stay bitwise stable
     acc = 0.0
     for j in range(len(_STENCIL)):
@@ -222,8 +222,7 @@ def dilate(psi: np.ndarray, grid: Grid, s: float, unitary: bool = True) -> np.nd
     target = s * grid.x
     inside = (target >= grid.x_min) & (target <= grid.x_max)
     amps = np.zeros(grid.n_points, dtype=complex)
-    amps[inside] = _lagrange((target[inside] - grid.x_min) / grid.spacing,
-                             grid.n_points, psi)
+    amps[inside] = _lagrange((target[inside] - grid.x_min) / grid.spacing, psi)
     if unitary:
         amps *= np.sqrt(s)
     return amps

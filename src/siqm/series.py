@@ -91,37 +91,38 @@ def ratio_sequence(coeffs: SeriesCoefficients) -> np.ndarray:
     return np.sqrt(np.abs(c[nz[:-1]] / c[nz[1:]]))
 
 
-def _ratio_radius(ratios: np.ndarray, tail: int = _RADIUS_TAIL) -> float:
-    """Ratio-test radius in x: the median of the last `tail` ratios.
+def _ratio_radius(ratios: np.ndarray) -> float:
+    """Ratio-test radius in x: the median of the last _RADIUS_TAIL ratios.
 
-    +inf when fewer than tail coefficients are nonzero. That is a
+    +inf when fewer than _RADIUS_TAIL coefficients are nonzero. That is a
     polynomial series (q = 1), but also a series truncated too early to
     estimate, such as the q = 0 tanh series at K = 4, whose radius is pi/2.
     """
-    if len(ratios) < tail - 1:
+    if len(ratios) < _RADIUS_TAIL - 1:
         return np.inf
-    return float(np.median(ratios[-tail:]))
+    return float(np.median(ratios[-_RADIUS_TAIL:]))
 
 
 class SelfSimilarW:
     """Evaluator for W: direct series inside 0.8*radius, pantograph ODE outside.
 
-    The table holds rows (x, W, W') for x >= 0 (W is odd): the series region
-    up to x_break, tabulated on the first ensure(), then a classical RK4
-    march outward, extended on demand. One evaluator reads W and W' at any
-    u >= 0, the series up to x_break and 6-point Lagrange interpolation of
-    the table beyond, for w(), wp() and the march's delayed terms at the
-    contracted arguments sqrt(q) x and sqrt(q) (x + h/2).
+    The table holds rows (x, W, W') for x >= 0 (W is odd), exactly the
+    points built so far: the series region up to x_break, tabulated on the
+    first ensure(), then a classical RK4 march outward, extended on demand.
+    One evaluator reads W and W' at any u >= 0, the series up to x_break and
+    6-point Lagrange interpolation of the table beyond, for w(), wp() and
+    the march's delayed terms at the contracted arguments sqrt(q) x and
+    sqrt(q) (x + h/2).
 
     The march runs in blocks of one plan, one loop and one commit. The plan
     takes, from the current table length L, each following step while x_max
     is not reached, sqrt(q)(x + h) stays below x and the step's stencils lie
     inside those L points, and evaluates the delayed terms q W(u)^2 and
     q W'(u) of all its stages at once. The loop runs only the Riccati update
-    W' = -W^2 + ... The commit keeps the steps before the first W that
-    diverged and refuses that one. A step whose stencil would reach past the
-    table is a block of its own and reads the table clamped at its end, as
-    it stands at that point of the step.
+    W' = -W^2 + ... The commit appends the steps before the first W that
+    diverged to the table in one piece and refuses that one. A step whose
+    stencil would reach past the table is a block of its own and reads the
+    table clamped at its end, as it stands at that point of the step.
     """
 
     def __init__(self, coeffs: SeriesCoefficients, step: float = 0.005):
@@ -136,17 +137,11 @@ class SelfSimilarW:
         self.step = float(step)
         self.x_break = 0.8 * coeffs.radius_estimate
         self._sqrtq = np.sqrt(self.q)
-        # divergence guard: W should stay below its saturation value
-        if self.q < 1.0:
-            self._w_cap = 10.0 * max(1.0, np.sqrt(abs(self.R) / (1.0 - self.q)))
-        else:
-            self._w_cap = np.inf
         # term j of each table row's series: W sums c_j u^(2j+1), W' sums
         # (2j+1) c_j u^(2j); row 0 (x) is never summed
         self._terms = np.stack((0 * c, c, np.arange(1, 2 * len(c), 2) * c))
-        # rows x, W, W' of a preallocated table; the first _n columns are built
+        # rows x, W, W' of the points built so far
         self._table = np.empty((3, 0))
-        self._n = 0
 
     @property
     def w_infinity(self) -> float:
@@ -168,45 +163,39 @@ class SelfSimilarW:
             xp = xp * x2
         return out
 
-    def _at(self, u: np.ndarray, n: int, row):
-        """W (row 1), W' (row 2) or both (rows 1:3) at u >= 0, the table read to point n."""
+    def _at(self, u: np.ndarray, row):
+        """W (row 1), W' (row 2) or both (rows 1:3) at u >= 0, from the table as it stands."""
         ser = u <= self.x_break
         if ser.all():
             return self._series(u, row)
-        if n < len(_STENCIL):
+        if self._table.shape[1] < len(_STENCIL):
             raise HorizonExceededError(
                 f"interpolation needs a W table of {len(_STENCIL)} points; "
-                f"at step {self.step} it holds {n}")
+                f"at step {self.step} it holds {self._table.shape[1]}")
         rows = self._table[row]
         if not ser.any():
-            return _lagrange(u / self.step, n, rows)
+            return _lagrange(u / self.step, rows)
         out = np.empty(rows.shape[:-1] + u.shape)
         lead = (slice(None),) * (out.ndim - u.ndim)  # the row axis when both rows
         out[lead + (ser,)] = self._series(u[ser], row)
-        out[lead + (~ser,)] = _lagrange(u[~ser] / self.step, n, rows)
+        out[lead + (~ser,)] = _lagrange(u[~ser] / self.step, rows)
         return out
-
-    def _reserve(self, size: int):
-        if size > self._table.shape[1]:
-            table = np.empty((3, max(size, 2 * self._table.shape[1])))
-            table[:, :self._n] = self._table[:, :self._n]
-            self._table = table
 
     def ensure(self, x_max: float):
         """Extend the table so that |x| <= x_max is evaluable."""
         if self.q == 1.0:
             return  # W = c0 x globally, no table needed
         h = self.step
-        n = self._n
-        if n == 0:
+        if not self._table.size:
             # the series region, tabulated once
-            n = int(self.x_break / h) + 1
-            xs = np.arange(n) * h
+            xs = np.arange(int(self.x_break / h) + 1) * h
             self._table = np.vstack((xs, self._series(xs, slice(1, 3))))
-            self._n = n
         sq, R = self._sqrtq, self.R
-        x, w = self._table[:2, n - 1].tolist()
+        # divergence guard: W should stay below its saturation value
+        cap = 10.0 * max(1.0, np.sqrt(abs(R) / (1.0 - self.q)))
+        x, w = self._table[:2, -1].tolist()
         while x < x_max:
+            n = self._table.shape[1]
             # the contracted argument must stay inside the built table
             if sq * (x + h) > x and x > 0:
                 raise HorizonExceededError(
@@ -223,7 +212,7 @@ class SelfSimilarW:
             clamped = past[1]
             steps = 1 if clamped else 1 + int(np.logical_and.accumulate(go).sum())
             xb = xb[:steps + 1]
-            inner = self._at(np.concatenate((sq * xb, sq * (xb[:-1] + h / 2))), n, slice(1, 3))
+            inner = self._at(np.concatenate((sq * xb, sq * (xb[:-1] + h / 2))), slice(1, 3))
             # float_power rounds like Python's scalar ** 2; numpy's ** can differ in the last bit
             a = self.q * np.float_power(inner[0], 2.0)
             b = self.q * inner[1]
@@ -240,26 +229,25 @@ class SelfSimilarW:
                 k4 = -v * v + al - bl + R
                 w = w + h * (k1 + 2 * k2 + 2 * k3 + k4) / 6
                 ws.append(w)
-            # the commit: the steps before the first W that is not finite or above the
-            # cap (NaN and inf fail |W| <= cap), and W' at their points
-            m = int(np.logical_and.accumulate(np.abs(ws) <= self._w_cap).sum())
+            # the commit appends the steps before the first W that is not finite or above
+            # the cap (NaN and inf fail |W| <= cap), and W' at their points
+            m = int(np.logical_and.accumulate(np.abs(ws) <= cap).sum())
             wb = np.array(ws[:m])
-            self._reserve(n + m)
-            self._table[:, n:n + m] = xb[1:m + 1], wb, -wb * wb + a[1:m + 1] - b[1:m + 1] + R
-            self._n = n = n + m
+            built = xb[1:m + 1], wb, -wb * wb + a[1:m + 1] - b[1:m + 1] + R
+            self._table = np.concatenate((self._table, built), axis=1)
             if m < steps:
                 raise HorizonExceededError(f"continuation diverged near x = {xb[m + 1]:.3f}")
             if clamped:
                 # W' at the new point sees W with that point already appended
-                a1 = self.q * np.float_power(self._at(sq * xb[1:], n, 1)[0], 2.0)
-                self._table[2, n - 1] = -w * w + a1 - b0[1] + R
+                a1 = self.q * np.float_power(self._at(sq * xb[1:], 1)[0], 2.0)
+                self._table[2, -1] = -w * w + a1 - b0[1] + R
             x = float(xb[-1])
 
     def _read(self, x, row) -> np.ndarray:
         """W (row 1) or W' (row 2) at |x|, the table extended to reach it."""
         a = np.abs(x)
         self.ensure(float(np.max(a)) + 2 * self.step)
-        return self._at(a, self._n, row)
+        return self._at(a, row)
 
     def w(self, x) -> np.ndarray:
         """W(x), vectorized; odd extension for negative arguments."""

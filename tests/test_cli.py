@@ -495,6 +495,13 @@ def test_arithmetic_outside_the_floats_exits_1_without_files(tmp_path, monkeypat
       "--order", "5"], "it holds 1"),
     (["coeffs", "--q", "0.5", "--c0", "1e4", "--grid-min", "-1", "--grid-max", "1",
       "--grid-points", "101"], "step too large for the contracted argument near the series edge"),
+    # inputs refused before any arithmetic: a missing flag or config file, too few
+    # levels to evolve, a negative scale and a negative level count
+    (["coeffs", "--c0", "1"], "--q is required for coeffs"),
+    (["spectrum", "--config", "missing.json"], "cannot read config missing.json"),
+    (["evolve", "--levels", "1", "--t-max", "0.1"], "need dimension >= 3"),
+    (["spectrum", "--a1", "-1", "--levels", "2"], "scaling family needs a1 > 0"),
+    (["spectrum", "--levels", "-1"], "need n_max >= 0, got -1"),
 ])
 def test_numerical_refusal_exits_1_without_files(tmp_path, monkeypatch, capsys, argv, named):
     monkeypatch.chdir(tmp_path)

@@ -350,3 +350,14 @@ def test_best_fit_reads_the_weights_it_evolved_with():
     z, overlap = ev.best_fit_coherent()
     coh = lowering_eigenstate(np.diag(tab.raising_weights(4), 1), z)
     assert overlap == pytest.approx(overlap_with(psi, coh), rel=1e-14, abs=0)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: DriveProfile("ramp", 1.0), "unknown drive kind 'ramp'"),
+    (lambda: evolve_forced(energy_levels(Q1, 3), DriveProfile("const", 0.1), t_max=0.1,
+                           dt=0.002, sign_convention="x"),
+     "sign_convention must be 'paper' or 'conjugate'"),
+], ids=["drive-kind", "sign-convention"])
+def test_unknown_drive_or_sign_convention_is_refused(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

@@ -414,3 +414,13 @@ def test_closed_spectrum_family_levels_oracle_and_prenorm(fam, levels):
 def test_unknown_family_rejected():
     with pytest.raises(ValueError):
         family_from_config({"family": "poschl-teller"})
+
+
+@pytest.mark.parametrize("call, exc, message", [
+    (lambda: SelfSimilar().W(np.linspace(0.1, 1.0, 5), -1.0), OutOfDomainError,
+     "scaling family needs a > 0, got -1.0"),
+    (lambda: ParameterRule("affine"), ValueError, "unknown rule kind 'affine'"),
+], ids=["negative-a", "rule-kind"])
+def test_parameter_outside_the_family_or_rule_is_refused(call, exc, message):
+    with pytest.raises(exc, match=message):
+        call()

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from siqm import (BoundaryDecayWarning, Grid, GridMismatchError, InvalidRangeError,
-                  TooFewPointsError, apply_ladder, dilate, inner, norm)
+                  TooFewPointsError, apply_ladder, dilate, inner, norm, normalized)
 from siqm.grid import cumulative_integral, first_derivative, hamiltonian_bands
 from scipy.linalg import eig_banded
 
@@ -156,3 +156,22 @@ def test_first_derivative_fourth_order():
     f = np.sin(1.3 * g.x)
     d = first_derivative(f, g.spacing)
     assert np.max(np.abs(d - 1.3 * np.cos(1.3 * g.x))[5:-5]) < 1e-8
+
+
+@pytest.mark.parametrize("call, exc, message", [
+    (lambda g: normalized(np.zeros(g.n_points), g), ValueError,
+     "cannot normalize the zero function"),
+    (lambda g: apply_ladder(np.zeros(5), np.ones(g.n_points), g, "lower"), GridMismatchError,
+     "W sampled on a different grid than psi"),
+    (lambda g: apply_ladder(np.zeros(g.n_points), np.ones(g.n_points), g, "up"), ValueError,
+     "mode must be 'lower' or 'raise', got 'up'"),
+    (lambda g: dilate(np.ones(g.n_points), g, 0.0), ValueError,
+     "scale factor must be positive, got 0.0"),
+    (lambda g: hamiltonian_bands(np.zeros(5), g), GridMismatchError,
+     "W sampled on a different grid"),
+    (lambda g: cumulative_integral(np.ones(3), g.spacing), ValueError,
+     "need at least 4 samples"),
+], ids=["zero-state", "short-W", "ladder-mode", "zero-scale", "bands-short-W", "three-samples"])
+def test_grid_operation_refuses_what_it_cannot_compute(call, exc, message):
+    with pytest.raises(exc, match=message):
+        call(Grid(-5, 5, 101))

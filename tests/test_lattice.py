@@ -422,3 +422,15 @@ def test_shared_probes_and_reduction_equal_the_per_check_loops_bitwise(fam, grid
                                                       momentum).tobytes()
     for got, want in pairs:
         assert type(got) is float and got.hex() == want.hex()
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: adjoint_pair_residual(Harmonic(a1=1.0), GRID, 10, pair="X"),
+     r"pair must be one of \['B', 'K', 'S'\]"),
+    (lambda: dilation_identity_residual(Harmonic(a1=1.0), GRID),
+     "dilation identities require a scaling family"),
+    (lambda: dilation_identity_residual(Q5, GRID, which="yy9"), "which must be 'yy3' or 'yy6'"),
+], ids=["pair", "translation-family", "which"])
+def test_unknown_pair_or_identity_is_refused(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

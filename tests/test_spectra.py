@@ -280,3 +280,9 @@ def test_truncated_domain_warns():
     with pytest.warns(BoundaryDecayWarning):
         fam = Harmonic(a1=1.0)
         eigenstate_with_prenorm(fam, energy_levels(fam, 6), 6, Grid(-3.5, 3.5, 701))
+
+
+def test_negative_level_is_refused():
+    fam = Harmonic(a1=1.0)
+    with pytest.raises(ValueError, match="need n >= 0"):
+        eigenstate_with_prenorm(fam, energy_levels(fam, 2), -1, Grid(-5, 5, 101))
