@@ -21,13 +21,13 @@ The family flags are the config keys of the registered families: --q, --c,
 Every completed run (exit code 0 or 2) writes a manifest JSON recording the
 command, the effective parameters, tolerances in force, a result summary,
 and the output files. Exit codes: 0 success, 1 validation error, 2
-numerical failure (tolerance exceeded). Numeric CSV output is formatted
-with shortest round-trip floats and no timestamps, so identical parameter
-sets give bitwise-identical files on one platform.
+numerical failure (tolerance exceeded). CSV floats are Python's shortest
+round-trip repr, byte for byte, rendered by a vectorized formatter
+(`_csvfloat`); CSVs hold no timestamps, so identical parameter sets give
+bitwise-identical files on one platform.
 """
 
 import argparse
-import itertools
 import json
 import sys
 import warnings
@@ -37,6 +37,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
+from ._csvfloat import csv_chunks
 from .coherent import (coherent_closed_scaling, coherent_property_residuals,
                        coherent_recursive)
 from .dynamics import DriveProfile, evolve_forced
@@ -98,17 +99,19 @@ class _Parser(argparse.ArgumentParser):
 def _write_columns(path, outputs: list, header: list[str], *columns) -> None:
     """Write one CSV row per entry of the columns, if a path is given.
 
-    A column is a 1-D array or a 2-D block of columns. Values print as
-    their Python repr: ints plainly, floats as shortest round-trip strings.
+    A column is a 1-D array or a 2-D block of columns, of ints or floats.
+    Values print byte for byte as their Python repr: ints plainly, floats
+    as the shortest string that reads back to the same double. The rows
+    are rendered a few thousand values at a time (`_csvfloat`), and each
+    chunk is written as soon as it is formed.
     """
     if not path:
         return
     blocks = [np.asarray(col).reshape(len(col), -1) for col in columns]
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in zip(*blocks):
-            values = itertools.chain.from_iterable(part.tolist() for part in row)
-            fh.write(",".join(map(repr, values)) + "\n")
+    with open(path, "wb") as fh:
+        fh.write((",".join(header) + "\n").encode())
+        for chunk in csv_chunks(blocks):
+            fh.write(chunk)
     outputs.append(str(path))
 
 

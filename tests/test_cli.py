@@ -1,6 +1,7 @@
 """CLI surface: commands, config handling, manifests, exit codes."""
 
 import importlib
+import itertools
 import json
 import os
 import random
@@ -566,6 +567,62 @@ def test_evolve_manifest_records_the_best_fit(tmp_path):
     res = read_manifest(tmp_path / "evo.csv.manifest.json")["results"]
     assert res["best_fit_error"] is None
     assert len(res["best_fit_z"]) == 2 and 0 < res["best_fit_coherent_overlap"] <= 1
+
+
+def test_evolve_reports_a_best_fit_that_fails_and_still_writes_its_outputs(tmp_path,
+                                                                        monkeypatch):
+    def failing_fit(self):
+        raise ValueError("best fit left the floats")
+    monkeypatch.setattr(siqm.dynamics.ForcedEvolution, "best_fit_coherent", failing_fit)
+    out = tmp_path / "evo.csv"
+    assert run_command(["evolve", "--q", "0.8", "--levels", "6", "--t-max", "0.1",
+                        "--out", str(out)]) == 0
+    assert len(out.read_text().splitlines()) == 52
+    res = read_strict_json(tmp_path / "evo.csv.manifest.json")["results"]
+    assert res["best_fit_error"] == "best fit left the floats"
+    assert res["best_fit_z"] is None and res["best_fit_coherent_overlap"] is None
+
+
+def repr_csv(header, *columns):
+    """The per-row writer the CSVs were first written with: each value's repr."""
+    blocks = [np.asarray(col).reshape(len(col), -1) for col in columns]
+    lines = [",".join(header) + "\n"]
+    for row in zip(*blocks):
+        values = itertools.chain.from_iterable(part.tolist() for part in row)
+        lines.append(",".join(map(repr, values)) + "\n")
+    return "".join(lines).encode()
+
+
+@pytest.mark.parametrize("argv, files", [
+    (["spectrum", "--q", "0.5", "--levels", "6"], 1),
+    (["coeffs", "--q", "0.5", "--grid-min", "-5", "--grid-max", "5", "--grid-points", "1001"],
+     2),
+    (["eigenstates", "--q", "0.7", "--levels", "2"], 1),
+    (["eigenstates", "--family", "harmonic", "--levels", "2", "--grid-min", "-8",
+      "--grid-max", "8", "--grid-points", "801"], 1),
+    (["coherent", "--q", "0.6", "--levels", "12", "--z-re", "0.5", "--z-im", "-0.25"], 1),
+    (["coherent", "--q", "0.5", "--levels", "8", "--z-re", "0"], 1),
+    (["evolve", "--q", "1", "--levels", "8", "--t-max", "1"], 1),
+    (["evolve", "--q", "0.8", "--levels", "24", "--drive", "const:0.2"], 1),
+    (["evolve", "--q", "1", "--levels", "6", "--drive", "pulse:0.2,0.05,0.03", "--t-max", "1"],
+     1),
+    (["evolve", "--q", "0.5", "--levels", "10", "--drive", "pulse:-0.3,1,0.5", "--t-max", "2"],
+     1),
+])
+def test_every_csv_is_byte_identical_to_the_per_row_repr_writer(tmp_path, monkeypatch,
+                                                                argv, files):
+    # the evolve and eigenstates tables are not a whole number of formatter chunks
+    expected = {}
+    write_columns = siqm.cli._write_columns
+
+    def recording(path, outputs, header, *columns):
+        expected[path] = repr_csv(header, *columns)
+        write_columns(path, outputs, header, *columns)
+    monkeypatch.setattr(siqm.cli, "_write_columns", recording)
+    assert run_command([*argv, "--out", str(tmp_path / "out.csv")]) == 0
+    assert len(expected) == files
+    for path, text in expected.items():
+        assert path.read_bytes() == text, path
 
 
 def test_morse_evolve_uses_only_bound_levels(tmp_path):
