@@ -28,6 +28,7 @@ bitwise-identical files on one platform.
 """
 
 import argparse
+import functools
 import json
 import sys
 import warnings
@@ -115,7 +116,9 @@ def _write_columns(path, outputs: list, header: list[str], *columns) -> None:
     outputs.append(str(path))
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The CLI's parser, built once per process; parsing leaves it unchanged."""
     p = _Parser(prog="siqm", description=__doc__.splitlines()[0])
     sub = p.add_subparsers(dest="command", required=True)
 
@@ -198,12 +201,13 @@ def _merge_params(parser: _Parser, args: argparse.Namespace) -> dict:
         if key not in flags or key in OUTPUT_FLAGS:
             raise CliError(f"unknown config key {key!r} for {args.command}")
     cfg = {key: val for key, val in cfg.items() if val is not None}
-    try:
-        parsed = parser.parse_args([args.command, *(f"--{key.replace('_', '-')}={val}"
-                                                     for key, val in cfg.items())])
-    except CliError as exc:
-        raise CliError(f"config {args.config}: {exc}")
-    cfg = {key: getattr(parsed, key) for key in cfg}
+    if cfg:
+        try:
+            parsed = parser.parse_args([args.command, *(f"--{key.replace('_', '-')}={val}"
+                                                         for key, val in cfg.items())])
+        except CliError as exc:
+            raise CliError(f"config {args.config}: {exc}")
+        cfg = {key: getattr(parsed, key) for key in cfg}
     merged = dict(DEFAULTS[args.command])
     for layer in (cfg, flags):
         merged.update((key, val) for key, val in layer.items() if val is not None)

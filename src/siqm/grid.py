@@ -170,10 +170,9 @@ def _packet(grid: Grid, x0: float, w: float, k: float) -> np.ndarray:
 
 
 # 6-point Lagrange stencil: offsets j of the stencil, and for each j the
-# other offsets m in ascending order with the denominators j - m
+# denominators j - m over the other offsets m in ascending order
 _STENCIL = np.arange(-2, 4)
-_STENCIL_M = np.array([[m for m in _STENCIL if m != j] for j in _STENCIL])
-_STENCIL_DEN = (_STENCIL[:, None] - _STENCIL_M).astype(float)
+_STENCIL_DEN = np.array([[j - m for m in _STENCIL if m != j] for j in _STENCIL], dtype=float)
 
 
 def _lagrange(pos: np.ndarray, tables: np.ndarray) -> np.ndarray:
@@ -184,16 +183,26 @@ def _lagrange(pos: np.ndarray, tables: np.ndarray) -> np.ndarray:
     downstream ladder recursions amplify any grid-scale noise. A stencil
     that would reach past the last point is clamped to the last six points,
     and one before point 0 to the first six.
+
+    The kernel works one stencil offset j at a time on vectors of the
+    points' length: the six differences t - m are formed once, the weight
+    of j is the product, left to right, of the quotients (t - m) / (j - m)
+    over the other five offsets, and the weight times the rows' values at
+    i + j is added to a running sum that starts at 0.0. That order of
+    operations is fixed, like the scalar form's, so tables stay bitwise
+    stable.
     """
     i = np.maximum(np.minimum(pos.astype(np.intp), tables.shape[-1] - 4), 2)
     t = pos - i
-    f = (t[:, None, None] - _STENCIL_M) / _STENCIL_DEN
-    weights = f[..., 0] * f[..., 1] * f[..., 2] * f[..., 3] * f[..., 4]
-    terms = weights * tables[..., i[:, None] + _STENCIL]
-    # summed left to right from 0.0 like the scalar form, so tables stay bitwise stable
+    diffs = [t - m for m in _STENCIL]
     acc = 0.0
-    for j in range(len(_STENCIL)):
-        acc = acc + terms[..., j]
+    for k, (j, den) in enumerate(zip(_STENCIL, _STENCIL_DEN)):
+        others = diffs[:k] + diffs[k + 1:]
+        weight = others[0] / den[0]
+        for d, dm in zip(others[1:], den[1:]):
+            weight *= d / dm
+        term = tables[..., i + j]
+        acc += np.multiply(weight, term, out=term)
     return acc
 
 

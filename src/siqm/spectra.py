@@ -140,8 +140,9 @@ def _refuse_level(family: PotentialFamily, k: int, level: int, value: str, verdi
     raise LevelNotBoundError(f"{value} {verdict}: level {level} is not bound")
 
 
-def _lowpass(psi: np.ndarray, grid: Grid, k_cut: float) -> np.ndarray:
-    """Smooth spectral filter exp(-(k/k_cut)^16) with a boundary taper.
+def _lowpass(grid: Grid, k_cut: float):
+    """Smooth spectral filter exp(-(k/k_cut)^16) with a boundary taper, as a
+    function of psi; the taper ramp and the damping are built once per grid.
 
     Repeated application of W -+ d/dx amplifies grid-frequency noise by
     roughly 1.4/h per step, so states built by many raisings drown in noise
@@ -154,14 +155,18 @@ def _lowpass(psi: np.ndarray, grid: Grid, k_cut: float) -> np.ndarray:
     into edge ringing that later raisings amplify.
     """
     n = grid.n_points
-    amps = psi.copy()
     m = max(4, int(0.025 * n))
     ramp = 0.5 * (1.0 - np.cos(np.pi * np.arange(m) / m))
-    amps[:m] *= ramp
-    amps[n - m:] *= ramp[::-1]
     k = 2 * np.pi * np.fft.fftfreq(n, d=grid.spacing)
     damp = np.exp(-((np.abs(k) / k_cut) ** 16))
-    return np.fft.ifft(np.fft.fft(amps) * damp)
+
+    def apply(psi: np.ndarray) -> np.ndarray:
+        amps = psi.copy()
+        amps[:m] *= ramp
+        amps[n - m:] *= ramp[::-1]
+        return np.fft.ifft(np.fft.fft(amps) * damp)
+
+    return apply
 
 
 def eigenstate_with_prenorm(family: PotentialFamily, levels: SpectrumTable, n: int,
@@ -186,9 +191,10 @@ def eigenstate_with_prenorm(family: PotentialFamily, levels: SpectrumTable, n: i
     work = Grid(grid.x_min - n_pad * h, grid.x_max + n_pad * h,
                 grid.n_points + 2 * n_pad) if n_pad else grid
     psi = ground_state(family, seed_param, work)
+    lowpass = _lowpass(work, filter_cutoff)
     for k in range(n, 0, -1):
         W = eval_W(family, family.chain_value(k), work)
-        psi = _lowpass(apply_ladder(W, psi, work, "raise"), work, filter_cutoff)
+        psi = lowpass(apply_ladder(W, psi, work, "raise"))
     prenorm = norm(psi, work)
     if n_pad:
         psi = psi[n_pad:n_pad + grid.n_points]

@@ -1007,3 +1007,31 @@ def test_evolve_forced_calls_expm_through_the_module(monkeypatch):
     levels = siqm.energy_levels(siqm.SelfSimilar(q=0.8), 3)
     siqm.evolve_forced(levels, siqm.DriveProfile("pulse", 0.1, 0.05, 0.02), 0.1, 0.002)
     assert len(calls) == 50 + 1  # steps + 1 time points
+
+
+def test_a_run_after_a_refused_config_writes_the_bytes_of_a_fresh_run(tmp_path):
+    # the parser is built once per process: a refusal must leave nothing in it
+    for name in ("after", "fresh"):
+        (tmp_path / name).mkdir()
+        (tmp_path / name / "bad.json").write_text('{"order": 3.7}')
+        (tmp_path / name / "good.json").write_text('{"q": 0.5, "order": 12}')
+    valid = ["coeffs", "--config", "good.json", "--grid-min", "-5", "--grid-max", "5",
+             "--grid-points", "201", "--out", "c.csv"]
+    after = (f"import sys; from siqm.cli import _build_parser, run_command; "
+             f"codes = (run_command(['coeffs', '--config', 'bad.json', '--out', 'c.csv']), "
+             f"run_command(['spectrum', '--config', 'bad.json']), run_command({valid!r})); "
+             f"print(*codes, _build_parser.cache_info().misses)")
+    fresh = f"from siqm.cli import run_command; print(run_command({valid!r}))"
+    env = dict(os.environ, PYTHONPATH=str(Path(siqm.__file__).parents[1]))
+    runs = {name: subprocess.run([sys.executable, "-c", code], env=env, cwd=tmp_path / name,
+                                 check=True, capture_output=True, text=True)
+            for name, code in (("after", after), ("fresh", fresh))}
+    assert runs["after"].stdout.splitlines()[-1] == "1 1 0 1"
+    assert runs["fresh"].stdout.splitlines()[-1] == "0"
+    assert runs["after"].stdout.splitlines()[0] == runs["fresh"].stdout.splitlines()[0]
+    for name in ("c.csv", "c.table.csv"):
+        assert (tmp_path / "after" / name).read_bytes() == (tmp_path / "fresh" / name).read_bytes()
+    manifests = [read_manifest(tmp_path / run / "c.csv.manifest.json") for run in runs]
+    for manifest in manifests:
+        del manifest["timestamp"]
+    assert manifests[0] == manifests[1]

@@ -5,7 +5,7 @@ import pytest
 
 from siqm import (BoundaryDecayWarning, Grid, GridMismatchError, InvalidRangeError,
                   TooFewPointsError, apply_ladder, dilate, inner, norm, normalized)
-from siqm.grid import cumulative_integral, first_derivative, hamiltonian_bands
+from siqm.grid import _lagrange, cumulative_integral, first_derivative, hamiltonian_bands
 from scipy.linalg import eig_banded
 
 
@@ -106,6 +106,59 @@ def test_dilate_warns_without_decay():
     psi = np.cosh(g.x).astype(complex)
     with pytest.warns(BoundaryDecayWarning):
         dilate(psi, g, 1.5)
+
+
+def _lagrange_all_at_once(pos, tables):
+    """The 6-point kernel as one (P, 6, 5) quotient array, a (P, 6) weight
+    product and a (rows, P, 6) gathered product, summed left to right from 0.0."""
+    stencil = np.arange(-2, 4)
+    others = np.array([[m for m in stencil if m != j] for j in stencil])
+    i = np.maximum(np.minimum(pos.astype(np.intp), tables.shape[-1] - 4), 2)
+    t = pos - i
+    f = (t[:, None, None] - others) / (stencil[:, None] - others).astype(float)
+    weights = f[..., 0] * f[..., 1] * f[..., 2] * f[..., 3] * f[..., 4]
+    terms = weights * tables[..., i[:, None] + stencil]
+    acc = 0.0
+    for j in range(len(stencil)):
+        acc = acc + terms[..., j]
+    return acc
+
+
+def _bytes(a):
+    """The bytes of a float or complex array, each NaN made the one quiet NaN.
+
+    IEEE 754 leaves open which NaN a sum of two NaNs returns, and numpy's
+    SIMD blocks and scalar tails pick different operands, so a NaN's sign
+    depends on the array layout; every other bit is compared.
+    """
+    a = np.array(a, order="C")
+    parts = a.view(np.float64)
+    parts[np.isnan(parts)] = np.nan
+    return a.dtype, a.shape, a.tobytes()
+
+
+@pytest.mark.parametrize("rows", ["1-D", "2-row", "complex"])
+def test_lagrange_is_bitwise_the_all_at_once_kernel(rows):
+    # the per-offset kernel does the same operations in the same order
+    rng = np.random.default_rng({"1-D": 31, "2-row": 32, "complex": 33}[rows])
+    specials = np.array([0.0, -0.0, np.inf, -np.inf, np.nan])
+    for case in range(100):
+        n = int(rng.integers(6, 80))
+        shape = (n,) if rows == "1-D" else (2, n)
+        tables = rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 9)
+        if rows == "complex":
+            tables = tables + 1j * rng.standard_normal(shape)
+        parts = tables.view(np.float64).reshape(-1)
+        # signed zeros in every case, non-finite entries in every fourth
+        pool = specials if case % 4 == 0 else specials[:2]
+        picks = rng.integers(0, parts.size, 6)
+        parts[picks] = rng.choice(pool, picks.size)
+        # positions past both ends clamp the stencil; grid points zero five weights
+        pos = np.concatenate((rng.uniform(-3, n + 3, 64), np.arange(n, dtype=float),
+                              [-0.0, 0.0, n - 1.0]))
+        with np.errstate(invalid="ignore", over="ignore"):
+            got, ref = _lagrange(pos, tables), _lagrange_all_at_once(pos, tables)
+        assert _bytes(got) == _bytes(ref), case
 
 
 def lowest_eigenvalues(bands, k):

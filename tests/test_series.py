@@ -1,9 +1,12 @@
 """Series recursion, radius estimates, and the pantograph continuation."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from siqm import HorizonExceededError, SeriesCoefficients, SelfSimilarW, series_coefficients
+from siqm import (Grid, HorizonExceededError, SeriesCoefficients, SelfSimilarW,
+                  series_coefficients)
 from siqm.series import ratio_sequence
 
 # Taylor series of tanh x (exact rationals), the q = 0 one-soliton limit
@@ -293,6 +296,21 @@ def test_grown_table_equals_fresh_table(q, step):
         for x_max in x_maxes:
             grown.ensure(x_max)
         assert np.array_equal(grown._table, fresh._table)
+
+
+def test_w_and_wp_on_a_padded_grid_allocate_under_32_floats_per_point():
+    # W and W' on the padded grid of an eigenstates job, the table already built:
+    # the interpolation kernel works on vectors of the points' length
+    g = Grid(-52, 52, 10401)
+    eng = SelfSimilarW(series_coefficients(0.5, 1.0, 40))
+    eng.w(g.x)
+    tracemalloc.start()
+    try:
+        W, Wp = eng.w(g.x), eng.wp(g.x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 8 * g.n_points
 
 
 def _mp_coefficients(q, c0, K):
