@@ -14,7 +14,7 @@ condition carry the superpotential solver's accuracy (~1e-8).
 from siqm import (RELATIONS, adjoint_pair_residual, commutator_residual,
                   dilation_identity_residual, energy_levels, Grid,
                   matrix_identities, SelfSimilar)
-from siqm.cli import MATRIX_TOL
+from siqm.cli import TOLERANCES
 
 fam = SelfSimilar(q=0.5, c=1.0, a1=1.0)
 grid = Grid(-15, 15, 3001)
@@ -42,4 +42,4 @@ print()
 print("=== truncated ladder matrices, N = 20 ===")
 rep = matrix_identities(energy_levels(fam, 21), 20)
 for key, dev in rep.items():
-    print(f"  {key:28s} {dev:9.2e}   pass={dev <= MATRIX_TOL}")
+    print(f"  {key:28s} {dev:9.2e}   pass={dev <= TOLERANCES['matrix']}")

@@ -18,13 +18,16 @@ report to --report; the other commands write their CSV to --out.
 The family flags are the config keys of the registered families: --q, --c,
 --a1 and --order (the series truncation of the scaling family).
 
-Every completed run (exit code 0 or 2) writes a manifest JSON recording the
-command, the effective parameters, tolerances in force, a result summary,
-and the output files. Exit codes: 0 success, 1 validation error, 2
-numerical failure (tolerance exceeded). CSV floats are Python's shortest
-round-trip repr, byte for byte, rendered by a vectorized formatter
-(`_csvfloat`); CSVs hold no timestamps, so identical parameter sets give
-bitwise-identical files on one platform.
+A command writes nothing until it has computed everything. Then its files
+are written in order, and last a manifest JSON beside the first of them
+recording the command, the effective parameters, tolerances in force
+(TOLERANCES), a result summary, and the output files. Exit codes: 0
+success, 1 validation error, 2 numerical failure (tolerance exceeded). A
+run whose output or manifest cannot be written exits 1 with one `error:`
+line, and the files written before that failure stay. CSV floats are
+Python's shortest round-trip repr, byte for byte, rendered by a vectorized
+formatter (`_csvfloat`); CSVs hold no timestamps, so identical parameter
+sets give bitwise-identical files on one platform.
 """
 
 import argparse
@@ -55,16 +58,12 @@ EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_NUMERICAL = 2
 
-LATTICE_TOL = 1e-6
-DILATION_TOL = 1e-5
-MATRIX_TOL = 1e-12
-SHAPE_TOL = 1e-6
-ORACLE_TOL = 1e-3
-PRENORM_TOL = 1e-3
-COHERENT_EIGEN_TOL = 1e-10
-COHERENT_DERIVATIVE_TOL = 1e-6
+# the one declaration of every gate's tolerance; each manifest records it
+TOLERANCES = {"lattice": 1e-6, "dilation": 1e-5, "matrix": 1e-12,
+              "shape_invariance": 1e-6, "oracle": 1e-3, "prenorm": 1e-3,
+              "coherent_eigen": 1e-10, "coherent_derivative": 1e-6,
+              "norm_drift": 1e-8}
 CLOSED_FORM_FLOOR = 1e-12  # closed vs recursive coherent: max(floor, 100 eps / (1 - q))
-NORM_DRIFT_TOL = 1e-8
 
 VERIFY_SUITES = ("shape-invariance", "lattice-algebra", "q-oscillator",
                  "dilation", "matrix-identities")
@@ -97,23 +96,22 @@ class _Parser(argparse.ArgumentParser):
         raise CliError(message)
 
 
-def _write_columns(path, outputs: list, header: list[str], *columns) -> None:
-    """Write one CSV row per entry of the columns, if a path is given.
+def _csv(header: list[str], *columns):
+    """The bytes of a CSV with one row per entry of the columns, in chunks.
 
     A column is a 1-D array or a 2-D block of columns, of ints or floats.
     Values print byte for byte as their Python repr: ints plainly, floats
     as the shortest string that reads back to the same double. The rows
-    are rendered a few thousand values at a time (`_csvfloat`), and each
-    chunk is written as soon as it is formed.
+    are rendered a few thousand values at a time (`_csvfloat`), each chunk
+    as it is taken, so a file that is not written is never rendered.
     """
-    if not path:
-        return
-    blocks = [np.asarray(col).reshape(len(col), -1) for col in columns]
-    with open(path, "wb") as fh:
-        fh.write((",".join(header) + "\n").encode())
-        for chunk in csv_chunks(blocks):
-            fh.write(chunk)
-    outputs.append(str(path))
+    yield (",".join(header) + "\n").encode()
+    yield from csv_chunks([np.asarray(col).reshape(len(col), -1) for col in columns])
+
+
+def _json(obj) -> str:
+    """The JSON text of the verify report and of every manifest."""
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
 @functools.cache
@@ -237,7 +235,10 @@ def _grid_from(params: dict) -> Grid | None:
     return Grid(*values)
 
 
-def _cmd_spectrum(params: dict, outputs: list) -> tuple[dict, int]:
+# Each command computes its result summary and its files, an ordered list of
+# (path, byte chunks) whose path is None where no file was asked for.
+
+def _cmd_spectrum(params: dict) -> tuple[dict, list]:
     fam = _family_from(params)
     n_max = params["levels"]
     table = energy_levels(fam, n_max)
@@ -247,38 +248,34 @@ def _cmd_spectrum(params: dict, outputs: list) -> tuple[dict, int]:
         e_fd, _ = fd_diagonalize(fam, grid, n_max + 1)
     errs = np.abs(table.levels - e_fd)
     worst = worst_residual("oracle", errs / np.maximum(1.0, table.levels))
-    _write_columns(params.get("out"), outputs, ["n", "E_ladder", "E_fd", "abs_err"],
-               np.arange(n_max + 1), table.levels, e_fd, errs)
-    ok = worst <= ORACLE_TOL
-    results = {"max_rel_err": worst, "tolerance": ORACLE_TOL, "pass": ok,
+    tol = TOLERANCES["oracle"]
+    results = {"max_rel_err": worst, "tolerance": tol, "pass": worst <= tol,
                "levels": [float(v) for v in table.levels]}
-    return results, EXIT_OK if ok else EXIT_NUMERICAL
+    return results, [(params.get("out"), _csv(["n", "E_ladder", "E_fd", "abs_err"],
+                                              np.arange(n_max + 1), table.levels, e_fd, errs))]
 
 
-def _cmd_coeffs(params: dict, outputs: list) -> tuple[dict, int]:
+def _cmd_coeffs(params: dict) -> tuple[dict, list]:
     if "q" not in params:
         raise CliError("--q is required for coeffs")
     K = params["order"]
     grid = _grid_from(params)
     sc = series_coefficients(params["q"], params["c0"], K)
     out = params.get("out")
-    # the W table is evaluated before any file is written, so a series or a
-    # continuation it refuses writes nothing
-    w = SelfSimilarW(sc).w(grid.x) if out and grid is not None else None
-    _write_columns(out, outputs, ["k", "c_k"], np.arange(K + 1), sc.coeffs)
-    if w is not None:
+    files = [(out, _csv(["k", "c_k"], np.arange(K + 1), sc.coeffs))]
+    if out and grid is not None:
         # companion x, W(x) table on the requested grid
-        table = Path(out).with_name(Path(out).stem + ".table.csv")
-        _write_columns(table, outputs, ["x", "W"], grid.x, w)
+        files.append((out.with_name(out.stem + ".table.csv"),
+                      _csv(["x", "W"], grid.x, SelfSimilarW(sc).w(grid.x))))
     # an infinite radius (a polynomial, or too few nonzero coefficients to
     # estimate) has no strict-JSON number
     radius = None if sc.radius_estimate == np.inf else sc.radius_estimate
     results = {"radius_estimate": radius, "polynomial": not np.any(sc.coeffs[1:]),
                "remainder": sc.remainder}
-    return results, EXIT_OK
+    return results, files
 
 
-def _cmd_eigenstates(params: dict, outputs: list) -> tuple[dict, int]:
+def _cmd_eigenstates(params: dict) -> tuple[dict, list]:
     fam = _family_from(params)
     n_max = params["levels"]
     grid = _grid_from(params) or suggested_grid(fam)
@@ -290,16 +287,16 @@ def _cmd_eigenstates(params: dict, outputs: list) -> tuple[dict, int]:
         states.append(psi)
         prenorm_errs.append(abs(prenorm - expected[n]) / max(expected[n], 1e-300))
     worst = worst_residual("prenorm", prenorm_errs)
+    tol = TOLERANCES["prenorm"]
+    results = {"max_prenorm_rel_err": worst, "tolerance": tol, "pass": worst <= tol}
     header = ["x"] + [f"{part}_psi_{n}" for n in range(n_max + 1) for part in ("re", "im")]
-    _write_columns(params.get("out"), outputs, header,
-               grid.x, np.stack(states, axis=1).view(float))
-    ok = worst <= PRENORM_TOL
-    results = {"max_prenorm_rel_err": worst, "tolerance": PRENORM_TOL, "pass": ok}
-    return results, EXIT_OK if ok else EXIT_NUMERICAL
+    return results, [(params.get("out"),
+                      _csv(header, grid.x, np.stack(states, axis=1).view(float)))]
 
 
-def _gate(residual: float, tolerance: float) -> dict:
-    return {"residual": residual, "tolerance": tolerance, "pass": residual <= tolerance}
+def _gate(residual: float, key: str) -> dict:
+    tol = TOLERANCES[key]
+    return {"residual": residual, "tolerance": tol, "pass": residual <= tol}
 
 
 def _verify_report(fam, suite: str, params: dict) -> dict:
@@ -307,36 +304,32 @@ def _verify_report(fam, suite: str, params: dict) -> dict:
     if suite == "matrix-identities":
         n_levels = params["levels"]
         deviations = matrix_identities(energy_levels(fam, n_levels), n_levels)
-        return {key: _gate(dev, MATRIX_TOL) for key, dev in deviations.items()}
+        return {key: _gate(dev, "matrix") for key, dev in deviations.items()}
     grid = _grid_from(params) or Grid(-15.0, 15.0, 3001)
     if suite == "shape-invariance":
-        return {suite: _gate(shape_invariance_residual(fam, grid), SHAPE_TOL)}
+        return {suite: _gate(shape_invariance_residual(fam, grid), "shape_invariance")}
     if suite == "dilation":
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             return {f"dilation-{which}": _gate(dilation_identity_residual(fam, grid, which),
-                                               DILATION_TOL) for which in ("yy3", "yy6")}
+                                               "dilation") for which in ("yy3", "yy6")}
     relations = applicable_relations(fam) if suite == "lattice-algebra" else [suite]
-    return {rel: _gate(commutator_residual(rel, fam, grid=grid, window=12), LATTICE_TOL)
+    return {rel: _gate(commutator_residual(rel, fam, grid=grid, window=12), "lattice")
             for rel in relations}
 
 
-def _cmd_verify(params: dict, outputs: list) -> tuple[dict, int]:
+def _cmd_verify(params: dict) -> tuple[dict, list]:
     fam = _family_from(params)
     suite = params.get("suite")
     if suite not in VERIFY_SUITES:
         raise CliError(f"--suite is required (one of {', '.join(VERIFY_SUITES)})")
     report = _verify_report(fam, suite, params)
-    rep_path = params.get("report")
-    if rep_path:
-        Path(rep_path).write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
-        outputs.append(str(rep_path))
     failing = sorted(k for k, v in report.items() if not v["pass"])
     results = {"suite": suite, "relations": report, "failing": failing}
-    return results, EXIT_OK if not failing else EXIT_NUMERICAL
+    return results, [(params.get("report"), [_json(report).encode()])]
 
 
-def _cmd_coherent(params: dict, outputs: list) -> tuple[dict, int]:
+def _cmd_coherent(params: dict) -> tuple[dict, list]:
     fam = _family_from(params)
     N = params["levels"]
     z = complex(params["z_re"], params["z_im"])
@@ -344,10 +337,11 @@ def _cmd_coherent(params: dict, outputs: list) -> tuple[dict, int]:
     norms = table.norms(N)
     h = coherent_recursive(norms, z)
     eig_res, der_res = coherent_property_residuals(norms, z, h)
-    results = {"eigen_residual": eig_res, "eigen_tolerance": COHERENT_EIGEN_TOL,
-               "derivative_residual": der_res,
-               "derivative_tolerance": COHERENT_DERIVATIVE_TOL,
-               "partial_norm": float(np.linalg.norm(h))}
+    eig_tol, der_tol = TOLERANCES["coherent_eigen"], TOLERANCES["coherent_derivative"]
+    results = {"eigen_residual": eig_res, "eigen_tolerance": eig_tol,
+               "derivative_residual": der_res, "derivative_tolerance": der_tol,
+               "partial_norm": float(np.linalg.norm(h)),
+               "pass": eig_res <= eig_tol and der_res <= der_tol}
     if fam.q is not None and fam.q < 1.0:
         closed = coherent_closed_scaling(fam.q, float(table.levels[1]), z, N)
         # relative where |h_n| > 0, absolute at the zeros (z = 0 gives h_n = 0, n >= 1)
@@ -361,14 +355,11 @@ def _cmd_coherent(params: dict, outputs: list) -> tuple[dict, int]:
             n = int(np.argmax(rel))
             raise ValueError(f"closed form disagrees with the recursive product by "
                              f"{rel[n]:.3g} relative at level {n}, above {tol:.3g}")
-    _write_columns(params.get("out"), outputs, ["n", "re_h_n", "im_h_n"],
-               np.arange(N), h.real, h.imag)
-    ok = eig_res <= COHERENT_EIGEN_TOL and der_res <= COHERENT_DERIVATIVE_TOL
-    results["pass"] = ok
-    return results, EXIT_OK if ok else EXIT_NUMERICAL
+    return results, [(params.get("out"),
+                      _csv(["n", "re_h_n", "im_h_n"], np.arange(N), h.real, h.imag))]
 
 
-def _cmd_evolve(params: dict, outputs: list) -> tuple[dict, int]:
+def _cmd_evolve(params: dict) -> tuple[dict, list]:
     fam = _family_from(params)
     N = params["levels"]
     drive = DriveProfile.parse(params["drive"])
@@ -384,37 +375,19 @@ def _cmd_evolve(params: dict, outputs: list) -> tuple[dict, int]:
     except ValueError as exc:
         best_fit = {"best_fit_z": None, "best_fit_coherent_overlap": None,
                     "best_fit_error": str(exc)}
-    header = ["t"] + [f"{part}_c_{n}" for n in range(ev.trajectory.shape[1])
-                      for part in ("re", "im")] + ["norm", "overlap_closed"]
-    _write_columns(params.get("out"), outputs, header,
-               ev.t_grid, ev.trajectory.view(float), ev.norms, ev.overlaps)
     results = {"final_overlap_closed": ev.final_overlap,
                "norm_drift": ev.norm_drift, **best_fit,
-               "sign_convention": ev.sign_convention}
-    ok = ev.norm_drift <= NORM_DRIFT_TOL
-    results["pass"] = ok
-    return results, EXIT_OK if ok else EXIT_NUMERICAL
+               "sign_convention": ev.sign_convention,
+               "pass": ev.norm_drift <= TOLERANCES["norm_drift"]}
+    header = ["t"] + [f"{part}_c_{n}" for n in range(ev.trajectory.shape[1])
+                      for part in ("re", "im")] + ["norm", "overlap_closed"]
+    return results, [(params.get("out"), _csv(header, ev.t_grid, ev.trajectory.view(float),
+                                              ev.norms, ev.overlaps))]
 
 
 _COMMANDS = {"spectrum": _cmd_spectrum, "coeffs": _cmd_coeffs,
              "eigenstates": _cmd_eigenstates, "verify": _cmd_verify,
              "coherent": _cmd_coherent, "evolve": _cmd_evolve}
-
-_TOLERANCES = {"lattice": LATTICE_TOL, "dilation": DILATION_TOL,
-               "matrix": MATRIX_TOL, "shape_invariance": SHAPE_TOL,
-               "oracle": ORACLE_TOL, "prenorm": PRENORM_TOL,
-               "coherent_eigen": COHERENT_EIGEN_TOL,
-               "coherent_derivative": COHERENT_DERIVATIVE_TOL,
-               "norm_drift": NORM_DRIFT_TOL}
-
-
-def _manifest_path(params: dict, command: str) -> Path:
-    for key in ("out", "report"):
-        target = params.get(key)
-        if target:
-            target = Path(target)
-            return target.with_name(target.name + ".manifest.json")
-    return Path(f"{command}.manifest.json")
 
 
 def run_command(argv: list[str]) -> int:
@@ -423,26 +396,28 @@ def run_command(argv: list[str]) -> int:
     try:
         args = parser.parse_args(argv)
         params = _merge_params(parser, args)
-        outputs: list[str] = []
-        results, code = _COMMANDS[args.command](params, outputs)
+        results, files = _COMMANDS[args.command](params)
+        files = [(path, chunks) for path, chunks in files if path]
+        manifest = Path(f"{files[0][0] if files else args.command}.manifest.json")
+        record = {
+            "command": args.command,
+            "params": {k: (str(v) if isinstance(v, Path) else v) for k, v in params.items()},
+            "version": __version__,
+            "tolerances": TOLERANCES,
+            "results": results,
+            "outputs": [str(path) for path, _ in files],
+            "timestamp": datetime.now(timezone.utc).isoformat(),
+        }
+        for path, chunks in [*files, (manifest, [_json(record).encode()])]:
+            with open(path, "wb") as fh:
+                fh.writelines(chunks)
     except (CliError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    manifest = {
-        "command": args.command,
-        "params": {k: (str(v) if isinstance(v, Path) else v)
-                   for k, v in sorted(params.items())},
-        "version": __version__,
-        "tolerances": _TOLERANCES,
-        "results": results,
-        "outputs": outputs,
-        "timestamp": datetime.now(timezone.utc).isoformat(),
-    }
-    path = _manifest_path(params, args.command)
-    path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-    status = "ok" if code == EXIT_OK else "numerical failure"
-    print(f"{args.command}: {status}; manifest {path}")
-    return code
+    # a gate failed: a false "pass", or checks that verify lists as "failing"
+    failed = results.get("failing") or not results.get("pass", True)
+    print(f"{args.command}: {'numerical failure' if failed else 'ok'}; manifest {manifest}")
+    return EXIT_NUMERICAL if failed else EXIT_OK
 
 
 def main() -> None:

@@ -519,6 +519,51 @@ def test_a_run_without_out_writes_only_its_manifest(tmp_path, monkeypatch):
     assert read_strict_json(tmp_path / "coherent.manifest.json")["outputs"] == []
 
 
+@pytest.mark.parametrize("argv, manifest, kept", [
+    (["coherent", "--levels", "5", "--out", "o.csv"], "o.csv.manifest.json", ["o.csv"]),
+    (["coherent", "--levels", "5"], "coherent.manifest.json", []),
+])
+def test_a_manifest_that_cannot_be_written_exits_1_keeping_the_files_before_it(
+        tmp_path, monkeypatch, capsys, argv, manifest, kept):
+    # a directory where the manifest goes: the write fails after the CSV's
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / manifest).mkdir()
+    assert run_command(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted([manifest, *kept])
+    assert not list((tmp_path / manifest).iterdir())
+    for name in kept:
+        assert len((tmp_path / name).read_text().splitlines()) == 6
+
+
+@pytest.mark.parametrize("argv, key", [
+    (["spectrum", "--family", "harmonic", "--levels", "2"], "oracle"),
+    (["eigenstates", "--family", "harmonic", "--levels", "2"], "prenorm"),
+    (["verify", "--suite", "matrix-identities", "--levels", "5"], "matrix"),
+    (["coherent", "--levels", "5"], "coherent_eigen"),
+    (["evolve", "--levels", "3", "--t-max", "0.1"], "norm_drift"),
+])
+def test_a_failed_gate_exits_2_and_writes_its_output_and_manifest(tmp_path, monkeypatch,
+                                                                   capsys, argv, key):
+    # no residual is at or below a negative tolerance
+    monkeypatch.setitem(siqm.cli.TOLERANCES, key, -1.0)
+    out = tmp_path / ("o.json" if argv[0] == "verify" else "o.csv")
+    assert run_command([*argv, "--report" if argv[0] == "verify" else "--out", str(out)]) == 2
+    manifest = read_strict_json(tmp_path / f"{out.name}.manifest.json")
+    assert capsys.readouterr().out == \
+        f"{argv[0]}: numerical failure; manifest {out}.manifest.json\n"
+    assert manifest["outputs"] == [str(out)]
+    assert manifest["tolerances"][key] == -1.0
+    if argv[0] == "verify":
+        report = read_strict_json(out)
+        assert manifest["results"]["failing"] == sorted(report) and len(report) == 6
+    else:
+        assert manifest["results"]["pass"] is False
+        assert len(out.read_text().splitlines()) > 1
+
+
 def test_eigensolver_failure_exits_1_without_files(tmp_path, monkeypatch, capsys):
     # EigensolverError was a RuntimeError and escaped run_command as a traceback
     def failing_eigsh(*args, **kwargs):
@@ -612,17 +657,18 @@ def repr_csv(header, *columns):
 def test_every_csv_is_byte_identical_to_the_per_row_repr_writer(tmp_path, monkeypatch,
                                                                 argv, files):
     # the evolve and eigenstates tables are not a whole number of formatter chunks
-    expected = {}
-    write_columns = siqm.cli._write_columns
+    expected = []
+    csv = siqm.cli._csv
 
-    def recording(path, outputs, header, *columns):
-        expected[path] = repr_csv(header, *columns)
-        write_columns(path, outputs, header, *columns)
-    monkeypatch.setattr(siqm.cli, "_write_columns", recording)
+    def recording(header, *columns):
+        expected.append(repr_csv(header, *columns))
+        return csv(header, *columns)
+    monkeypatch.setattr(siqm.cli, "_csv", recording)
     assert run_command([*argv, "--out", str(tmp_path / "out.csv")]) == 0
     assert len(expected) == files
-    for path, text in expected.items():
-        assert path.read_bytes() == text, path
+    # the files in the order the command lists them: its CSV, then a W table
+    written = [tmp_path / "out.csv", tmp_path / "out.table.csv"][:files]
+    assert [path.read_bytes() for path in written] == expected
 
 
 def test_morse_evolve_uses_only_bound_levels(tmp_path):
