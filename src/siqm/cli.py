@@ -263,9 +263,10 @@ def _cmd_coeffs(params: dict) -> tuple[dict, list]:
     sc = series_coefficients(params["q"], params["c0"], K)
     out = params.get("out")
     files = [(out, _csv(["k", "c_k"], np.arange(K + 1), sc.coeffs))]
-    if out and grid is not None:
-        # companion x, W(x) table on the requested grid
-        files.append((out.with_name(out.stem + ".table.csv"),
+    if grid is not None:
+        # companion x, W(x) table on the requested grid: built for every
+        # gridded run, so the verdict does not depend on --out
+        files.append((out and out.with_name(out.stem + ".table.csv"),
                       _csv(["x", "W"], grid.x, SelfSimilarW(sc).w(grid.x))))
     # an infinite radius (a polynomial, or too few nonzero coefficients to
     # estimate) has no strict-JSON number
