@@ -108,7 +108,7 @@ class SelfSimilarW:
 
     The table holds rows (x, W, W') for x >= 0 (W is odd), exactly the
     points built so far: the series region up to x_break, tabulated on the
-    first ensure(), then a classical RK4 march outward, extended on demand.
+    first ensure() past it, then a classical RK4 march outward, on demand.
     One evaluator reads W and W' at any u >= 0, the series up to x_break and
     6-point Lagrange interpolation of the table beyond, for w(), wp() and
     the march's delayed terms at the contracted arguments sqrt(q) x and
@@ -183,8 +183,8 @@ class SelfSimilarW:
 
     def ensure(self, x_max: float):
         """Extend the table so that |x| <= x_max is evaluable."""
-        if self.q == 1.0:
-            return  # W = c0 x globally, no table needed
+        if self.q == 1.0 or x_max <= self.x_break:
+            return  # W = c0 x globally, or the series reaches x_max: no table read
         h = self.step
         if not self._table.size:
             # the series region, tabulated once

@@ -7,11 +7,13 @@ import os
 import random
 import subprocess
 import sys
+import tempfile
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import siqm
 from siqm.cli import VERIFY_SUITES, run_command
@@ -642,15 +644,6 @@ def test_morse_evolve_uses_only_bound_levels(tmp_path):
     assert len(out.read_text().splitlines()) == 52
 
 
-def test_rerun_is_bitwise_identical(tmp_path):
-    args = ["coeffs", "--q", "0.5", "--c0", "1", "--order", "30"]
-    out1 = tmp_path / "r1.csv"
-    out2 = tmp_path / "r2.csv"
-    assert run_command(args + ["--out", str(out1)]) == 0
-    assert run_command(args + ["--out", str(out2)]) == 0
-    assert out1.read_bytes() == out2.read_bytes()
-
-
 def test_morse_coherent_uses_only_bound_levels(tmp_path):
     # A = 2.5 binds levels 0..2 only; N = 3 coefficients need no level above them
     for levels in (2, 3):
@@ -749,135 +742,149 @@ def test_each_command_builds_its_level_table_once(tmp_path, monkeypatch, argv, t
     assert (calls.count("levels"), calls.count("norms")) == (tables, norm_tables)
 
 
-# the sweep contract: over seeded random inputs nothing escapes run_command,
-# exit 0 or 2 writes a strict-JSON manifest and exit 1 writes no file at all;
-# and neither the exit code nor the results depend on the output flag
+# the run contract, stated once as a property over drawn argv: nothing escapes
+# run_command and every run exits 0, 1 or 2; exit 1 writes no file at all;
+# exit 0 or 2 writes the same bytes on a rerun and a strict-JSON manifest whose
+# results do not depend on the output flag, and it exits 2 exactly when a gate
+# that those results record fails
 
-def _sweep(tmp_path, monkeypatch, jobs):
-    """Run each (argv, output flag, file name) job in its own directory, and
-    again without its output flag in another as the working directory; the
-    exit codes."""
-    codes = []
-    for i, (argv, flag, name) in enumerate(jobs):
-        out = tmp_path / f"job{i}" / name
-        out.parent.mkdir()
-        code = run_command([*argv, flag, str(out)])
-        assert code in (0, 1, 2), argv
-        bare = tmp_path / f"job{i}-bare"
-        bare.mkdir()
-        monkeypatch.chdir(bare)
-        assert run_command(argv) == code, argv
-        if code == 1:
-            assert not list(out.parent.iterdir()) and not list(bare.iterdir()), argv
-        else:
-            results = read_strict_json(out.with_name(name + ".manifest.json"))["results"]
-            assert read_strict_json(bare / f"{argv[0]}.manifest.json")["results"] == results, argv
-        codes.append(code)
-    return codes
+def _flags(**values):
+    """--name value for each keyword, underscores as dashes; a float as its repr."""
+    return [text for key, value in values.items()
+            for text in (f"--{key.replace('_', '-')}", str(value))]
 
 
-def test_coeffs_sweep_contract(tmp_path, monkeypatch):
-    rng = random.Random(1611)
-    jobs, short = [], []
-    for i in range(30):
-        q, c0, order = rng.uniform(0, 1), rng.uniform(0.3, 3), rng.randint(1, 80)
-        grid = ["--grid-min", "-10", "--grid-max", "10", "--grid-points", "201"] if i % 2 else []
-        jobs.append((["coeffs", "--q", repr(q), "--c0", repr(c0), "--order", str(order),
-                      *grid], "--out", "c.csv"))
-        short.append(bool(grid) and order < 5)
-    # no seeded draw puts a short series on a grid: a zero series and five terms
-    for c0, order in (("0.0", "40"), ("0.6667", "4")):
-        jobs.append((["coeffs", "--q", "0.5", "--c0", c0, "--order", order, *grid],
-                     "--out", "c.csv"))
-        short.append(True)
-    # exit 1 only where a gridded W table needs a break point the series cannot place
-    assert [code == 1 for code in _sweep(tmp_path, monkeypatch, jobs)] == short
+def _argv(command, head, **draws):
+    """The argv strategy of a command: the flags head draws, then one flag per keyword."""
+    return st.builds(lambda head, **values: [command, *head, *_flags(**values)], head, **draws)
 
 
-def test_verify_sweep_contract(tmp_path, monkeypatch):
-    rng = random.Random(1612)
-    bands = [(0.05, 0.3), (0.3, 0.95), (0.95, 1.0)]
-    jobs = []
-    for i in range(20):
-        q = rng.uniform(*bands[i % 3])
-        c, a1 = rng.uniform(0.3, 3), rng.uniform(0.3, 3)
-        jobs.append((["verify", "--suite", VERIFY_SUITES[i % 5], "--q", repr(q), "--c", repr(c),
-                      "--a1", repr(a1)], "--report", "rep.json"))
-    _sweep(tmp_path, monkeypatch, jobs)
-
-
-def test_evolve_sweep_contract(tmp_path, monkeypatch):
-    rng = random.Random(1613)
-    bands = [(0.05, 0.3), (0.3, 0.95), (0.95, 1.0)]
-    jobs = []
-    for i in range(16):
-        q = rng.uniform(*bands[i % 3])
-        c, a1, f0 = rng.uniform(0.3, 3), rng.uniform(0.3, 3), rng.uniform(-2, 2)
-        drive = f"const:{f0!r}" if i % 2 else f"pulse:{f0!r},{rng.uniform(0, 1)!r},0.3"
-        jobs.append((["evolve", "--q", repr(q), "--c", repr(c), "--a1", repr(a1),
-                      "--levels", str(rng.randint(3, 30)), "--drive", drive, "--t-max", "0.5",
-                      "--dt", rng.choice(["0.001", "0.004"])], "--out", "e.csv"))
-    # exit 1 here: a drive the truncation cannot hold, or a dt above the stability budget
-    codes = _sweep(tmp_path, monkeypatch, jobs)
-    for i, code in enumerate(codes):
-        if code == 0 and float(jobs[i][0][2]) < 1:
-            res = read_strict_json(tmp_path / f"job{i}" / "e.csv.manifest.json")["results"]
-            assert res["best_fit_error"] is None, jobs[i][0]
-            assert all(map(np.isfinite, res["best_fit_z"])), jobs[i][0]
-            assert 0 < res["best_fit_coherent_overlap"] <= 1, jobs[i][0]
-    assert codes.count(0) >= 8
-
-
-def test_coherent_sweep_contract(tmp_path, monkeypatch):
-    rng = random.Random(1614)
-    bands = [(0.05, 0.3), (0.3, 0.95), (0.95, 1.0)]
-    jobs = []
-    for i in range(24):
-        q = rng.uniform(*bands[i % 3])
-        c, a1 = rng.uniform(0.3, 3), rng.uniform(0.3, 3)
-        jobs.append((["coherent", "--q", repr(q), "--c", repr(c), "--a1", repr(a1),
-                      "--levels", str(rng.randint(2, 40)), "--z-re", repr(rng.uniform(-2, 2)),
-                      "--z-im", repr(rng.uniform(-2, 2))], "--out", "h.csv"))
-    _sweep(tmp_path, monkeypatch, jobs)
-
-
+SCALE = st.floats(0.3, 3.0)
+FORCE = st.floats(-2.0, 2.0)
+# --q, --c and --a1, shared by the five family commands
+FAMILY = st.builds(lambda q, c, a1: _flags(q=q, c=c, a1=a1), st.floats(0.05, 1.0), SCALE, SCALE)
+DRIVE = st.one_of(st.builds("const:{}".format, FORCE),
+                  st.builds("pulse:{},{},0.3".format, FORCE, st.floats(0.0, 1.0)))
+GRID_201 = ["--grid-min", "-10", "--grid-max", "10", "--grid-points", "201"]
 SMALL_GRID = ["--grid-min", "-10", "--grid-max", "10", "--grid-points", "16"]
 
+ARGV = {
+    "coeffs": _argv("coeffs", st.sampled_from([[], GRID_201]), q=st.floats(0.0, 1.0), c0=SCALE,
+                    order=st.integers(1, 80)),
+    "verify": _argv("verify", FAMILY, suite=st.sampled_from(VERIFY_SUITES)),
+    "evolve": _argv("evolve", FAMILY, levels=st.integers(3, 30), drive=DRIVE, t_max=st.just(0.5),
+                    dt=st.sampled_from([0.001, 0.004])),
+    "coherent": _argv("coherent", FAMILY, levels=st.integers(2, 40), z_re=FORCE, z_im=FORCE),
+    "spectrum": _argv("spectrum", FAMILY, levels=st.integers(1, 8)),
+    "eigenstates": _argv("eigenstates", FAMILY, levels=st.integers(0, 4)),
+}
+MAX_EXAMPLES = {"coeffs": 30, "verify": 20, "evolve": 16, "coherent": 24, "spectrum": 16,
+                "eigenstates": 12}
+# most draws succeed; evolve exits 1 for a drive the truncation cannot hold or a
+# dt above the stability budget
+LEAST_EXIT_0 = {"evolve": 8, "eigenstates": 8}
 
-def test_spectrum_sweep_contract(tmp_path, monkeypatch):
-    rng = random.Random(1615)
-    bands = [(0.05, 0.3), (0.3, 0.95), (0.95, 1.0)]
-    jobs = []
-    for i in range(16):
-        q = rng.uniform(*bands[i % 3])
-        c, a1 = rng.uniform(0.3, 3), rng.uniform(0.3, 3)
-        jobs.append((["spectrum", "--q", repr(q), "--c", repr(c), "--a1", repr(a1),
-                      "--levels", str(rng.randint(1, 8))], "--out", "s.csv"))
-    # 21 oracle levels cannot come from 16 grid points
-    jobs.append((["spectrum", "--q", "0.6", "--levels", "20", *SMALL_GRID], "--out", "s.csv"))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        codes = _sweep(tmp_path, monkeypatch, jobs)
-    # exit 1 only for the grid the user can enlarge; exit 2 is the small-q oracle
-    # on the fixed box (ROADMAP item 3)
-    assert [code == 1 for code in codes] == [False] * 16 + [True]
+# argv that draws seldom reach: series too short for a break point, too few grid
+# points for the levels asked, and series regions of 1e8 and more that no grid
+# reads (q = 1 - 2^-53, or a tiny c0), once tabulated whole into a MemoryError
+Q_NEAR_1 = repr(1 - 2 ** -53)
+EXAMPLES = {
+    "coeffs": [["coeffs", "--q", "0.5", "--c0", "0.0", "--order", "40", *GRID_201],
+               ["coeffs", "--q", "0.5", "--c0", "0.6667", "--order", "4", *GRID_201],
+               ["coeffs", "--q", "0.8774671631052722", "--c0", "3.9289148944944603e-19",
+                "--order", "31", "--grid-min", "0", "--grid-max", "2.5", "--grid-points", "208"]],
+    "verify": [["verify", "--suite", "lattice-algebra", "--q", Q_NEAR_1, *GRID_801]],
+    "spectrum": [["spectrum", "--q", "0.6", "--levels", "20", *SMALL_GRID],
+                 ["spectrum", "--q", Q_NEAR_1, "--levels", "2"]],
+    "eigenstates": [["eigenstates", "--q", "0.6", "--levels", "4", *SMALL_GRID]],
+}
+
+# each gate in a command's results: its pass and its (residual, tolerance) pairs
+GATES = {
+    "coeffs": lambda r, tol: [],
+    "verify": lambda r, tol: [(g["pass"], [(g["residual"], g["tolerance"])])
+                              for g in r["relations"].values()],
+    "evolve": lambda r, tol: [(r["pass"], [(r["norm_drift"], tol["norm_drift"])])],
+    "coherent": lambda r, tol: [(r["pass"], [(r["eigen_residual"], r["eigen_tolerance"]),
+                                             (r["derivative_residual"], r["derivative_tolerance"])])],
+    "spectrum": lambda r, tol: [(r["pass"], [(r["max_rel_err"], r["tolerance"])])],
+    "eigenstates": lambda r, tol: [(r["pass"], [(r["max_prenorm_rel_err"], r["tolerance"])])],
+}
 
 
-def test_eigenstates_sweep_contract(tmp_path, monkeypatch):
-    rng = random.Random(1616)
-    bands = [(0.05, 0.3), (0.3, 0.95), (0.95, 1.0)]
-    jobs = []
-    for i in range(12):
-        q = rng.uniform(*bands[i % 3])
-        c, a1 = rng.uniform(0.3, 3), rng.uniform(0.3, 3)
-        jobs.append((["eigenstates", "--q", repr(q), "--c", repr(c), "--a1", repr(a1),
-                      "--levels", str(rng.randint(0, 4))], "--out", "e.csv"))
-    # 16 points on [-10, 10] do not resolve level 4: the prenorm gate fails
-    jobs.append((["eigenstates", "--q", "0.6", "--levels", "4", *SMALL_GRID], "--out", "e.csv"))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        codes = _sweep(tmp_path, monkeypatch, jobs)
-    assert codes[-1] == 2 and codes.count(0) >= 8
+def _run_contract(root, monkeypatch, argv):
+    """Run argv twice with its output flag and once without, each in its own
+    directory under root, and check the contract; the exit code and results."""
+    out = ["--report", "rep.json"] if argv[0] == "verify" else ["--out", "out.csv"]
+    dirs = [root / name for name in ("a", "b", "bare")]
+    codes = []
+    for cwd, tail in zip(dirs, (out, out, [])):
+        cwd.mkdir()
+        monkeypatch.chdir(cwd)
+        with warnings.catch_warnings():
+            if argv[0] in ("spectrum", "eigenstates"):
+                warnings.simplefilter("ignore")
+            codes.append(run_command([*argv, *tail]))
+    code = codes[0]
+    assert code in (0, 1, 2) and codes == [code] * 3
+    written = [sorted(path.name for path in cwd.iterdir()) for cwd in dirs]
+    if code == 1:
+        assert written == [[], [], []]
+        return code, None
+    a, b, _ = dirs
+    assert written[0] == written[1] and written[2] == [f"{argv[0]}.manifest.json"]
+    for name in written[0]:
+        if not name.endswith(".manifest.json"):
+            assert (a / name).read_bytes() == (b / name).read_bytes(), name
+    names = [f"{out[1]}.manifest.json"] * 2 + written[2]
+    manifests = [read_strict_json(cwd / name) for cwd, name in zip(dirs, names)]
+    results = manifests[0]["results"]
+    assert [m["results"] for m in manifests] == [results] * 3
+    gates = GATES[argv[0]](results, manifests[0]["tolerances"])
+    for ok, pairs in gates:
+        assert ok == all(residual <= tol for residual, tol in pairs)
+    assert (code == 2) == (not all(ok for ok, _ in gates))
+    return code, results
+
+
+def _command_contract(argv, code, results):
+    """The command's own clauses of the contract."""
+    command, q = argv[0], float(argv[argv.index("--q") + 1])
+    small = argv[-len(SMALL_GRID):] == SMALL_GRID
+    if command == "coeffs":
+        # exit 1 only where a gridded W table needs a break point the series cannot place
+        c0, order = float(argv[argv.index("--c0") + 1]), int(argv[argv.index("--order") + 1])
+        short = np.count_nonzero(siqm.series_coefficients(q, c0, order).coeffs) < 6
+        assert (code == 1) == ("--grid-points" in argv and q < 1 and short)
+    elif command == "spectrum":
+        # exit 1 only for the grid the user can enlarge: 21 oracle levels need more
+        # than 16 points; exit 2 is the small-q oracle on the fixed box (ROADMAP item 3)
+        assert (code == 1) == small
+    elif command == "eigenstates" and small:
+        # 16 points on [-10, 10] do not resolve level 4: the prenorm gate fails
+        assert code == 2
+    elif command == "evolve" and code == 0 and q < 1:
+        # a finished q < 1 run fits a coherent state to its end point
+        assert results["best_fit_error"] is None
+        assert all(map(np.isfinite, results["best_fit_z"]))
+        assert 0 < results["best_fit_coherent_overlap"] <= 1
+
+
+@pytest.mark.parametrize("command", list(MAX_EXAMPLES))
+def test_run_contract(tmp_path, monkeypatch, command):
+    codes = []
+
+    @settings(max_examples=MAX_EXAMPLES[command], derandomize=True, database=None, deadline=None)
+    @given(argv=ARGV[command])
+    def run_contract(argv):
+        code, results = _run_contract(Path(tempfile.mkdtemp(dir=tmp_path)), monkeypatch, argv)
+        _command_contract(argv, code, results)
+        codes.append(code)
+
+    for argv in EXAMPLES.get(command, []):
+        run_contract = example(argv=argv)(run_contract)
+    run_contract()
+    assert codes.count(0) >= LEAST_EXIT_0.get(command, 0)
 
 
 @pytest.mark.parametrize("argv, code, stdout, stderr, files", [
@@ -887,8 +894,8 @@ def test_eigenstates_sweep_contract(tmp_path, monkeypatch):
     (["coeffs", "--q", "0.5", "--c0", "0.0", "--grid-min", "-1", "--grid-max", "1",
       "--grid-points", "20"], 1, "", "error: a q < 1 series needs at least 6 nonzero "
      "coefficients to place its break point; order 40 has 0\n", []),
-    # the prenorm gate of the eigenstates sweep; its BoundaryDecayWarning lines
-    # go to stderr, and no error line does
+    # the prenorm gate of the run contract's eigenstates example; its
+    # BoundaryDecayWarning lines go to stderr, and no error line does
     (["eigenstates", "--q", "0.6", "--levels", "4", *SMALL_GRID, "--out", "e.csv"], 2,
      "eigenstates: numerical failure; manifest e.csv.manifest.json\n", None,
      ["e.csv", "e.csv.manifest.json"]),
@@ -907,14 +914,6 @@ def test_main_exits_with_the_code_of_its_run(tmp_path, argv, code, stdout, stder
     if files:
         manifest = read_strict_json(tmp_path / files[-1])
         assert manifest["outputs"] == files[:-1]
-
-
-def test_cli_import_leaves_out_scipy_interpolate():
-    env = dict(os.environ, PYTHONPATH=str(Path(siqm.__file__).parents[1]))
-    probe = "import sys, siqm.cli; print('scipy.interpolate' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    assert out.strip() == "False"
 
 
 # scipy is imported where it is used: only the oracle (spectrum) and evolve need it

@@ -284,14 +284,14 @@ def test_blocked_march_matches_scalar_reference(q, step):
 @pytest.mark.parametrize("step", [0.005, 0.02])
 @pytest.mark.parametrize("q", [0.0, 0.05, 0.3, 0.7, 0.95, 0.99])
 def test_grown_table_equals_fresh_table(q, step):
-    # where the march is cut into blocks cannot move a bit: x_max just past
-    # the break point, between grid points and mid-block, and step 0.02,
-    # whose q = 0.99 march takes clamped single steps
+    # where the march is cut into blocks cannot move a bit: x_max inside the
+    # series region (no table), just past the break point, between grid points
+    # and mid-block, and step 0.02, whose q = 0.99 march takes clamped single steps
     sc = series_coefficients(q, 1.0, 60)
     fresh = SelfSimilarW(sc, step=step)
     fresh.ensure(40.0)
     edge = fresh.x_break
-    for x_maxes in ((5.0, 12.0, 40.0), (edge + step / 2, edge + 2 * step, 3.1, 7.77, 40.0)):
+    for x_maxes in ((5.0, 12.0, 40.0), (edge / 2, edge + step / 2, edge + 2 * step, 3.1, 7.77, 40.0)):
         grown = SelfSimilarW(sc, step=step)
         for x_max in x_maxes:
             grown.ensure(x_max)
