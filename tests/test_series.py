@@ -298,6 +298,24 @@ def test_grown_table_equals_fresh_table(q, step):
         assert np.array_equal(grown._table, fresh._table)
 
 
+@pytest.mark.parametrize("q, c0, order", [(1.0 - 2.0**-53, 1.0, 40),
+                                          (0.8774671631052722, 3.9289148944944603e-19, 31)],
+                         ids=["q-near-1", "tiny-c0"])
+def test_a_grid_inside_the_break_point_builds_no_table(q, c0, order):
+    # x_break is 7.4e7 and 3.7e9 here: tabulating the series region up to it
+    # asked for 111 GiB and 5.4 TiB, though no table point is read inside it
+    sc = series_coefficients(q, c0, order)
+    eng = SelfSimilarW(sc)
+    assert eng.x_break > 1e7
+    eng.ensure(40.0)
+    assert eng._table.shape[1] == 0
+    # the series alone evaluates the grid: W ~ c0 x, the oscillator's (q -> 1)
+    # and the small-amplitude limit
+    x = np.linspace(-40.0, 40.0, 81)
+    assert np.allclose(eng.w(x), c0 * x, rtol=1e-10, atol=0.0)
+    assert np.allclose(eng.wp(x), c0, rtol=1e-10, atol=0.0)
+
+
 def test_w_and_wp_on_a_padded_grid_allocate_under_32_floats_per_point():
     # W and W' on the padded grid of an eigenstates job, the table already built:
     # the interpolation kernel works on vectors of the points' length
