@@ -53,7 +53,8 @@ def coherent_recursive(norms: np.ndarray, z: complex) -> np.ndarray:
 
 def coherent_closed_scaling(q: float, R1: float, z: complex, N: int) -> np.ndarray:
     """Closed-form coefficients h_0 .. h_{N-1} for the scaling spectrum
-    E_n = R1 (1 - q^n)/(1 - q); it computes the formula and checks nothing."""
+    E_n = R1 (1 - q^n)/(1 - q); it computes the formula and checks nothing.
+    A q-Pochhammer (q; q)_n that underflows to 0 is refused."""
     if N < 1:
         raise ValueError("need N >= 1")
     if not 0.0 < q < 1.0:
@@ -62,6 +63,9 @@ def coherent_closed_scaling(q: float, R1: float, z: complex, N: int) -> np.ndarr
         raise ValueError(f"need R1 > 0, got {R1}")
     n = np.arange(N)
     poch = np.cumprod([1.0] + [1.0 - q * q ** j for j in range(N - 1)])  # (q; q)_n
+    if not poch[-1] > 0:  # near q = 1 each factor is about j (1 - q)
+        raise ValueError(f"the closed form's (q; q)_{int(np.argmin(poch))} at q = {q} "
+                         f"underflows the floats")
     mag = (1 - q) ** (n / 2) * q ** (-n * (n - 1) / 4.0) / (R1 ** (n / 2) * np.sqrt(poch))
     return np.asarray(z, dtype=complex) ** n * mag
 

@@ -34,6 +34,9 @@ from .grid import _STENCIL, _lagrange
 
 # nonzero coefficients the ratio test needs before it estimates a radius
 _RADIUS_TAIL = 6
+# Most points a W table may store: a march to about x = 5000 at the step
+# 0.005, which took 1.1 s and 190 MB peak RSS on one core.
+MAX_TABLE_POINTS = 10**6
 
 
 class HorizonExceededError(ValueError):
@@ -106,19 +109,23 @@ def _ratio_radius(ratios: np.ndarray) -> float:
 class SelfSimilarW:
     """Evaluator for W: direct series inside 0.8*radius, pantograph ODE outside.
 
-    The table holds rows (x, W, W') for x >= 0 (W is odd), exactly the
-    points built so far: the series region up to x_break, tabulated on the
-    first ensure() past it, then a classical RK4 march outward, on demand.
-    One evaluator reads W and W' at any u >= 0, the series up to x_break and
-    6-point Lagrange interpolation of the table beyond, for w(), wp() and
-    the march's delayed terms at the contracted arguments sqrt(q) x and
-    sqrt(q) (x + h/2).
+    The table holds two rows, W and W', for x >= 0 (W is odd), at the grid
+    points i h from index _first on. The first ensure() past x_break stores
+    the series region's last six points, i = max(int(x_break / h) - 5, 0)
+    ... int(x_break / h): a stencil at any u > x_break reads none below
+    them. A classical RK4 march then extends the table outward, on demand,
+    from _x, the x its last step reached. At most MAX_TABLE_POINTS points
+    are stored; a request that would take more is refused before any point
+    is built. One evaluator reads W and W' at any u >= 0, the series up to
+    x_break and 6-point Lagrange interpolation of the table beyond, for w(),
+    wp() and the march's delayed terms at the contracted arguments
+    sqrt(q) x and sqrt(q) (x + h/2).
 
     The march runs in blocks of one plan, one loop and one commit. The plan
-    takes, from the current table length L, each following step while x_max
+    takes, from the table as it stands, each following step while x_max
     is not reached, sqrt(q)(x + h) stays below x and the step's stencils lie
-    inside those L points, and evaluates the delayed terms q W(u)^2 and
-    q W'(u) of all its stages at once. The loop runs only the Riccati update
+    inside the table, and evaluates the delayed terms q W(u)^2 and q W'(u) of
+    all its stages at once. The loop runs only the Riccati update
     W' = -W^2 + ... The commit appends the steps before the first W that
     diverged to the table in one piece and refuses that one. A step whose
     stencil would reach past the table is a block of its own and reads the
@@ -137,11 +144,14 @@ class SelfSimilarW:
         self.step = float(step)
         self.x_break = 0.8 * coeffs.radius_estimate
         self._sqrtq = np.sqrt(self.q)
-        # term j of each table row's series: W sums c_j u^(2j+1), W' sums
-        # (2j+1) c_j u^(2j); row 0 (x) is never summed
-        self._terms = np.stack((0 * c, c, np.arange(1, 2 * len(c), 2) * c))
-        # rows x, W, W' of the points built so far
-        self._table = np.empty((3, 0))
+        # term j of each row's series up to the last nonzero c_j: W sums
+        # c_j u^(2j+1), W' sums (2j+1) c_j u^(2j); at q = 1 that is c0 u and c0
+        c = np.trim_zeros(c, "b")
+        self._terms = np.stack((c, np.arange(1, 2 * len(c), 2) * c))
+        # rows W, W' of points _first, _first + 1, ... and the x of the last one
+        self._table = np.empty((2, 0))
+        self._first = 0
+        self._x = 0.0
 
     @property
     def w_infinity(self) -> float:
@@ -151,8 +161,8 @@ class SelfSimilarW:
         return float(np.sqrt(self.R / (1.0 - self.q)))
 
     def _series(self, u: np.ndarray, row):
-        """The partial sums at u of W (row 1), W' (row 2) or both (rows 1:3)."""
-        xp = np.array((u, u, np.ones_like(u))[row])  # the power of u in term 0
+        """The partial sums at u of W (row 0), W' (row 1) or both (rows 0:2)."""
+        xp = np.array((u, np.ones_like(u))[row])  # the power of u in term 0
         terms = self._terms[row].T
         if xp.ndim > u.ndim:
             terms = terms[..., None]  # one coefficient per row; a scalar for one row
@@ -164,8 +174,11 @@ class SelfSimilarW:
         return out
 
     def _at(self, u: np.ndarray, row):
-        """W (row 1), W' (row 2) or both (rows 1:3) at u >= 0, from the table as it stands."""
-        ser = u <= self.x_break
+        """W (row 0), W' (row 1) or both (rows 0:2) at u >= 0, from the table as it stands.
+
+        A NaN u reads the series, which keeps it NaN.
+        """
+        ser = ~(u > self.x_break)
         if ser.all():
             return self._series(u, row)
         if self._table.shape[1] < len(_STENCIL):
@@ -173,29 +186,38 @@ class SelfSimilarW:
                 f"interpolation needs a W table of {len(_STENCIL)} points; "
                 f"at step {self.step} it holds {self._table.shape[1]}")
         rows = self._table[row]
+        # the index into the stored points; exact, since u / h >= _first there
         if not ser.any():
-            return _lagrange(u / self.step, rows)
+            return _lagrange(u / self.step - self._first, rows)
         out = np.empty(rows.shape[:-1] + u.shape)
         lead = (slice(None),) * (out.ndim - u.ndim)  # the row axis when both rows
         out[lead + (ser,)] = self._series(u[ser], row)
-        out[lead + (~ser,)] = _lagrange(u[~ser] / self.step, rows)
+        out[lead + (~ser,)] = _lagrange(u[~ser] / self.step - self._first, rows)
         return out
 
     def ensure(self, x_max: float):
         """Extend the table so that |x| <= x_max is evaluable."""
-        if self.q == 1.0 or x_max <= self.x_break:
-            return  # W = c0 x globally, or the series reaches x_max: no table read
+        if not x_max > self.x_break:
+            return  # the series reaches x_max (q = 1 reaches every x): no table read
         h = self.step
+        last = int(self.x_break / h)  # the last series point
+        first = max(last - (len(_STENCIL) - 1), 0)
+        points = np.floor(x_max / h) + 1 - first  # inf for x_max = inf
+        if points > MAX_TABLE_POINTS:
+            raise HorizonExceededError(
+                f"a W table to x = {x_max:g} needs {points:.0f} points at step {h}, "
+                f"more than MAX_TABLE_POINTS = {MAX_TABLE_POINTS}")
         if not self._table.size:
-            # the series region, tabulated once
-            xs = np.arange(int(self.x_break / h) + 1) * h
-            self._table = np.vstack((xs, self._series(xs, slice(1, 3))))
+            # the series region's last six points, tabulated once
+            xs = np.arange(first, last + 1) * h
+            self._table = self._series(xs, slice(0, 2))
+            self._first, self._x = first, float(xs[-1])
         sq, R = self._sqrtq, self.R
         # divergence guard: W should stay below its saturation value
         cap = 10.0 * max(1.0, np.sqrt(abs(R) / (1.0 - self.q)))
-        x, w = self._table[:2, -1].tolist()
+        x, w = self._x, float(self._table[0, -1])
         while x < x_max:
-            n = self._table.shape[1]
+            n = self._first + self._table.shape[1]  # one past the last point's index
             # the contracted argument must stay inside the built table
             if sq * (x + h) > x and x > 0:
                 raise HorizonExceededError(
@@ -212,7 +234,7 @@ class SelfSimilarW:
             clamped = past[1]
             steps = 1 if clamped else 1 + int(np.logical_and.accumulate(go).sum())
             xb = xb[:steps + 1]
-            inner = self._at(np.concatenate((sq * xb, sq * (xb[:-1] + h / 2))), slice(1, 3))
+            inner = self._at(np.concatenate((sq * xb, sq * (xb[:-1] + h / 2))), slice(0, 2))
             # float_power rounds like Python's scalar ** 2; numpy's ** can differ in the last bit
             a = self.q * np.float_power(inner[0], 2.0)
             b = self.q * inner[1]
@@ -233,18 +255,18 @@ class SelfSimilarW:
             # the cap (NaN and inf fail |W| <= cap), and W' at their points
             m = int(np.logical_and.accumulate(np.abs(ws) <= cap).sum())
             wb = np.array(ws[:m])
-            built = xb[1:m + 1], wb, -wb * wb + a[1:m + 1] - b[1:m + 1] + R
+            built = wb, -wb * wb + a[1:m + 1] - b[1:m + 1] + R
             self._table = np.concatenate((self._table, built), axis=1)
+            self._x = x = float(xb[m])
             if m < steps:
                 raise HorizonExceededError(f"continuation diverged near x = {xb[m + 1]:.3f}")
             if clamped:
                 # W' at the new point sees W with that point already appended
-                a1 = self.q * np.float_power(self._at(sq * xb[1:], 1)[0], 2.0)
-                self._table[2, -1] = -w * w + a1 - b0[1] + R
-            x = float(xb[-1])
+                a1 = self.q * np.float_power(self._at(sq * xb[1:], 0)[0], 2.0)
+                self._table[1, -1] = -w * w + a1 - b0[1] + R
 
     def _read(self, x, row) -> np.ndarray:
-        """W (row 1) or W' (row 2) at |x|, the table extended to reach it."""
+        """W (row 0) or W' (row 1) at |x|, the table extended to reach it."""
         a = np.abs(x)
         self.ensure(float(np.max(a)) + 2 * self.step)
         return self._at(a, row)
@@ -252,16 +274,12 @@ class SelfSimilarW:
     def w(self, x) -> np.ndarray:
         """W(x), vectorized; odd extension for negative arguments."""
         x = np.atleast_1d(np.asarray(x, dtype=float))
-        if self.q == 1.0:
-            return self.coeffs.c0 * x
-        return np.sign(x) * self._read(x, 1)
+        return np.sign(x) * self._read(x, 0)
 
     def wp(self, x) -> np.ndarray:
         """W'(x), vectorized; even in x."""
         x = np.atleast_1d(np.asarray(x, dtype=float))
-        if self.q == 1.0:
-            return np.full_like(x, self.coeffs.c0)
-        return self._read(x, 2)
+        return self._read(x, 1)
 
     def defining_residual(self, x) -> np.ndarray:
         """|W^2 + W' - q W(sqrt(q)x)^2 + q W'(sqrt(q)x) - R| pointwise.

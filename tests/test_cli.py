@@ -18,6 +18,7 @@ from hypothesis import example, given, settings, strategies as st
 import siqm
 from siqm.cli import VERIFY_SUITES, run_command
 from siqm.dynamics import MAX_STEPS
+from siqm.series import MAX_TABLE_POINTS
 
 
 def read_manifest(path):
@@ -346,6 +347,9 @@ REFUSALS = [
      "more levels or a weaker drive needed: top-level population"),
     (["coherent", "--q", "0.7", "--levels", "30", *OUT], "by 1.08e-12 relative at level 25"),
     (["coherent", "--q", "0.3", "--levels", "20", *OUT], "by 1.04e-07 relative at level 19"),
+    # near q = 1 the closed form's q-Pochhammer product underflows
+    (["coherent", "--q", "0.9999999999999999", "--levels", "23", "--z-re", "0", *OUT],
+     "error: the closed form's (q; q)_22 at q = 0.9999999999999999 underflows the floats"),
     # float partial sums that drift from the closed levels, and an oracle asked
     # for as many levels as grid points
     (["verify", "--suite", "matrix-identities", "--family", "harmonic", "--a1", "0.7",
@@ -381,6 +385,16 @@ REFUSALS = [
     (["coeffs", "--q", "0.5", "--c0", "1e4", "--grid-min", "-1", "--grid-max", "1",
       "--grid-points", "101", *OUT],
      "step too large for the contracted argument near the series edge"),
+    # a W table past the point budget, refused before it is built: a grid past
+    # x_break = 7.4e7 (q near 1) and 3.7e9 (tiny c0), and a long march at q = 0.999
+    (["coeffs", "--q", "0.9999999999999999", "--grid-min", "0", "--grid-max", "2e8",
+      "--grid-points", "16", *OUT], "a W table to x = 2e+08 needs 25159319152 points at step "
+     f"0.005, more than MAX_TABLE_POINTS = {MAX_TABLE_POINTS}"),
+    (["coeffs", "--q", "0.8774671631052722", "--c0", "3.9289148944944603e-19", "--order", "31",
+      "--grid-min", "0", "--grid-max", "1e10", "--grid-points", "16", *OUT],
+     "a W table to x = 1e+10 needs 1256578597113 points"),
+    (["coeffs", "--q", "0.999", "--c0", "1", "--grid-min", "0", "--grid-max", "1e7",
+      "--grid-points", "16", *OUT], "a W table to x = 1e+07 needs 1999995173 points"),
     # a scaling order below 1, also in commands that never build W
     (["coherent", "--order", "-5", "--levels", "3", *OUT],
      "error: scaling family needs series order >= 1, got -5"),
@@ -797,6 +811,8 @@ EXAMPLES = {
     "spectrum": [["spectrum", "--q", "0.6", "--levels", "20", *SMALL_GRID],
                  ["spectrum", "--q", Q_NEAR_1, "--levels", "2"]],
     "eigenstates": [["eigenstates", "--q", "0.6", "--levels", "4", *SMALL_GRID]],
+    "coherent": [["coherent", "--q", Q_NEAR_1, "--c", "1.0", "--a1", "1.0", "--levels", "23",
+                  "--z-re", "0.0", "--z-im", "0.0"]],
 }
 
 # each gate in a command's results: its pass and its (residual, tolerance) pairs
@@ -812,7 +828,7 @@ GATES = {
 }
 
 
-def _run_contract(root, monkeypatch, argv):
+def _run_contract(root, monkeypatch, capsys, argv):
     """Run argv twice with its output flag and once without, each in its own
     directory under root, and check the contract; the exit code and results."""
     out = ["--report", "rep.json"] if argv[0] == "verify" else ["--out", "out.csv"]
@@ -825,6 +841,9 @@ def _run_contract(root, monkeypatch, argv):
             if argv[0] in ("spectrum", "eigenstates"):
                 warnings.simplefilter("ignore")
             codes.append(run_command([*argv, *tail]))
+        # one error line on exit 1, none otherwise
+        err = capsys.readouterr().err.splitlines()
+        assert sum(line.startswith("error:") for line in err) == (codes[-1] == 1), err
     code = codes[0]
     assert code in (0, 1, 2) and codes == [code] * 3
     written = [sorted(path.name for path in cwd.iterdir()) for cwd in dirs]
@@ -871,13 +890,14 @@ def _command_contract(argv, code, results):
 
 
 @pytest.mark.parametrize("command", list(MAX_EXAMPLES))
-def test_run_contract(tmp_path, monkeypatch, command):
+def test_run_contract(tmp_path, monkeypatch, capsys, command):
     codes = []
 
     @settings(max_examples=MAX_EXAMPLES[command], derandomize=True, database=None, deadline=None)
     @given(argv=ARGV[command])
     def run_contract(argv):
-        code, results = _run_contract(Path(tempfile.mkdtemp(dir=tmp_path)), monkeypatch, argv)
+        code, results = _run_contract(Path(tempfile.mkdtemp(dir=tmp_path)), monkeypatch, capsys,
+                                      argv)
         _command_contract(argv, code, results)
         codes.append(code)
 

@@ -267,6 +267,43 @@ def test_q_below_one_trajectory_matches_an_independent_integrator(q, n, drive, t
     assert np.max(np.abs(ev.trajectory - ref)) <= tol
 
 
+def rotating_frame_trajectory(levels, f0, sign, t_grid):
+    """The exact trajectory under a constant drive f0, at every q.
+
+    D(t) = diag(e^{i s R1 n t}) conjugates the drive phases away:
+    e^{i s R1 t} B+ = D B+ D^-1, and likewise B-. So psi = D phi turns h(t)
+    into the static i phi' = (diag(E_n + s R1 n) + f0 (B+ + B-)) phi, whose
+    real symmetric tridiagonal generator one eigh_tridiagonal diagonalizes:
+    psi(t) = D(t) V e^{-i lambda t} V^T e_0.
+    """
+    from scipy.linalg import eigh_tridiagonal
+    E, R1 = levels.levels, levels.levels[1]
+    n = np.arange(len(E))
+    lam, V = eigh_tridiagonal(E + sign * R1 * n, f0 * np.sqrt(E[1:]))
+    phi = (np.exp(-1j * np.outer(t_grid, lam)) * V[0]) @ V.T
+    return np.exp(1j * sign * R1 * np.outer(t_grid, n)) * phi
+
+
+# each bound is twice the max |RK4 - exact| measured for its case at t_max 5, dt 0.002
+@pytest.mark.parametrize("q, n, f0, sign_convention, measured", [
+    (0.5, 23, 0.1, "conjugate", 4.1e-13),  # the CLI default
+    (0.5, 23, 0.2, "conjugate", 2.0e-12),
+    (0.8, 24, 0.2, "conjugate", 7.2e-12),
+    (0.95, 29, 0.3, "paper", 3.1e-13),
+    (1.0, 23, 0.1, "conjugate", 2.0e-12),
+    (0.3, 11, 0.1, "conjugate", 2.6e-13),
+])
+def test_constant_drive_trajectory_matches_the_exact_rotating_frame_solution(
+        q, n, f0, sign_convention, measured):
+    tab = energy_levels(SelfSimilar(q=q, c=1.0, a1=1.0), n)
+    ev = evolve_forced(tab, DriveProfile("const", f0), t_max=5.0, dt=0.002,
+                       sign_convention=sign_convention)
+    ref = rotating_frame_trajectory(tab, f0, 1.0 if sign_convention == "paper" else -1.0,
+                                    ev.t_grid)
+    assert np.max(np.abs(np.linalg.norm(ref, axis=1) - 1.0)) <= 2e-15
+    assert np.max(np.abs(ev.trajectory - ref)) <= 2 * measured
+
+
 def lowering_eigenstate(b_minus, z):
     """c with c_0 = 1 and rows 0 .. N-2 of (B- - z) c = 0, solved on the dense B-:
     a lower bidiagonal system for c_1 .. c_{N-1}."""

@@ -7,7 +7,7 @@ import pytest
 
 from siqm import (Grid, HorizonExceededError, SeriesCoefficients, SelfSimilarW,
                   series_coefficients)
-from siqm.series import ratio_sequence
+from siqm.series import MAX_TABLE_POINTS, ratio_sequence
 
 # Taylor series of tanh x (exact rationals), the q = 0 one-soliton limit
 TANH_COEFFS = np.array([1.0, -1.0 / 3, 2.0 / 15, -17.0 / 315, 62.0 / 2835,
@@ -27,6 +27,14 @@ def test_q1_series_is_linear():
     x = np.linspace(-40.0, 40.0, 81)
     assert np.array_equal(eng.w(x), x)
     assert np.array_equal(eng.wp(x), np.ones_like(x))
+    # far out too, at the CLI's order 40: the series stops at its last nonzero
+    # term, so no u^(2j+1) of a zero c_j overflows into 0 * inf = NaN
+    c0 = 0.75
+    eng = SelfSimilarW(series_coefficients(1.0, c0, 40))
+    x = np.logspace(-3.0, 6.0, 37)
+    x = np.concatenate((-x, x))
+    assert np.array_equal(eng.w(x), c0 * x)
+    assert np.array_equal(eng.wp(x), np.full_like(x, c0))
 
 
 def test_q0_series_is_tanh():
@@ -191,8 +199,8 @@ def _reference_march(eng, x_max):
     q, R, h, sq = eng.q, eng.R, eng.step, np.sqrt(eng.q)
     cap = 10.0 * max(1.0, np.sqrt(abs(R) / (1.0 - q)))
     xs = np.arange(int(min(eng.x_break, x_max + 4 * h) / h) + 1) * h
-    X, W, Wp = list(xs), list(eng._series(xs, 1)), list(eng._series(xs, 2))
-    terms = eng._terms[1:].T.tolist()  # the (W, W') coefficient of each series term
+    X, W, Wp = list(xs), list(eng._series(xs, 0)), list(eng._series(xs, 1))
+    terms = eng._terms.T.tolist()  # the (W, W') coefficient of each series term
     clamped = 0
 
     def series(u):
@@ -231,6 +239,15 @@ def _reference_march(eng, x_max):
     return np.array([X, W, Wp]), clamped, None
 
 
+def _assert_stores(eng, ref):
+    """The engine stores ref's W and W' rows from the sixth-last series point,
+    the lowest a stencil past x_break reads, and ref's last x."""
+    first = max(int(eng.x_break / eng.step) - 5, 0)
+    assert eng._first == first
+    assert np.array_equal(eng._table, ref[1:, first:])
+    assert eng._x == ref[0, -1]
+
+
 @pytest.mark.parametrize("q, c0, near, points", [(0.5, -1.0, "1.700", 340),
                                                   (0.3, -0.5, "2.200", 440),
                                                   (0.9, -2.0, "2.260", 452)])
@@ -244,8 +261,8 @@ def test_negative_remainder_branch_diverges(q, c0, near, points):
         eng.ensure(10.0)
     assert str(err.value) == f"continuation diverged near x = {x_ref:.3f}"
     assert f"{x_ref:.3f}" == near
-    assert eng._table.shape[1] == ref.shape[1] == points
-    assert np.array_equal(eng._table, ref)
+    assert ref.shape[1] == points
+    _assert_stores(eng, ref)
 
 
 def test_a_table_shorter_than_the_interpolation_stencil_is_refused():
@@ -265,19 +282,19 @@ def test_blocked_march_matches_scalar_reference(q, step):
     ref, clamped, diverged = _reference_march(eng, 12.0)
     assert diverged is None
     eng.ensure(12.0)
-    assert np.array_equal(eng._table, ref)
+    _assert_stores(eng, ref)
     if step == 0.02:
         assert clamped > 0  # the end-of-table clamp is exercised
     x = np.linspace(-11.9, 11.9, 477)
     a = np.abs(x)
     ser = a <= eng.x_break
-    w_ref = np.array([eng._series(np.array([u]), 1)[0] if s else _lagrange6(ref[1], u, step)
+    w_ref = np.array([eng._series(np.array([u]), 0)[0] if s else _lagrange6(ref[1], u, step)
                       for u, s in zip(a, ser)])
-    wp_ref = np.array([eng._series(np.array([u]), 2)[0] if s else _lagrange6(ref[2], u, step)
+    wp_ref = np.array([eng._series(np.array([u]), 1)[0] if s else _lagrange6(ref[2], u, step)
                        for u, s in zip(a, ser)])
     assert np.array_equal(eng.w(x), np.sign(x) * w_ref)
     assert np.array_equal(eng.wp(x), wp_ref)
-    assert eng._table.shape[1] == ref.shape[1]  # evaluation inside the table did not extend it
+    _assert_stores(eng, ref)  # evaluation inside the table did not extend it
 
 
 @pytest.mark.filterwarnings("error")
@@ -295,7 +312,9 @@ def test_grown_table_equals_fresh_table(q, step):
         grown = SelfSimilarW(sc, step=step)
         for x_max in x_maxes:
             grown.ensure(x_max)
+        assert grown._first == fresh._first
         assert np.array_equal(grown._table, fresh._table)
+        assert grown._x == fresh._x
 
 
 @pytest.mark.parametrize("q, c0, order", [(1.0 - 2.0**-53, 1.0, 40),
@@ -314,6 +333,33 @@ def test_a_grid_inside_the_break_point_builds_no_table(q, c0, order):
     x = np.linspace(-40.0, 40.0, 81)
     assert np.allclose(eng.w(x), c0 * x, rtol=1e-10, atol=0.0)
     assert np.allclose(eng.wp(x), c0, rtol=1e-10, atol=0.0)
+
+
+def test_the_table_stores_six_series_points_however_far_out_the_break_point():
+    # x_break 2418: the series region holds 483 691 points of the step 0.005, and
+    # the table stores its last six before the first step refuses the contracted
+    # argument sqrt(q)(x + h) > x
+    eng = SelfSimilarW(series_coefficients(1.0 - 1e-7, 1.0, 40))
+    with pytest.raises(HorizonExceededError, match="step too large for the contracted argument"):
+        eng.ensure(eng.x_break + 1.0)
+    last = int(eng.x_break / eng.step)
+    assert eng._first == last - 5 == 483685
+    xs = np.arange(last - 5, last + 1) * eng.step
+    assert np.array_equal(eng._table, eng._series(xs, slice(0, 2)))
+    assert eng._x == xs[-1]
+
+
+def test_a_table_past_the_point_budget_is_refused_before_it_is_built():
+    eng = SelfSimilarW(series_coefficients(0.5, 2 / 3, 40))
+    first = max(int(eng.x_break / eng.step) - 5, 0)
+    x_max = (MAX_TABLE_POINTS + first + 0.5) * eng.step  # points first .. first + MAX
+    with pytest.raises(HorizonExceededError) as err:
+        eng.ensure(x_max)
+    assert str(err.value) == (f"a W table to x = {x_max:g} needs {MAX_TABLE_POINTS + 1} points "
+                              f"at step 0.005, more than MAX_TABLE_POINTS = {MAX_TABLE_POINTS}")
+    assert eng._table.shape == (2, 0)
+    eng.ensure(40.0)  # a request within the budget still builds
+    assert eng._first == first and eng._table.shape[1] == 8001 - first
 
 
 def test_w_and_wp_on_a_padded_grid_allocate_under_32_floats_per_point():
