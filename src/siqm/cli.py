@@ -9,8 +9,8 @@ Subcommands map one-to-one onto the library capabilities:
     coherent     coherent-state coefficients and property residuals (CSV)
     evolve       forced time evolution trajectories (CSV)
 
-A parameter takes its value from, in rising precedence, the command's
-default (DEFAULTS), a JSON config file (--config) and the flags given.
+A parameter takes its value from, in rising precedence, its command's
+default (its COMMANDS row), a JSON config file (--config) and the flags given.
 A config holds only its command's parameters, keyed by flag name with
 underscores (z_re, t_max, phase_sign, grid_points); any other key exits 1,
 and each value is parsed as its flag's text would be. verify writes its
@@ -33,10 +33,12 @@ sets give bitwise-identical files on one platform.
 import argparse
 import functools
 import json
+import re
 import sys
 import warnings
 from datetime import datetime, timezone
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -68,23 +70,16 @@ CLOSED_FORM_FLOOR = 1e-12  # closed vs recursive coherent: max(floor, 100 eps / 
 VERIFY_SUITES = ("shape-invariance", "lattice-algebra", "q-oscillator",
                  "dilation", "matrix-identities")
 
-# every parameter key some registered family declares, with its type
-FAMILY_KEYS = {key: kind for cls in FAMILIES.values()
-               for key, (_, kind) in cls.config_keys.items()}
-GRID_KEYS = ("grid_min", "grid_max", "grid_points")
-# flags that name output files rather than parameters; a config cannot set them
-OUTPUT_FLAGS = ("out", "report")
-
-# the one declaration of each command's defaults; the parser sets none
-DEFAULTS = {
-    "spectrum": {"family": DEFAULT_FAMILY, "levels": 6},
-    "coeffs": {"c0": 1.0, "order": 40},
-    "eigenstates": {"family": DEFAULT_FAMILY, "levels": 3},
-    "verify": {"family": DEFAULT_FAMILY, "levels": 20},
-    "coherent": {"family": DEFAULT_FAMILY, "z_re": 1.0, "z_im": 0.0, "levels": 20},
-    "evolve": {"family": DEFAULT_FAMILY, "drive": "const:0.1", "t_max": 5.0,
-               "dt": 0.002, "phase_sign": "conjugate", "levels": 23},
-}
+# A flag is keyed by its config key (the flag name with underscores) and declared
+# as (argparse keywords, default or None); the parser sets no default, so that None
+# means "not given" when config and flags layer. --family, then each family key:
+FAMILY_FLAGS = {"family": ({"choices": tuple(FAMILIES)}, DEFAULT_FAMILY), **{
+    key: ({"type": kind, "help": "/".join(n for n, c in FAMILIES.items() if key in c.config_keys)
+           + " parameter"}, None)
+    for cls in FAMILIES.values() for key, (_, kind) in cls.config_keys.items()}}
+INT, FLOAT = {"type": int}, {"type": float}
+GRID_FLAGS = {"grid_min": (FLOAT, None), "grid_max": (FLOAT, None), "grid_points": (INT, None)}
+PATH_FLAG = ({"type": Path}, None)
 
 
 class CliError(Exception):
@@ -92,6 +87,11 @@ class CliError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse's own pattern took a negative float in exponent form for an option
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
     def error(self, message):
         raise CliError(message)
 
@@ -119,53 +119,13 @@ def _build_parser() -> _Parser:
     """The CLI's parser, built once per process; parsing leaves it unchanged."""
     p = _Parser(prog="siqm", description=__doc__.splitlines()[0])
     sub = p.add_subparsers(dest="command", required=True)
-
-    def add_command(name, summary, family=True, grid=True, out=True):
-        sp = sub.add_parser(name, help=summary)
-        if family:
-            sp.add_argument("--family", choices=tuple(FAMILIES))
-            for key, kind in FAMILY_KEYS.items():
-                takers = [n for n, cls in FAMILIES.items() if key in cls.config_keys]
-                sp.add_argument(f"--{key}", type=kind, help=f"{'/'.join(takers)} parameter")
-        if grid:
-            sp.add_argument("--grid-min", type=float)
-            sp.add_argument("--grid-max", type=float)
-            sp.add_argument("--grid-points", type=int)
-        sp.add_argument("--config", type=Path)
-        if out:
-            sp.add_argument("--out", type=Path)
-        return sp
-
-    sp = add_command("spectrum", "ladder levels vs diagonalization oracle")
-    sp.add_argument("--levels", type=int)
-
-    sp = add_command("coeffs", "series coefficients of the superpotential", family=False)
-    sp.add_argument("--q", type=float)
-    sp.add_argument("--c0", type=float)
-    sp.add_argument("--order", type=int)
-
-    sp = add_command("eigenstates", "ladder-built wavefunctions")
-    sp.add_argument("--levels", type=int)
-
-    # verify writes its JSON report to --report and takes no --out
-    sp = add_command("verify", "operator-identity suites", out=False)
-    sp.add_argument("--suite", choices=VERIFY_SUITES)
-    sp.add_argument("--levels", type=int, help="matrix-identities: from E = 8192 one ulp "
-                    "exceeds the absolute 1e-12 of factorized-hamiltonian, so --family "
-                    "harmonic --levels 5000 exits 2 on rounding alone")
-    sp.add_argument("--report", type=Path)
-
-    sp = add_command("coherent", "coherent-state coefficients", grid=False)
-    sp.add_argument("--z-re", type=float)
-    sp.add_argument("--z-im", type=float)
-    sp.add_argument("--levels", type=int)
-
-    sp = add_command("evolve", "forced-oscillator evolution", grid=False)
-    sp.add_argument("--drive", type=str)
-    sp.add_argument("--t-max", type=float)
-    sp.add_argument("--dt", type=float)
-    sp.add_argument("--phase-sign", choices=("paper", "conjugate"))
-    sp.add_argument("--levels", type=int)
+    for name, cmd in COMMANDS.items():
+        sp = sub.add_parser(name, help=cmd.summary)
+        for key, (kwargs, default) in cmd.all_flags.items():
+            if default is not None:
+                kwargs = {**kwargs,
+                          "help": f"{kwargs.get('help', '')} (default: {default})".lstrip()}
+            sp.add_argument(f"--{key.replace('_', '-')}", **kwargs)
     return p
 
 
@@ -192,11 +152,11 @@ def _merge_params(parser: _Parser, args: argparse.Namespace) -> dict:
     and choices; a null value, like an absent flag, leaves the value below
     it in force. A float that is not finite (inf or nan) is refused.
     """
-    flags = {key: val for key, val in vars(args).items()
-             if key not in ("command", "config")}
+    flags = {key: val for key, val in vars(args).items() if key not in ("command", "config")}
+    cmd = COMMANDS[args.command]
     cfg = _load_config(args.config) if args.config else {}
     for key in cfg:
-        if key not in flags or key in OUTPUT_FLAGS:
+        if key not in flags or key == cmd.output:
             raise CliError(f"unknown config key {key!r} for {args.command}")
     cfg = {key: val for key, val in cfg.items() if val is not None}
     if cfg:
@@ -206,7 +166,7 @@ def _merge_params(parser: _Parser, args: argparse.Namespace) -> dict:
         except CliError as exc:
             raise CliError(f"config {args.config}: {exc}")
         cfg = {key: getattr(parsed, key) for key in cfg}
-    merged = dict(DEFAULTS[args.command])
+    merged = {key: default for key, (_, default) in cmd.all_flags.items() if default is not None}
     for layer in (cfg, flags):
         merged.update((key, val) for key, val in layer.items() if val is not None)
     for key, val in merged.items():
@@ -220,13 +180,12 @@ def _family_from(params: dict):
 
     A family key given for a family that does not declare it is rejected.
     """
-    return family_from_config({key: params[key] for key in ("family", *FAMILY_KEYS)
-                               if key in params})
+    return family_from_config({key: params[key] for key in FAMILY_FLAGS if key in params})
 
 
 def _grid_from(params: dict) -> Grid | None:
     """The grid of the three grid flags, or None when none of them is given."""
-    values = [params.get(key) for key in GRID_KEYS]
+    values = [params.get(key) for key in GRID_FLAGS]
     if all(v is None for v in values):
         return None
     if None in values:
@@ -386,9 +345,49 @@ def _cmd_evolve(params: dict) -> tuple[dict, list]:
                                               ev.norms, ev.overlaps))]
 
 
-_COMMANDS = {"spectrum": _cmd_spectrum, "coeffs": _cmd_coeffs,
-             "eigenstates": _cmd_eigenstates, "verify": _cmd_verify,
-             "coherent": _cmd_coherent, "evolve": _cmd_evolve}
+class Command(NamedTuple):
+    """One CLI command: what its parser, defaults and dispatch are built from."""
+
+    summary: str
+    run: Callable[[dict], tuple[dict, list]]  # params -> (results, files)
+    output: str                               # the flag of its output file
+    family: bool                              # takes --family and the family keys
+    grid: bool                                # takes the three grid flags
+    flags: dict                               # its own flags, as FAMILY_FLAGS
+
+    @property
+    def all_flags(self) -> dict:
+        """Every flag it takes, in parser order: family, grid, config, output, its own."""
+        return {**(FAMILY_FLAGS if self.family else {}), **(GRID_FLAGS if self.grid else {}),
+                "config": PATH_FLAG, self.output: PATH_FLAG, **self.flags}
+
+
+# the one declaration of each command, which builds the parser, the defaults and the
+# dispatch; a row holds cli's own _cmd_* function, which calls the library through
+# this module's attributes
+COMMANDS = {
+    "spectrum": Command("ladder levels vs diagonalization oracle", _cmd_spectrum, "out",
+                        family=True, grid=True, flags={"levels": (INT, 6)}),
+    "coeffs": Command("series coefficients of the superpotential", _cmd_coeffs, "out",
+                      family=False, grid=True,
+                      flags={"q": (FLOAT, None), "c0": (FLOAT, 1.0), "order": (INT, 40)}),
+    "eigenstates": Command("ladder-built wavefunctions", _cmd_eigenstates, "out",
+                           family=True, grid=True, flags={"levels": (INT, 3)}),
+    # verify writes its JSON report to --report and takes no --out
+    "verify": Command("operator-identity suites", _cmd_verify, "report", family=True, grid=True,
+                      flags={"suite": ({"choices": VERIFY_SUITES}, None), "levels": (
+                          {**INT, "help": "matrix-identities: from E = 8192 one ulp exceeds "
+                           "the absolute 1e-12 of factorized-hamiltonian, so --family "
+                           "harmonic --levels 5000 exits 2 on rounding alone"}, 20)}),
+    "coherent": Command("coherent-state coefficients", _cmd_coherent, "out",
+                        family=True, grid=False,
+                        flags={"z_re": (FLOAT, 1.0), "z_im": (FLOAT, 0.0), "levels": (INT, 20)}),
+    "evolve": Command("forced-oscillator evolution", _cmd_evolve, "out", family=True, grid=False,
+                      flags={"drive": ({}, "const:0.1"), "t_max": (FLOAT, 5.0),
+                             "dt": (FLOAT, 0.002),
+                             "phase_sign": ({"choices": ("paper", "conjugate")}, "conjugate"),
+                             "levels": (INT, 23)}),
+}
 
 
 def run_command(argv: list[str]) -> int:
@@ -397,7 +396,7 @@ def run_command(argv: list[str]) -> int:
     try:
         args = parser.parse_args(argv)
         params = _merge_params(parser, args)
-        results, files = _COMMANDS[args.command](params)
+        results, files = COMMANDS[args.command].run(params)
         files = [(path, chunks) for path, chunks in files if path]
         manifest = Path(f"{files[0][0] if files else args.command}.manifest.json")
         record = {

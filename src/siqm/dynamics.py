@@ -69,6 +69,8 @@ class StepInstabilityError(ValueError):
 TOP_BUDGET = 1e-6
 # Most RK4 steps a run may take: 400 default runs, ~1.3 GB of arrays at 24 levels.
 MAX_STEPS = 10**6
+# Most amplitudes a trajectory may hold, (steps + 1) x levels: MAX_STEPS at 24 levels.
+MAX_AMPLITUDES = 24 * (MAX_STEPS + 1)
 
 
 @dataclass(frozen=True)
@@ -168,7 +170,8 @@ def evolve_forced(levels: SpectrumTable, drive: DriveProfile, t_max: float,
     The truncation is the whole spectrum table, at least three levels; the
     run aborts if the top-level population ever exceeds TOP_BUDGET. dt must
     be finite and positive, t_max finite and non-negative, round(t_max / dt)
-    at most MAX_STEPS, and the stability budget dt * (E_max + 2 |f0| sqrt(E_max))
+    at most MAX_STEPS, the trajectory's (steps + 1) x levels amplitudes at most
+    MAX_AMPLITUDES, and the stability budget dt * (E_max + 2 |f0| sqrt(E_max))
     <= 0.1, a bound on dt * max|h(t)|, is enforced up front.
     """
     if sign_convention not in ("paper", "conjugate"):
@@ -192,6 +195,10 @@ def evolve_forced(levels: SpectrumTable, drive: DriveProfile, t_max: float,
         raise ValueError(f"t_max = {t_max} at dt = {dt} takes {steps:.7g} steps, "
                          f"more than MAX_STEPS = {MAX_STEPS}")
     n_steps = int(round(steps))
+    if (n_steps + 1) * N > MAX_AMPLITUDES:
+        raise ValueError(f"a trajectory of {n_steps + 1} time points at {N} levels holds "
+                         f"{(n_steps + 1) * N} amplitudes, more than MAX_AMPLITUDES = "
+                         f"{MAX_AMPLITUDES}")
     t_grid = np.linspace(0.0, n_steps * dt, n_steps + 1)
     R1 = float(E[1])
 

@@ -38,6 +38,8 @@ class BoundaryDecayWarning(UserWarning):
 
 
 MIN_POINTS = 16
+# Most points a grid may hold: verify --suite lattice-algebra peaks at 1.8 GB there.
+MAX_POINTS = 10**6
 
 
 @dataclass(frozen=True)
@@ -55,6 +57,9 @@ class Grid:
         if self.n_points < MIN_POINTS:
             raise TooFewPointsError(
                 f"need at least {MIN_POINTS} points, got {self.n_points}")
+        if self.n_points > MAX_POINTS:
+            raise ValueError(f"a grid of {self.n_points} points is more than "
+                             f"MAX_POINTS = {MAX_POINTS}")
 
     @property
     def spacing(self) -> float:

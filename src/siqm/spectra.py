@@ -42,6 +42,10 @@ def __getattr__(name):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
+# Most levels above the ground state a table may hold: 10**6 harmonic levels take 0.3 s.
+MAX_LEVELS = 10**6
+
+
 class LevelNotBoundError(ValueError):
     """The requested level does not exist as a bound state."""
 
@@ -79,20 +83,21 @@ class SpectrumTable:
     def norms(self, N: int) -> np.ndarray:
         """N_0 .. N_{N-1}, N_n = sqrt(E_n (E_n - E_{n-1}) ... (E_n - E_1)), N_0 = 1.
         Levels 0 .. N-1 that do not rise strictly are refused first (DegenerateLevelsError),
-        then a product that is inf, 0 or NaN in floats, each naming its level."""
+        then the first product that is inf, 0 or NaN in floats, naming its level, as soon
+        as it is formed: each product costs O(n), so none past it is made."""
         if N < 1:
             raise ValueError("need N >= 1")
         E = self.upto(N - 1)
         flat = np.flatnonzero(np.diff(E) <= 0)
         if flat.size:
             raise DegenerateLevelsError(f"level {flat[0] + 1} is not above all lower levels")
+        out = np.empty(N)
         with np.errstate(over="ignore", under="ignore", invalid="ignore"):  # refused below
-            out = np.array([np.sqrt(np.prod(E[n] - E[:n])) for n in range(N)])
-        bad = ~(np.isfinite(out) & (out > 0))
-        if bad.any():
-            n = int(np.argmax(bad))  # the first
-            raise ValueError(f"normalization product N_{n} = {out[n]} of level {n} "
-                             "is not a finite nonzero float")
+            for n in range(N):
+                out[n] = np.sqrt(np.prod(E[n] - E[:n]))
+                if not (np.isfinite(out[n]) and out[n] > 0):
+                    raise ValueError(f"normalization product N_{n} = {out[n]} of level {n} "
+                                     "is not a finite nonzero float")
         return out
 
 
@@ -105,10 +110,12 @@ def energy_levels(family: PotentialFamily, n_max: int) -> SpectrumTable:
     remainder c a1 q^k (c > 0), that rounds to 0 is named float underflow
     instead. The sums are checked against the family's closed form to 1e-12
     (relative to the top level, at least 1); a larger deviation is refused,
-    naming its level.
+    naming its level. An n_max above MAX_LEVELS is refused before any level is made.
     """
     if n_max < 0:
         raise ValueError(f"need n_max >= 0, got {n_max}")
+    if n_max > MAX_LEVELS:
+        raise ValueError(f"need n_max <= MAX_LEVELS = {MAX_LEVELS}, got {n_max}")
     incs = [family.R(family.chain_value(k)) for k in range(1, n_max + 1)]
     for k, r in enumerate(incs, start=1):
         if r <= 0:

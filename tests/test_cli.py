@@ -5,6 +5,7 @@ import itertools
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 import tempfile
@@ -17,8 +18,10 @@ from hypothesis import example, given, settings, strategies as st
 
 import siqm
 from siqm.cli import VERIFY_SUITES, run_command
-from siqm.dynamics import MAX_STEPS
+from siqm.dynamics import MAX_AMPLITUDES, MAX_STEPS
+from siqm.grid import MAX_POINTS
 from siqm.series import MAX_TABLE_POINTS
+from siqm.spectra import MAX_LEVELS
 
 
 def read_manifest(path):
@@ -395,6 +398,33 @@ REFUSALS = [
      "a W table to x = 1e+10 needs 1256578597113 points"),
     (["coeffs", "--q", "0.999", "--c0", "1", "--grid-min", "0", "--grid-max", "1e7",
       "--grid-points", "16", *OUT], "a W table to x = 1e+07 needs 1999995173 points"),
+    # a grid, a level table or a trajectory past its budget, refused before it is
+    # allocated; the padded work grid of eigenstates counts too
+    (["spectrum", "--family", "harmonic", "--levels", "2", "--grid-min", "-10", "--grid-max",
+      "10", "--grid-points", "300000000", *OUT],
+     f"a grid of 300000000 points is more than MAX_POINTS = {MAX_POINTS}"),
+    (["verify", "--suite", "shape-invariance", "--grid-min", "-10", "--grid-max", "10",
+      "--grid-points", "200000000", *REPORT], "a grid of 200000000 points is more than MAX_POINTS"),
+    (["spectrum", "--family", "harmonic", "--levels", "2", "--grid-min", "-10", "--grid-max",
+      "10", "--grid-points", str(MAX_POINTS + 1), *OUT],
+     f"error: a grid of {MAX_POINTS + 1} points is more than MAX_POINTS = {MAX_POINTS}"),
+    (["eigenstates", "--family", "harmonic", "--levels", "1", "--grid-min", "-10", "--grid-max",
+      "10", "--grid-points", str(MAX_POINTS), *OUT],
+     f"a grid of 2200000 points is more than MAX_POINTS = {MAX_POINTS}"),
+    (["verify", "--suite", "matrix-identities", "--family", "harmonic", "--levels", "100000000",
+      *REPORT], f"need n_max <= MAX_LEVELS = {MAX_LEVELS}, got 100000000"),
+    (["verify", "--suite", "matrix-identities", "--family", "harmonic", "--levels",
+      str(MAX_LEVELS + 1), *REPORT],
+     f"error: need n_max <= MAX_LEVELS = {MAX_LEVELS}, got {MAX_LEVELS + 1}"),
+    (["evolve", "--family", "harmonic", "--a1", "0.0001", "--levels", "100000", "--drive",
+      "const:0.000001", *OUT], "a trajectory of 2501 time points at 100001 levels holds "
+     f"250102501 amplitudes, more than MAX_AMPLITUDES = {MAX_AMPLITUDES}"),
+    # 137143 x 175 amplitudes, one over the budget
+    (["evolve", "--family", "harmonic", "--a1", "0.01", "--levels", "174", "--t-max", "274.284",
+      *OUT], f"holds {MAX_AMPLITUDES + 1} amplitudes, more than MAX_AMPLITUDES"),
+    # the first refused normalization product ends the run, so the 200000 products
+    # of all levels (an O(N^2) cost) are never formed
+    (["coherent", "--family", "harmonic", "--levels", "200000", *OUT], "N_151 = inf"),
     # a scaling order below 1, also in commands that never build W
     (["coherent", "--order", "-5", "--levels", "3", *OUT],
      "error: scaling family needs series order >= 1, got -5"),
@@ -481,6 +511,37 @@ def test_refusal_exits_1_with_one_error_line_and_no_files(tmp_path, monkeypatch,
     else:
         assert text in err
     assert not list(run_dir.iterdir())
+
+
+# every default of the COMMANDS table, as --help shows it on its flag's line
+HELP_DEFAULTS = {
+    "spectrum": {"--family": "selfsimilar", "--levels": "6"},
+    "coeffs": {"--c0": "1.0", "--order": "40"},
+    "eigenstates": {"--family": "selfsimilar", "--levels": "3"},
+    "verify": {"--family": "selfsimilar", "--levels": "20"},
+    "coherent": {"--family": "selfsimilar", "--z-re": "1.0", "--z-im": "0.0", "--levels": "20"},
+    "evolve": {"--family": "selfsimilar", "--drive": "const:0.1", "--t-max": "5.0",
+               "--dt": "0.002", "--phase-sign": "conjugate", "--levels": "23"},
+}
+
+
+@pytest.mark.parametrize("command", list(HELP_DEFAULTS))
+def test_help_shows_every_default_and_a_run_uses_it(tmp_path, monkeypatch, capsys, command):
+    with pytest.raises(SystemExit) as stop:
+        run_command([command, "--help"])
+    assert stop.value.code == 0
+    # one entry per option: a line "  --flag ..." and its indented continuation lines
+    entries = [" ".join(entry.split()) for entry in
+               re.split(r"\n  (?=-)", capsys.readouterr().out.split("\n  -h, --help")[1])]
+    shown = {entry.split()[0]: match[1] for entry in entries
+             if (match := re.search(r"\(default: (\S+)\)$", entry))}
+    assert shown == HELP_DEFAULTS[command]
+    # a run that gives none of these flags records each default in its manifest
+    monkeypatch.chdir(tmp_path)
+    argv = {"coeffs": ["--q", "0.5"], "verify": ["--suite", "matrix-identities"]}.get(command, [])
+    assert run_command([command, *argv]) == 0
+    params = read_manifest(tmp_path / f"{command}.manifest.json")["params"]
+    assert {flag: str(params[flag[2:].replace("-", "_")]) for flag in shown} == shown
 
 
 def test_a_run_without_out_writes_only_its_manifest(tmp_path, monkeypatch):
@@ -760,7 +821,8 @@ def test_each_command_builds_its_level_table_once(tmp_path, monkeypatch, argv, t
 # run_command and every run exits 0, 1 or 2; exit 1 writes no file at all;
 # exit 0 or 2 writes the same bytes on a rerun and a strict-JSON manifest whose
 # results do not depend on the output flag, and it exits 2 exactly when a gate
-# that those results record fails
+# that those results record fails; the drawn flags given as a config file give
+# the same exit code, error line, results and output bytes
 
 def _flags(**values):
     """--name value for each keyword, underscores as dashes; a float as its repr."""
@@ -775,8 +837,14 @@ def _argv(command, head, **draws):
 
 SCALE = st.floats(0.3, 3.0)
 FORCE = st.floats(-2.0, 2.0)
-# --q, --c and --a1, shared by the five family commands
-FAMILY = st.builds(lambda q, c, a1: _flags(q=q, c=c, a1=a1), st.floats(0.05, 1.0), SCALE, SCALE)
+# the family flags of the five family commands: the scaling family's --q, --c, --a1
+# and --order, or --family harmonic or morse with its --a1 (Morse binds the levels
+# below a1, so its a1 reaches past the levels drawn)
+FAMILY = st.one_of(
+    st.builds(lambda q, c, a1, order: _flags(q=q, c=c, a1=a1, order=order),
+              st.floats(0.05, 1.0), SCALE, SCALE, st.integers(1, 80)),
+    st.builds(lambda a1: _flags(family="harmonic", a1=a1), SCALE),
+    st.builds(lambda a1: _flags(family="morse", a1=a1), st.floats(0.3, 45.0)))
 DRIVE = st.one_of(st.builds("const:{}".format, FORCE),
                   st.builds("pulse:{},{},0.3".format, FORCE, st.floats(0.0, 1.0)))
 GRID_201 = ["--grid-min", "-10", "--grid-max", "10", "--grid-points", "201"]
@@ -787,7 +855,8 @@ ARGV = {
                     order=st.integers(1, 80)),
     "verify": _argv("verify", FAMILY, suite=st.sampled_from(VERIFY_SUITES)),
     "evolve": _argv("evolve", FAMILY, levels=st.integers(3, 30), drive=DRIVE, t_max=st.just(0.5),
-                    dt=st.sampled_from([0.001, 0.004])),
+                    dt=st.sampled_from([0.001, 0.004]),
+                    phase_sign=st.sampled_from(["paper", "conjugate"])),
     "coherent": _argv("coherent", FAMILY, levels=st.integers(2, 40), z_re=FORCE, z_im=FORCE),
     "spectrum": _argv("spectrum", FAMILY, levels=st.integers(1, 8)),
     "eigenstates": _argv("eigenstates", FAMILY, levels=st.integers(0, 4)),
@@ -799,8 +868,9 @@ MAX_EXAMPLES = {"coeffs": 30, "verify": 20, "evolve": 16, "coherent": 24, "spect
 LEAST_EXIT_0 = {"evolve": 8, "eigenstates": 8}
 
 # argv that draws seldom reach: series too short for a break point, too few grid
-# points for the levels asked, and series regions of 1e8 and more that no grid
-# reads (q = 1 - 2^-53, or a tiny c0), once tabulated whole into a MemoryError
+# points for the levels asked, series regions of 1e8 and more that no grid
+# reads (q = 1 - 2^-53, or a tiny c0), once tabulated whole into a MemoryError,
+# and a flag value the parser once refused
 Q_NEAR_1 = repr(1 - 2 ** -53)
 EXAMPLES = {
     "coeffs": [["coeffs", "--q", "0.5", "--c0", "0.0", "--order", "40", *GRID_201],
@@ -812,7 +882,10 @@ EXAMPLES = {
                  ["spectrum", "--q", Q_NEAR_1, "--levels", "2"]],
     "eigenstates": [["eigenstates", "--q", "0.6", "--levels", "4", *SMALL_GRID]],
     "coherent": [["coherent", "--q", Q_NEAR_1, "--c", "1.0", "--a1", "1.0", "--levels", "23",
-                  "--z-re", "0.0", "--z-im", "0.0"]],
+                  "--z-re", "0.0", "--z-im", "0.0"],
+                 # a negative float in exponent form, once taken for an unknown option
+                 ["coherent", "--family", "harmonic", "--a1", "1.0", "--levels", "2",
+                  "--z-re", "0.0", "--z-im", "-4.55414049673679e-282"]],
 }
 
 # each gate in a command's results: its pass and its (residual, tolerance) pairs
@@ -828,37 +901,60 @@ GATES = {
 }
 
 
+def _config(argv):
+    """The JSON config of argv's flags: each value as JSON writes it, an int, a float
+    (its repr, as the flag's text) or a string."""
+    def value(text):
+        for kind in (int, float):
+            try:
+                return kind(text)
+            except ValueError:
+                pass
+        return text
+    return json.dumps({flag[2:].replace("-", "_"): value(text)
+                       for flag, text in zip(argv[1::2], argv[2::2])})
+
+
 def _run_contract(root, monkeypatch, capsys, argv):
-    """Run argv twice with its output flag and once without, each in its own
-    directory under root, and check the contract; the exit code and results."""
+    """Run argv twice with its output flag, once without, and once with its flags
+    in a config file, each in its own directory under root, and check the
+    contract; the exit code and results."""
     out = ["--report", "rep.json"] if argv[0] == "verify" else ["--out", "out.csv"]
-    dirs = [root / name for name in ("a", "b", "bare")]
-    codes = []
-    for cwd, tail in zip(dirs, (out, out, [])):
+    config = root / "config.json"
+    config.write_text(_config(argv))
+    runs = {"a": [*argv, *out], "b": [*argv, *out], "bare": argv,
+            "config": [argv[0], "--config", str(config), *out]}
+    dirs = [root / name for name in runs]
+    codes, errors = [], []
+    for cwd, run in zip(dirs, runs.values()):
         cwd.mkdir()
         monkeypatch.chdir(cwd)
         with warnings.catch_warnings():
             if argv[0] in ("spectrum", "eigenstates"):
                 warnings.simplefilter("ignore")
-            codes.append(run_command([*argv, *tail]))
+            codes.append(run_command(run))
         # one error line on exit 1, none otherwise
         err = capsys.readouterr().err.splitlines()
-        assert sum(line.startswith("error:") for line in err) == (codes[-1] == 1), err
+        errors.append([line for line in err if line.startswith("error:")])
+        assert len(errors[-1]) == (codes[-1] == 1), err
     code = codes[0]
-    assert code in (0, 1, 2) and codes == [code] * 3
+    assert code in (0, 1, 2) and codes == [code] * 4
+    assert errors[3] == errors[0]
     written = [sorted(path.name for path in cwd.iterdir()) for cwd in dirs]
     if code == 1:
-        assert written == [[], [], []]
+        assert written == [[], [], [], []]
         return code, None
-    a, b, _ = dirs
-    assert written[0] == written[1] and written[2] == [f"{argv[0]}.manifest.json"]
+    a, b, _, by_config = dirs
+    assert written[0] == written[1] == written[3] and written[2] == [f"{argv[0]}.manifest.json"]
     for name in written[0]:
         if not name.endswith(".manifest.json"):
-            assert (a / name).read_bytes() == (b / name).read_bytes(), name
-    names = [f"{out[1]}.manifest.json"] * 2 + written[2]
+            assert (a / name).read_bytes() == (b / name).read_bytes() == \
+                (by_config / name).read_bytes(), name
+    names = [f"{out[1]}.manifest.json"] * 2 + written[2] + [f"{out[1]}.manifest.json"]
     manifests = [read_strict_json(cwd / name) for cwd, name in zip(dirs, names)]
     results = manifests[0]["results"]
-    assert [m["results"] for m in manifests] == [results] * 3
+    assert [m["results"] for m in manifests] == [results] * 4
+    assert manifests[3]["params"] == manifests[0]["params"]
     gates = GATES[argv[0]](results, manifests[0]["tolerances"])
     for ok, pairs in gates:
         assert ok == all(residual <= tol for residual, tol in pairs)
@@ -866,23 +962,44 @@ def _run_contract(root, monkeypatch, capsys, argv):
     return code, results
 
 
+def _value(argv, flag, default=None, kind=float):
+    """The value argv gives a flag, or the default where it gives none."""
+    return kind(argv[argv.index(flag) + 1]) if flag in argv else default
+
+
+def _short(argv):
+    """Whether argv builds a q < 1 series too short to place its break point: fewer
+    than 6 nonzero coefficients."""
+    if argv[0] == "coeffs":
+        q, c0 = _value(argv, "--q"), _value(argv, "--c0", 1.0)
+        order = _value(argv, "--order", 40, int)
+    elif _value(argv, "--family", "selfsimilar", str) == "selfsimilar":
+        q, order = _value(argv, "--q", 0.5), _value(argv, "--order", 60, int)
+        c0 = _value(argv, "--c", 1.0) * _value(argv, "--a1", 1.0) / (1.0 + q)
+    else:
+        return False
+    return q < 1 and np.count_nonzero(siqm.series_coefficients(q, c0, order).coeffs) < 6
+
+
 def _command_contract(argv, code, results):
     """The command's own clauses of the contract."""
-    command, q = argv[0], float(argv[argv.index("--q") + 1])
+    command, family = argv[0], _value(argv, "--family", "selfsimilar", str)
     small = argv[-len(SMALL_GRID):] == SMALL_GRID
     if command == "coeffs":
         # exit 1 only where a gridded W table needs a break point the series cannot place
-        c0, order = float(argv[argv.index("--c0") + 1]), int(argv[argv.index("--order") + 1])
-        short = np.count_nonzero(siqm.series_coefficients(q, c0, order).coeffs) < 6
-        assert (code == 1) == ("--grid-points" in argv and q < 1 and short)
+        assert (code == 1) == ("--grid-points" in argv and _short(argv))
     elif command == "spectrum":
-        # exit 1 only for the grid the user can enlarge: 21 oracle levels need more
-        # than 16 points; exit 2 is the small-q oracle on the fixed box (ROADMAP item 3)
-        assert (code == 1) == small
+        # exit 1 only for the grid the user can enlarge (21 oracle levels need more
+        # than 16 points), a series too short for its break point, or a Morse level
+        # at or above a1, which is not bound; exit 2 is the small-q oracle on the
+        # fixed box (ROADMAP item 3)
+        unbound = family == "morse" and _value(argv, "--levels", 6, int) >= _value(argv, "--a1")
+        assert (code == 1) == (small or _short(argv) or unbound)
     elif command == "eigenstates" and small:
         # 16 points on [-10, 10] do not resolve level 4: the prenorm gate fails
         assert code == 2
-    elif command == "evolve" and code == 0 and q < 1:
+    elif command == "evolve" and code == 0 and family == "selfsimilar" and \
+            _value(argv, "--q") < 1:
         # a finished q < 1 run fits a coherent state to its end point
         assert results["best_fit_error"] is None
         assert all(map(np.isfinite, results["best_fit_z"]))

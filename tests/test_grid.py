@@ -5,7 +5,8 @@ import pytest
 
 from siqm import (BoundaryDecayWarning, Grid, GridMismatchError, InvalidRangeError,
                   TooFewPointsError, apply_ladder, dilate, inner, norm, normalized)
-from siqm.grid import _lagrange, cumulative_integral, first_derivative, hamiltonian_bands
+from siqm.grid import (MAX_POINTS, _lagrange, cumulative_integral, first_derivative,
+                       hamiltonian_bands)
 from scipy.linalg import eig_banded
 
 
@@ -24,6 +25,11 @@ def test_grid_errors():
         Grid(1, -1, 100)
     with pytest.raises(TooFewPointsError):
         Grid(-1, 1, 3)
+    # the point budget is checked before any array is made, and holds its bound
+    assert Grid(-1, 1, MAX_POINTS).n_points == MAX_POINTS
+    with pytest.raises(ValueError, match=f"a grid of {MAX_POINTS + 1} points is more than "
+                       f"MAX_POINTS = {MAX_POINTS}"):
+        Grid(-1, 1, MAX_POINTS + 1)
 
 
 def test_ladder_annihilates_gaussian_ground_state():

@@ -9,6 +9,7 @@ from siqm import (BoundaryDecayWarning, DegenerateLevelsError, LevelNotBoundErro
                   Grid, eigen_residual, eigenstate_with_prenorm,
                   energy_levels, fd_diagonalize, Harmonic, inner,
                   Morse, SelfSimilar, SpectrumTable)
+from siqm.spectra import MAX_LEVELS
 
 Q5 = SelfSimilar(q=0.5, c=1.0, a1=1.0)
 
@@ -125,6 +126,12 @@ def test_norms_refuse_a_product_outside_the_floats(a1, level, value):
     flat = SpectrumTable(np.array([0.0, 2 * a1, 2 * a1, 6 * a1]))
     with pytest.raises(DegenerateLevelsError, match="level 2"):
         flat.norms(4)
+
+
+def test_energy_levels_refuse_a_table_past_the_level_budget():
+    with pytest.raises(ValueError, match=f"need n_max <= MAX_LEVELS = {MAX_LEVELS}, "
+                       f"got {MAX_LEVELS + 1}"):
+        energy_levels(Harmonic(a1=1.0), MAX_LEVELS + 1)
 
 
 def test_norms_refuse_a_short_table():
